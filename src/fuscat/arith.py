@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from typing import TypeVar
+
+T = TypeVar("T")
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -47,6 +52,16 @@ def factorize(n: int) -> dict[int, int]:
 
 def prime_factors(n: int) -> list[int]:
     return sorted(factorize(n)) if n > 1 else []
+
+
+def prime_witnesses(pairs: Iterable[tuple[int, T]]) -> dict[int, T]:
+    """Each prime dividing some n of the (n, witness) pairs, mapped to the
+    witness of the first such n; primes in increasing order."""
+    out: dict[int, T] = {}
+    for n, witness in pairs:
+        for p in prime_factors(n):
+            out.setdefault(p, witness)
+    return dict(sorted(out.items()))
 
 
 def divisors(n: int) -> list[int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import amplitude, gtcat, verlinde
-from .arith import factorize, primes_upto
+from .arith import factorize, prime_witnesses, primes_upto
 from .cyclotomic import CycNum, parse_element
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
@@ -27,6 +27,7 @@ from .finitegroup import (
     builtin_group,
     char_degrees,
     double_cosets,
+    enum_cap,
     ito_michler_verify,
     parse_gens,
     perm_to_cycles,
@@ -217,12 +218,14 @@ def _cmd_verlinde(args) -> Report:
                   result, prov, lines)
 
 
-def _load_group(args) -> PermGroup:
+def _load_group(args) -> tuple[PermGroup, int]:
+    """The group the arguments name, and the enumeration cap in force."""
+    cap = enum_cap(args.cap)
     if getattr(args, "group", None):
-        return builtin_group(args.group, cap=getattr(args, "cap", None))
+        return builtin_group(args.group, cap=cap), cap
     if getattr(args, "gens", None):
         gens = parse_gens(args.gens, getattr(args, "degree", None))
-        return PermGroup.from_generators(gens, cap=getattr(args, "cap", None))
+        return PermGroup.from_generators(gens, cap=cap), cap
     raise PreconditionError("give a group via --group NAME or --gens CYCLES")
 
 
@@ -242,9 +245,9 @@ def _group_result(g: PermGroup) -> dict:
 
 
 def _cmd_group(args) -> Report:
-    g = _load_group(args)
+    g, cap = _load_group(args)
     result = _group_result(g)
-    prov = _provenance(enum_cap=args.cap or DEFAULT_ENUM_CAP)
+    prov = _provenance(enum_cap=cap)
     lines = [
         f"|G| = {g.order} on {g.degree} points",
         f"conjugacy classes: {len(result['classes'])}",
@@ -264,12 +267,12 @@ def _subgroup_of(g: PermGroup, args) -> PermGroup:
 
 
 def _cmd_gtcat(args) -> Report:
-    g = _load_group(args)
+    g, cap = _load_group(args)
     h = _subgroup_of(g, args)
-    prov = _provenance(cocycle_restriction=gtcat.COCYCLE_RESTRICTION,
-                       enum_cap=args.cap or DEFAULT_ENUM_CAP)
-    dcs = double_cosets(g, h)
+    prov = _provenance(cocycle_restriction=gtcat.COCYCLE_RESTRICTION, enum_cap=cap)
     simples = gtcat.enumerate_simples(g, h)
+    # one entry per double coset; |HxH| = |H|^2/|H^x| is checked by the orbit pass
+    dcs = list(dict.fromkeys((s.coset_rep, h.order**2 // s.stabilizer_order) for s in simples))
     result = {
         "order": g.order,
         "subgroup_order": h.order,
@@ -286,7 +289,7 @@ def _cmd_gtcat(args) -> Report:
         "sum_of_squares": sum(s.dimension**2 for s in simples),
     }
     if args.gtcat_action == "badprimes":
-        bad = gtcat.gt_bad_primes(g, h)
+        bad = prime_witnesses((s.dimension, s) for s in simples)
         result["bad_primes"] = [
             {"prime": p, "witness_dim": s.dimension, "witness_rep": perm_to_cycles(s.coset_rep)}
             for p, s in bad.items()
@@ -308,7 +311,7 @@ def _cmd_gtcat(args) -> Report:
 
 
 def _cmd_ito_michler(args) -> Report:
-    g = _load_group(args)
+    g, cap = _load_group(args)
     rep = ito_michler_verify(g, args.p)
     result = {
         "prime": rep.prime,
@@ -329,7 +332,7 @@ def _cmd_ito_michler(args) -> Report:
         ]
     else:
         lines = [f"p = {args.p}: NotApplicable ({rep.reason})"]
-    prov = _provenance(enum_cap=args.cap or DEFAULT_ENUM_CAP)
+    prov = _provenance(enum_cap=cap)
     return Report("ito-michler", {"group": getattr(args, 'group', None), "p": args.p},
                   result, prov, lines)
 
@@ -395,9 +398,10 @@ def _cmd_crosscheck(args) -> Report:
     def add(name: str, ok: bool, note: str = "") -> None:
         checks.append((name, ok, note))
 
+    cap = enum_cap(args.cap)
     groups = CROSSCHECK_CORPUS if args.all else [args.group]
     for name in groups:
-        g = builtin_group(name, cap=args.cap)
+        g = builtin_group(name, cap=cap)
         degrees = char_degrees(g)
         add(f"{name}: sum of squared degrees = |G|",
             sum(d * d for d in degrees) == g.order, f"degrees {list(degrees)}")
@@ -451,7 +455,7 @@ def _cmd_crosscheck(args) -> Report:
     report = Report("crosscheck", {"group": "corpus" if args.all else args.group}, result,
                     _provenance(q_convention=Q_CONVENTION,
                                 cocycle_restriction=gtcat.COCYCLE_RESTRICTION,
-                                enum_cap=args.cap or DEFAULT_ENUM_CAP), lines)
+                                enum_cap=cap), lines)
     if not ok:
         raise _CrosscheckFailure(report)
     return report

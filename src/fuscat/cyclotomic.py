@@ -35,16 +35,6 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Divide num by the monic polynomial den; remainder must vanish."""
     num = num[:]

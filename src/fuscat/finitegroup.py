@@ -1,8 +1,10 @@
 """Finite permutation groups at desk scale.
 
 Groups are enumerated explicitly (orbit closure of the generators) up to a
-configurable cap; conjugacy classes, double cosets and subgroup
-intersections are computed directly on the element table.
+configurable cap; conjugacy classes are computed on the element table.
+Double cosets and their stabilizers come from one pass over the H-orbits
+on the right cosets G/H; `stabilizer_intersection` is the definitional
+reference that the tests check this route against.
 
 Character degrees come from the class-multiplication-coefficient method:
 the integer class matrices commute and split into common one-dimensional
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from .arith import is_prime, p_part, prime_factors
+from .arith import is_prime, p_part, prime_factors, prime_witnesses
 from .errors import InternalCheckError, PreconditionError
 
 Perm = tuple[int, ...]
@@ -29,11 +31,17 @@ DEFAULT_ENUM_CAP = 20000
 ENUM_CAP_ENV = "FUSCAT_ENUM_CAP"
 
 
-def _enum_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUM_CAP
+def enum_cap(cap: int | None) -> int:
+    """The cap in force: cap, else $FUSCAT_ENUM_CAP, else the default; refuses bad values."""
+    if cap is None:
+        env = os.environ.get(ENUM_CAP_ENV)
+        try:
+            cap = int(env) if env else DEFAULT_ENUM_CAP
+        except ValueError:
+            raise PreconditionError(f"{ENUM_CAP_ENV}={env!r} is not an integer") from None
+    if cap < 1:
+        raise PreconditionError(f"the enumeration cap must be positive, got {cap}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +64,7 @@ def perm_inv(a: Perm) -> Perm:
 
 
 def perm_order(a: Perm) -> int:
-    return lcm(*(len(c) for c in _cycles(a))) if _cycles(a) else 1
+    return lcm(*map(len, _cycles(a)))
 
 
 def _cycles(a: Perm) -> list[list[int]]:
@@ -179,7 +187,7 @@ class PermGroup:
         if degree:
             deg = max(deg, degree)
         gens = [_pad(g, deg) for g in generators]
-        cap = _enum_cap(cap)
+        cap = enum_cap(cap)
         seen = {perm_identity(deg)}
         frontier = [perm_identity(deg)]
         while frontier:
@@ -241,13 +249,6 @@ class PermGroup:
             out = lcm(out, perm_order(g))
         return out
 
-    def is_abelian(self) -> bool:
-        return all(
-            perm_mul(a, b) == perm_mul(b, a)
-            for a in self.generators
-            for b in self.generators
-        )
-
     # -- conjugacy classes
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
@@ -300,59 +301,42 @@ def _mat_vec(m: list[list[int]], v: list[int], q: int) -> list[int]:
     return [sum(mi[j] * v[j] for j in range(len(v)) if v[j]) % q for mi in m]
 
 
-def _solve_columns(basis: list[list[int]], images: list[list[int]], q: int) -> list[list[int]]:
-    """Coordinates of each image vector in the span of the basis vectors."""
-    d, k = len(basis), len(basis[0])
-    m = len(images)
-    rows = [[basis[s][r] for s in range(d)] + [img[r] for img in images] for r in range(k)]
-    pivots = []
-    rr = 0
-    for c in range(d):
-        piv = next((i for i in range(rr, k) if rows[i][c] % q), None)
+def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> list[int]:
+    """Row-reduce in place mod q over the first ncols columns; returns the pivots."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        rr = len(pivots)
+        piv = next((i for i in range(rr, len(rows)) if rows[i][c] % q), None)
         if piv is None:
             continue
         rows[rr], rows[piv] = rows[piv], rows[rr]
         inv = pow(rows[rr][c], -1, q)
         rows[rr] = [v * inv % q for v in rows[rr]]
-        for i in range(k):
+        for i in range(len(rows)):
             if i != rr and rows[i][c] % q:
                 t = rows[i][c]
                 rows[i] = [(vi - t * vr) % q for vi, vr in zip(rows[i], rows[rr])]
         pivots.append(c)
-        rr += 1
-        if rr == d:
-            break
-    if len(pivots) != d:
+    return pivots
+
+
+def _solve_columns(basis: list[list[int]], images: list[list[int]], q: int) -> list[list[int]]:
+    """Coordinates of each image vector in the span of the basis vectors."""
+    d, k = len(basis), len(basis[0])
+    rows = [[basis[s][r] for s in range(d)] + [img[r] for img in images] for r in range(k)]
+    if len(_row_reduce(rows, d, q)) != d:
         raise InternalCheckError("subspace basis is rank-deficient")
-    for i in range(rr, k):
-        if any(rows[i][d:]):
-            raise InternalCheckError("subspace is not invariant under the class matrix")
-    coords = [[0] * m for _ in range(d)]
-    for ri, c in enumerate(pivots):
-        for j in range(m):
-            coords[c][j] = rows[ri][d + j]
-    return coords
+    if any(any(row[d:]) for row in rows[d:]):
+        raise InternalCheckError("subspace is not invariant under the class matrix")
+    # full rank: pivot i sits in column i, so row i holds the i-th coordinates
+    return [row[d:] for row in rows[:d]]
 
 
 def _kernel(m: list[list[int]], q: int) -> list[list[int]]:
     """Basis of the kernel of a square matrix mod q."""
     d = len(m)
     rows = [r[:] for r in m]
-    pivots: list[int] = []
-    rr = 0
-    for c in range(d):
-        piv = next((i for i in range(rr, d) if rows[i][c] % q), None)
-        if piv is None:
-            continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        inv = pow(rows[rr][c], -1, q)
-        rows[rr] = [v * inv % q for v in rows[rr]]
-        for i in range(d):
-            if i != rr and rows[i][c] % q:
-                t = rows[i][c]
-                rows[i] = [(vi - t * vr) % q for vi, vr in zip(rows[i], rows[rr])]
-        pivots.append(c)
-        rr += 1
+    pivots = _row_reduce(rows, d, q)
     basis = []
     for fc in range(d):
         if fc in pivots:
@@ -535,11 +519,7 @@ def char_degrees(g: PermGroup) -> tuple[int, ...]:
 
 def rep_bad_primes(g: PermGroup) -> dict[int, int]:
     """Primes dividing some irreducible degree, each with a witnessing degree."""
-    out: dict[int, int] = {}
-    for d in char_degrees(g):
-        for p in prime_factors(d):
-            out.setdefault(p, d)
-    return dict(sorted(out.items()))
+    return prime_witnesses((d, d) for d in char_degrees(g))
 
 
 def rep_good_primes(g: PermGroup) -> list[int]:
@@ -605,31 +585,62 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# double cosets and stabilizer intersections
+# double cosets and stabilizers
+
+
+def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, PermGroup]]:
+    """Double cosets HxH as the H-orbits on the right cosets G/H, one pass.
+
+    Returns (x, |HxH|, K) per double coset, ordered by x, the
+    lexicographically minimal element of HxH; K = H n x^-1 H x is the
+    stabilizer of the coset Hx, generated by the orbit's Schreier generators.
+    """
+    if not g.is_subgroup(h):
+        raise PreconditionError("H is not a subgroup of G")
+    coset_of = [-1] * g.order  # element index -> index of the least element of its coset
+    for i, x in enumerate(g.elements):
+        if coset_of[i] < 0:
+            for a in h.elements:
+                coset_of[g.index[perm_mul(a, x)]] = i
+    identity = perm_identity(g.degree)
+    done: set[int] = set()
+    out = []
+    # the first element whose coset is not done is the minimum of its double coset
+    for x, start in zip(g.elements, coset_of):
+        if start in done:
+            continue
+        transversal = {start: identity}  # coset c -> t in H with (Hx)t = c
+        orbit = [start]
+        schreier = set()
+        for c in orbit:
+            for s in h.generators:
+                ts = perm_mul(transversal[c], s)
+                d = coset_of[g.index[perm_mul(x, ts)]]
+                if d in transversal:
+                    schreier.add(perm_mul(ts, perm_inv(transversal[d])))
+                else:
+                    transversal[d] = ts
+                    orbit.append(d)
+        done.update(orbit)
+        schreier.discard(identity)
+        stab = PermGroup.from_generators(sorted(schreier) or [identity], degree=g.degree, cap=h.order)
+        if len(orbit) * stab.order != h.order:
+            raise InternalCheckError("orbit length times stabilizer order is not |H|")
+        out.append((x, len(orbit) * h.order, stab))
+    if sum(size for _, size, _ in out) != g.order:
+        raise InternalCheckError("double cosets do not partition the group")
+    return out
 
 
 def double_cosets(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int]]:
     """Partition of G into sets HxH; representatives are lexicographically
     minimal and the list is ordered by representative."""
-    if not g.is_subgroup(h):
-        raise PreconditionError("H is not a subgroup of G")
-    visited = [False] * g.order
-    out = []
-    for idx, x in enumerate(g.elements):
-        if visited[idx]:
-            continue
-        left = {perm_mul(a, x) for a in h.elements}
-        coset = {perm_mul(y, b) for y in left for b in h.elements}
-        for y in coset:
-            visited[g.index[y]] = True
-        out.append((x, len(coset)))
-    if sum(size for _, size in out) != g.order:
-        raise InternalCheckError("double cosets do not partition the group")
-    return out
+    return [(x, size) for x, size, _ in double_coset_orbits(g, h)]
 
 
 def stabilizer_intersection(g: PermGroup, h: PermGroup, x: Perm) -> PermGroup:
-    """The subgroup H n xHx^-1 of G."""
+    """The subgroup H n xHx^-1 of G, built from the definition; the tests
+    check the stabilizers of `double_coset_orbits` against it."""
     if not g.is_subgroup(h):
         raise PreconditionError("H is not a subgroup of G")
     x = _pad(x, g.degree)

@@ -11,15 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import prime_factors
-from .errors import InternalCheckError, PreconditionError
-from .finitegroup import (
-    Perm,
-    PermGroup,
-    char_degrees,
-    double_cosets,
-    stabilizer_intersection,
-)
+from .arith import prime_witnesses
+from .errors import InternalCheckError
+from .finitegroup import Perm, PermGroup, char_degrees, double_coset_orbits
 
 COCYCLE_RESTRICTION = "trivial cocycles only (omega = 1, psi = 1)"
 
@@ -34,22 +28,11 @@ class GTSimple:
 
 def enumerate_simples(g: PermGroup, h: PermGroup) -> list[GTSimple]:
     """Simples of the bimodule category attached to (G, H), trivial cocycles."""
-    if not g.is_subgroup(h):
-        raise PreconditionError("H is not a subgroup of G")
-    simples: list[GTSimple] = []
-    for rep, size in double_cosets(g, h):
-        stab = stabilizer_intersection(g, h, rep)
-        if size * stab.order != h.order * h.order:
-            raise InternalCheckError("double coset size does not match |H|^2/|H^g|")
-        for d in char_degrees(stab):
-            simples.append(
-                GTSimple(
-                    coset_rep=rep,
-                    stabilizer_order=stab.order,
-                    irrep_degree=d,
-                    dimension=(h.order // stab.order) * d,
-                )
-            )
+    simples = [
+        GTSimple(rep, stab.order, d, (h.order // stab.order) * d)
+        for rep, _, stab in double_coset_orbits(g, h)
+        for d in char_degrees(stab)
+    ]
     if sum(s.dimension**2 for s in simples) != g.order:
         raise InternalCheckError("sum of squared dimensions is not |G|")
     return simples
@@ -57,8 +40,4 @@ def enumerate_simples(g: PermGroup, h: PermGroup) -> list[GTSimple]:
 
 def gt_bad_primes(g: PermGroup, h: PermGroup) -> dict[int, GTSimple]:
     """Primes dividing the dimension of some simple, with witness simples."""
-    out: dict[int, GTSimple] = {}
-    for s in enumerate_simples(g, h):
-        for p in prime_factors(s.dimension):
-            out.setdefault(p, s)
-    return dict(sorted(out.items()))
+    return prime_witnesses((s.dimension, s) for s in enumerate_simples(g, h))

@@ -152,3 +152,46 @@ def test_deterministic_output(capsys):
     _, first = run_json(capsys, "gtcat", "simples", "--group", "S4", "--subgroup-gens", "(1 2),(3 4)")
     _, second = run_json(capsys, "gtcat", "simples", "--group", "S4", "--subgroup-gens", "(1 2),(3 4)")
     assert first == second
+
+
+@pytest.mark.parametrize("command", [
+    ["group", "--group", "S3"],
+    ["gtcat", "simples", "--group", "S3"],
+    ["ito-michler", "--group", "S3", "--p", "3"],
+    ["crosscheck", "--group", "S3"],
+])
+def test_malformed_enum_cap_env_is_bad_input(capsys, monkeypatch, command):
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "abc")
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert "FUSCAT_ENUM_CAP" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_cap_is_refused(capsys, monkeypatch, cap):
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", cap)
+    code, _, err = run(capsys, "group", "--group", "S3")
+    assert code == 2 and "positive" in err
+    monkeypatch.delenv("FUSCAT_ENUM_CAP")
+    for command in (["group", "--group", "S3"], ["crosscheck", "--group", "S3"]):
+        code, _, err = run(capsys, *command, "--cap", cap)
+        assert code == 2 and "positive" in err
+
+
+def test_provenance_reports_the_cap_in_force(capsys, monkeypatch):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    _, payload = run_json(capsys, "group", "--group", "S3")
+    assert payload["provenance"]["enum_cap"] == "20000"
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "30")
+    for command in (
+        ["group", "--group", "S3"],
+        ["gtcat", "badprimes", "--group", "S3"],
+        ["ito-michler", "--group", "S3", "--p", "3"],
+    ):
+        code, payload = run_json(capsys, *command)
+        assert code == 0 and payload["provenance"]["enum_cap"] == "30"
+    code, payload = run_json(capsys, "group", "--group", "S3", "--cap", "7")
+    assert code == 0 and payload["provenance"]["enum_cap"] == "7"
+    code, _, _ = run(capsys, "group", "--group", "S5")  # 120 elements exceed the env cap
+    assert code == 2

@@ -1,0 +1,85 @@
+"""The coset-orbit route for double cosets and stabilizers, checked against
+the definitions: each HxH built as a set of |H|^2 products, and H n xHx^-1
+built by `stabilizer_intersection`."""
+
+import random
+
+import pytest
+
+import fuscat.finitegroup as finitegroup
+import fuscat.gtcat as gtcat
+from fuscat.cli import main
+from fuscat.finitegroup import (
+    PermGroup,
+    builtin_group,
+    char_degrees,
+    double_coset_orbits,
+    double_cosets,
+    parse_gens,
+    perm_inv,
+    perm_mul,
+    stabilizer_intersection,
+)
+
+
+def set_built_double_cosets(g, h):
+    """Partition of G into the sets HxH, scanning G in increasing order."""
+    covered = set()
+    out = []
+    for x in g.elements:
+        if x in covered:
+            continue
+        coset = {perm_mul(perm_mul(a, x), b) for a in h.elements for b in h.elements}
+        covered |= coset
+        out.append((x, len(coset)))
+    if len(covered) != g.order:
+        raise AssertionError("double cosets do not cover the group")
+    return out
+
+
+def subgroups(g, rng):
+    yield g.subgroup(parse_gens("e", g.degree))
+    yield g
+    for _ in range(4):
+        yield g.subgroup([rng.choice(g.elements), rng.choice(g.elements)])
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "A4", "D12", "Q8", "S3xC4"])
+def test_orbit_route_matches_the_definitions(name):
+    rng = random.Random(name)
+    g = builtin_group(name)
+    for h in subgroups(g, rng):
+        orbits = double_coset_orbits(g, h)
+        reference = set_built_double_cosets(g, h)
+        assert [(x, size) for x, size, _ in orbits] == reference
+        assert double_cosets(g, h) == reference
+        for x, _, stab in orbits:
+            # the stabilizer of the coset Hx is H n x^-1 H x
+            xinv = perm_inv(x)
+            expected = [y for y in h.elements if perm_mul(perm_mul(x, y), xinv) in h]
+            assert stab.elements == expected
+            conjugate = stabilizer_intersection(g, h, x)
+            assert stab.order == conjugate.order
+            assert char_degrees(stab) == char_degrees(conjugate)
+
+
+@pytest.mark.parametrize("action", ["simples", "badprimes"])
+def test_one_orbit_pass_per_gtcat_request(monkeypatch, capsys, action):
+    calls = []
+    orbits = finitegroup.double_coset_orbits
+
+    def counting(g, h):
+        calls.append((g.order, h.order))
+        return orbits(g, h)
+
+    def definitional_route(*args):
+        raise AssertionError("the definitional stabilizer route was reached")
+
+    monkeypatch.setattr(finitegroup, "double_coset_orbits", counting)
+    monkeypatch.setattr(gtcat, "double_coset_orbits", counting)
+    monkeypatch.setattr(finitegroup, "stabilizer_intersection", definitional_route)
+    monkeypatch.setattr(PermGroup, "from_elements", classmethod(definitional_route))
+    code = main(["gtcat", action, "--group", "S4", "--subgroup-gens", "(1 2),(3 4)"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == [(24, 4)]
