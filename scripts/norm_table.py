@@ -10,7 +10,7 @@ import sys
 import time
 
 from fuscat.arith import factorize
-from fuscat.cyclotomic import CycNum
+from fuscat.cyclotomic import CycNum, cyclotomic_at_one
 
 
 def main() -> int:
@@ -23,8 +23,8 @@ def main() -> int:
     mismatches = []
     for n in range(2, args.nmax + 1):
         norm = (1 - CycNum.zeta(n)).norm()
+        rule = cyclotomic_at_one(n)
         fac = factorize(n)
-        rule = list(fac)[0] if len(fac) == 1 else 1
         if norm != rule:
             mismatches.append(n)
         if not args.quiet:

@@ -248,13 +248,7 @@ def quantum_T4(l: int) -> CycNum:
     den = q3 - 1
     if den.is_zero:
         raise PreconditionError(f"amplitude denominator [3]-1 vanishes at l={l}")
-    val = (q3 * (q3 - 2)) / den
-    if l == 8:
-        if val * val != Fraction(1, 2):
-            raise InternalCheckError("square amplitude at l=8 does not square to 1/2")
-        if val.den % 2:
-            raise InternalCheckError("denominator at l=8 is odd")
-    return val
+    return (q3 * (q3 - 2)) / den
 
 
 def quantum_certificate(l: int, pmax: int = 50) -> dict:

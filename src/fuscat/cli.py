@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import amplitude, gtcat, verlinde
-from .arith import factorize, prime_witnesses, primes_upto
-from .cyclotomic import CycNum, parse_element
+from .arith import prime_witnesses, primes_upto
+from .cyclotomic import CycNum, cyclotomic_at_one, parse_element
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
     DEFAULT_ENUM_CAP,
@@ -34,7 +34,7 @@ from .finitegroup import (
     rep_bad_primes,
     rep_good_primes,
 )
-from .rootsys import build_root_system
+from .rootsys import build_root_system, enumerate_alcove
 from .verlinde import Verdict
 
 Q_CONVENTION = "q = zeta_{2l}, the primitive (2l)-th root of unity; verdicts are Galois-invariant in this choice"
@@ -133,12 +133,11 @@ def _cmd_lemma_norm(args) -> Report:
     all_match = True
     for n in range(2, args.nmax + 1):
         nrm = (1 - CycNum.zeta(n)).norm()
-        fac = factorize(n)
-        rule = list(fac)[0] if len(fac) == 1 else 1
+        rule = cyclotomic_at_one(n)
         match = nrm == rule
         all_match = all_match and match
         rows.append({"n": n, "norm": nrm, "rule": rule, "match": match})
-        table.append([str(n), str(nrm), str(rule) if len(fac) == 1 else "1 (not a prime power)", "ok" if match else "MISMATCH"])
+        table.append([str(n), str(nrm), str(rule) if rule > 1 else "1 (not a prime power)", "ok" if match else "MISMATCH"])
     lines = _table(table, ["n", "N(1-zeta_n)", "prime-power rule", "check"])
     lines.append(f"all {args.nmax - 1} values match the prime-power rule: {all_match}")
     if not all_match:
@@ -186,8 +185,8 @@ def _cmd_verlinde(args) -> Report:
             lines.append(v.detail)
         return Report("verlinde classify", {"type": args.type, "l": args.l, "p": args.p},
                       result, prov, lines)
-    # badprimes: compute the alcove dimensions once, then filter per prime
-    simples = verlinde.simple_objects(rs, args.l)
+    # badprimes: compute the alcove dimension norms once, then filter per prime
+    norms = [(w, verlinde.qdim_norm(rs, args.l, w)) for w in enumerate_alcove(rs, args.l)]
     verdicts = []
     scan: dict[int, list] = {}
     for p in primes_upto(args.pmax):
@@ -197,7 +196,7 @@ def _cmd_verlinde(args) -> Report:
             v = verlinde.PrimeVerdict(p, Verdict.OUTSIDE_THEOREM,
                                       verlinde.REASON_HYPOTHESIS_FAILURE, detail=str(exc))
         verdicts.append(v)
-        witnesses = [s.weight for s in simples if s.qdim_norm % p == 0]
+        witnesses = [w for w, n in norms if n % p == 0]
         if witnesses:
             scan[p] = [list(w) for w in witnesses]
     result = {
@@ -425,9 +424,7 @@ def _cmd_crosscheck(args) -> Report:
 
     norm_ok = True
     for n in range(2, 61):
-        fac = factorize(n)
-        rule = list(fac)[0] if len(fac) == 1 else 1
-        norm_ok = norm_ok and (1 - CycNum.zeta(n)).norm() == rule
+        norm_ok = norm_ok and (1 - CycNum.zeta(n)).norm() == cyclotomic_at_one(n)
     add("root-of-unity norms follow the prime-power rule (n <= 60)", norm_ok)
 
     rs = build_root_system("A1")
@@ -436,7 +433,8 @@ def _cmd_crosscheck(args) -> Report:
     add("A1, l=9: p=3 bad with the scan confirming the witness",
         v.verdict == Verdict.BAD and v.witness in scanned)
     add("A1, l=7: all dimension norms are units",
-        all(abs(s.qdim_norm) == 1 for s in verlinde.simple_objects(rs, 7)))
+        all(abs(s.qdim_norm) == 1 and s.qdim.norm() == s.qdim_norm
+            for s in verlinde.simple_objects(rs, 7)))
 
     t = amplitude.sl2_adjoint()
     add("classical square amplitude = 3/2 by both routes",

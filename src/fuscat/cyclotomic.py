@@ -15,13 +15,14 @@ reduced modulo the n-th cyclotomic polynomial only at the end.
 from __future__ import annotations
 
 import ast
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log2
 
-from .arith import divisors, is_prime, totient
+from .arith import divisors, factorize, is_prime, totient
 from .errors import InternalCheckError, PreconditionError
 
 
@@ -95,6 +96,17 @@ def cyclotomic_polynomial(n: int) -> CycPoly:
     if f[-1] != 1 or len(f) - 1 != totient(n):
         raise InternalCheckError(f"cyclotomic polynomial for n={n} is malformed")
     return CycPoly(tuple(f))
+
+
+def cyclotomic_at_one(n: int) -> int:
+    """Phi_n(1) without building Phi_n: p when n = p^k, 1 when n has two or
+    more prime factors, and 0 for n = 1."""
+    if n < 1:
+        raise PreconditionError("cyclotomic polynomial needs n >= 1")
+    if n == 1:
+        return 0
+    primes = list(factorize(n))
+    return primes[0] if len(primes) == 1 else 1
 
 
 def _phi(n: int) -> int:
@@ -462,6 +474,18 @@ def parse_element(text: str, conductor: int) -> CycNum:
     return _eval_node(tree.body, conductor)
 
 
+def _check_power_size(a: CycNum, k: int) -> None:
+    """Refuse a^k when k * log2 of the larger of a's coefficient 1-norm and
+    its denominator passes the interpreter's int-to-str limit (its default
+    when the limit is off), before any of it is computed."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bits = log2(max(sum(abs(c) for c in a.coeffs), a.den))
+    if bits and k > digits * log2(10) / bits:  # k may be too large for a float
+        raise PreconditionError(
+            f"power with a {k.bit_length()}-bit exponent would exceed {digits} decimal digits"
+        )
+
+
 def _eval_node(node: ast.AST, n: int) -> CycNum:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
@@ -480,7 +504,11 @@ def _eval_node(node: ast.AST, n: int) -> CycNum:
             e = _eval_node(node.right, n)
             if not (e.is_rational and e.den == 1):
                 raise PreconditionError("exponents must be integers")
-            return a ** int(e.as_fraction())
+            k = int(e.as_fraction())
+            if k < 0:
+                a, k = a.inverse(), -k
+            _check_power_size(a, k)
+            return a ** k
         b = _eval_node(node.right, n)
         if isinstance(node.op, ast.Add):
             return a + b

@@ -734,7 +734,7 @@ def _sl23() -> list[Perm]:
     return [act(((1, 1), (0, 1))), act(((0, 2), (1, 0)))]
 
 
-def _direct_product(gs: list[PermGroup]) -> PermGroup:
+def _direct_product(gs: list[PermGroup], cap: int) -> PermGroup:
     gens: list[Perm] = []
     offset = 0
     total = sum(g.degree for g in gs)
@@ -745,15 +745,16 @@ def _direct_product(gs: list[PermGroup]) -> PermGroup:
                 img[offset + i] = offset + v
             gens.append(tuple(img))
         offset += g.degree
-    return PermGroup.from_generators(gens, degree=total)
+    return PermGroup.from_generators(gens, degree=total, cap=cap)
 
 
 def builtin_group(name: str, cap: int | None = None) -> PermGroup:
     """Named groups: Sn, An, Cn, Dn (dihedral of order n), Q8, SL23,
     and direct products joined with 'x' (e.g. S3xC4)."""
     name = name.strip()
+    cap = enum_cap(cap)
     if "x" in name:
-        return _direct_product([builtin_group(part, cap) for part in name.split("x")])
+        return _direct_product([builtin_group(part, cap) for part in name.split("x")], cap)
     m = re.fullmatch(r"([SACDsacd])(\d+)", name)
     if m:
         fam, n = m.group(1).upper(), int(m.group(2))

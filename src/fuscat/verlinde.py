@@ -1,21 +1,35 @@
 """Quantum dimensions at roots of unity and the good/bad prime classifier.
 
-Dimensions are evaluated from the quantum Weyl product over positive roots
-at q = zeta_{2l}; field norms of the dimensions decide divisibility by a
-prime.  The classifier only answers inside its hypotheses (l odd, l > h,
-and for divisor primes p >= h); everything else is reported OutsideTheorem
-rather than guessed.  An exhaustive alcove scan of the necessary condition
-(p divides the norm of some dimension) serves as an independent check.
+At q = zeta_{2l} the quantum integer is [m] = q^(1-m) (y^m - 1)/(y - 1)
+with y = q^2 = zeta_l, so the quantum Weyl product over the positive roots
+is the unit q^(sum b - sum a) times the principal specialisation
+P(y) = prod (1 - y^a) / prod (1 - y^b), a = (lambda+rho, alpha) and
+b = (rho, alpha).  P is a polynomial with integer coefficients; `qdim`
+builds it by exact division by binomials and reduces once in Q(zeta_{2l}).
+
+Norms of the dimensions decide divisibility by a prime.  They come from
+the prime-power lemma, not from a product of Galois conjugates: with
+d = l/gcd(l, m), N(1 - zeta_l^m) = Phi_d(1)^(phi(2l)/phi(d)), which is
+p^(phi(2l)/phi(d)) when d = p^k and 1 when d has two or more prime
+factors; the unit and the N(1 - zeta_l) factors cancel.  `CycNum.norm`
+stays the generic route and the tests' oracle.
+
+The classifier only answers inside its hypotheses (l odd, l > h, and for
+divisor primes p >= h); everything else is reported OutsideTheorem rather
+than guessed.  An exhaustive alcove scan of the necessary condition (p
+divides the norm of some dimension) serves as an independent check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from itertools import accumulate
+from math import gcd, prod
 
-from .arith import is_prime
-from .cyclotomic import CycNum, q_integer
+from .arith import is_prime, totient
+from .cyclotomic import CycNum, cyclotomic_at_one
 from .errors import InternalCheckError, PreconditionError
 from .rootsys import RootSystem, Weight, enumerate_alcove, pairing, rho_pairing
 
@@ -50,37 +64,85 @@ class VerlindeSimple:
     qdim_norm: int
 
 
-def qdim(rs: RootSystem, l: int, weight: Weight) -> CycNum:
-    """Quantum dimension of the simple labelled by an alcove weight.
-
-    Product over positive roots of [(lambda+rho, alpha)] / [(rho, alpha)]
-    at q = zeta_{2l}; the alcove condition keeps every factor nonzero.
-    """
+def _check_alcove_weight(rs: RootSystem, l: int, weight: Weight) -> None:
     if len(weight) != rs.rank or any(w < 0 for w in weight):
         raise PreconditionError(f"{weight} is not a dominant weight of {rs.label}")
     if pairing(weight, rs.highest_root) >= l:
         raise PreconditionError(f"weight {weight} lies outside the level-{l} alcove")
-    num = CycNum.one()
-    den = CycNum.one()
-    for alpha in rs.positive_roots:
-        num = num * q_integer(pairing(weight, alpha), l)
-        den = den * q_integer(rho_pairing(alpha), l)
-    dim = num / den
-    if not dim.is_integral:
-        raise InternalCheckError(f"quantum dimension of {weight} is not integral")
-    return dim
+
+
+def _weyl_pairings(rs: RootSystem, weight: Weight) -> tuple[list[int], list[int]]:
+    """(lambda+rho, alpha) and (rho, alpha) over the positive roots."""
+    roots = rs.positive_roots
+    return [pairing(weight, a) for a in roots], [rho_pairing(a) for a in roots]
+
+
+def _principal_specialisation(nums: list[int], dens: list[int]) -> list[int]:
+    """Coefficients of prod (1 - y^a) / prod (1 - y^b) in Z[y].
+
+    Factors common to both sides cancel first.  Multiplying by 1 - y^a and
+    dividing by 1 - y^b are O(degree) recurrences; every division must be
+    exact.
+    """
+    top, bottom = Counter(nums), Counter(dens)
+    c = [1]
+    for a in (top - bottom).elements():
+        c += [0] * a
+        c = c[:a] + [x - y for x, y in zip(c[a:], c)]
+    for b in (bottom - top).elements():
+        # quotient q_k = c_k + q_(k-b): a running sum along each residue class mod b
+        for r in range(b):
+            c[r::b] = accumulate(c[r::b])
+        if any(c[len(c) - b :]):
+            raise InternalCheckError(f"1 - y^{b} does not divide the Weyl numerator")
+        del c[len(c) - b :]
+    return c
+
+
+def qdim(rs: RootSystem, l: int, weight: Weight) -> CycNum:
+    """Quantum dimension of the simple labelled by an alcove weight.
+
+    Product over positive roots of [(lambda+rho, alpha)] / [(rho, alpha)]
+    at q = zeta_{2l}, evaluated as q^(sum b - sum a) P(q^2); the alcove
+    condition keeps every factor nonzero.  The value lives in Q(zeta_{2l}).
+    """
+    _check_alcove_weight(rs, l, weight)
+    nums, dens = _weyl_pairings(rs, weight)
+    n = 2 * l
+    folded = [0] * n
+    for j, c in enumerate(_principal_specialisation(nums, dens)):
+        folded[2 * j % n] += c
+    return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
+
+
+def qdim_norm(rs: RootSystem, l: int, weight: Weight) -> int:
+    """Field norm of qdim(rs, l, weight) from Q(zeta_{2l}), by the prime-power ledger.
+
+    [m] has norm N(1 - zeta_d)/N(1 - zeta_l) with d = l/gcd(l, m), and
+    N(1 - zeta_d) = Phi_d(1)^(phi(2l)/phi(d)); the N(1 - zeta_l) factors of
+    numerator and denominator cancel, and so do the units.
+    """
+    _check_alcove_weight(rs, l, weight)
+    nums, dens = _weyl_pairings(rs, weight)
+    levels = Counter(l // gcd(l, a) for a in nums)
+    levels.subtract(l // gcd(l, b) for b in dens)
+    phi_n = totient(2 * l)
+    exponents: Counter[int] = Counter()
+    for d, k in levels.items():
+        p = cyclotomic_at_one(d)
+        if k and p > 1:
+            exponents[p] += k * (phi_n // totient(d))
+    if any(e < 0 for e in exponents.values()):
+        raise InternalCheckError(f"dimension norm of {weight} is not an integer")
+    return prod(p**e for p, e in exponents.items())
 
 
 def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
     """All alcove simples with their exact dimensions and dimension norms."""
-    out = []
-    for w in enumerate_alcove(rs, l):
-        d = qdim(rs, l, w)
-        n = d.norm()
-        if n.denominator != 1:
-            raise InternalCheckError("norm of an integral dimension is not an integer")
-        out.append(VerlindeSimple(weight=w, qdim=d, qdim_norm=n.numerator))
-    return out
+    return [
+        VerlindeSimple(weight=w, qdim=qdim(rs, l, w), qdim_norm=qdim_norm(rs, l, w))
+        for w in enumerate_alcove(rs, l)
+    ]
 
 
 def _check_theorem_hypotheses(rs: RootSystem, l: int) -> None:
@@ -117,7 +179,7 @@ def classify_prime(rs: RootSystem, l: int, p: int) -> PrimeVerdict:
             detail=f"p={p} divides composite l={l} but p < h={h}",
         )
     witness: Weight = tuple([l // p - 1] * rs.rank)
-    norm = qdim(rs, l, witness).norm().numerator
+    norm = qdim_norm(rs, l, witness)
     if norm % p:
         raise InternalCheckError(
             f"witness weight {witness} has norm {norm} not divisible by {p}"
@@ -133,4 +195,4 @@ def scan_dimension_witnesses(rs: RootSystem, l: int, p: int) -> list[Weight]:
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    return [s.weight for s in simple_objects(rs, l) if s.qdim_norm % p == 0]
+    return [w for w in enumerate_alcove(rs, l) if qdim_norm(rs, l, w) % p == 0]

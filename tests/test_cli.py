@@ -195,3 +195,23 @@ def test_provenance_reports_the_cap_in_force(capsys, monkeypatch):
     assert code == 0 and payload["provenance"]["enum_cap"] == "7"
     code, _, _ = run(capsys, "group", "--group", "S5")  # 120 elements exceed the env cap
     assert code == 2
+
+
+def test_cap_bounds_product_groups(capsys, monkeypatch):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    # each factor has 6 elements, the product 36: the product must meet the cap too
+    code, out, err = run(capsys, "group", "--group", "S3xS3", "--cap", "30")
+    assert code == 2 and "cap 30" in err and out == ""
+    code, payload = run_json(capsys, "group", "--group", "S3xS3", "--cap", "36")
+    assert code == 0 and payload["result"]["order"] == "36"
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "30")
+    code, _, err = run(capsys, "group", "--group", "S3xS3")
+    assert code == 2 and "cap 30" in err
+
+
+@pytest.mark.parametrize("expr", ["2^20000", "2^10^8", "2^(10^400)", "(1+z)^-40000"])
+def test_oversized_power_is_bad_input(capsys, expr):
+    code, out, err = run(capsys, "cyc", expr, "--n", "5")
+    assert code == 2
+    assert "exponent" in err and "Traceback" not in err
+    assert out == ""

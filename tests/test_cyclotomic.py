@@ -1,5 +1,6 @@
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 import pytest
 import sympy
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fuscat.cyclotomic import (
     CycNum,
+    cyclotomic_at_one,
     cyclotomic_polynomial,
     is_p_unit,
     parse_element,
@@ -233,6 +235,27 @@ def test_parse_element():
 def test_parse_element_rejects(bad):
     with pytest.raises(PreconditionError):
         parse_element(bad, 8)
+
+
+def test_cyclotomic_at_one_matches_the_polynomial():
+    for n in range(1, 301):
+        assert cyclotomic_at_one(n) == cyclotomic_polynomial(n)(1)
+    with pytest.raises(PreconditionError):
+        cyclotomic_at_one(0)
+
+
+def test_parse_element_bounds_powers():
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bits = int(digits * log2(10))
+    # 2^e has about e bits: just inside the limit it is built, past it refused
+    assert parse_element(f"2^{bits - 8}", 5) == 2 ** (bits - 8)
+    with pytest.raises(PreconditionError):
+        parse_element(f"2^{bits + 8}", 5)
+    with pytest.raises(PreconditionError):
+        parse_element("(3/2)^-100000", 5)  # the denominator counts as well
+    # powers of z have coefficient 1-norm 1 and stay free
+    assert parse_element("z^1000000", 5) == CycNum.zeta(5, 1000000)
+    assert parse_element("(-z^2)^-999999", 7) == -CycNum.zeta(7, -2 * 999999)
 
 
 def test_json_round_trip():

@@ -1,0 +1,105 @@
+"""The Verlinde path against its definitional routes.
+
+`qdim` is the exact quotient q^(sum b - sum a) P(q^2) and `qdim_norm` the
+prime-power ledger.  The oracles here are the quantum Weyl product of
+`q_integer`s divided in Q(zeta_{2l}) through `CycNum.inverse`, and the
+conjugate-product `CycNum.norm`.
+"""
+
+import time
+
+import pytest
+
+from fuscat import cli, verlinde
+from fuscat.cyclotomic import CycNum, q_integer
+from fuscat.errors import InternalCheckError, PreconditionError
+from fuscat.rootsys import build_root_system, enumerate_alcove, pairing, rho_pairing
+from fuscat.verlinde import (
+    Verdict,
+    classify_prime,
+    qdim,
+    qdim_norm,
+    scan_dimension_witnesses,
+    simple_objects,
+)
+
+CASES = (
+    [("A1", l) for l in range(3, 41)]
+    + [("A2", l) for l in range(4, 17)]
+    + [("A3", l) for l in range(5, 13)]
+    + [("D4", l) for l in range(7, 13)]
+    + [("E6", 13), ("E6", 14)]
+)
+
+
+def product_route(rs, l, weight):
+    """prod [(lambda+rho, alpha)] / prod [(rho, alpha)] in Q(zeta_{2l})."""
+    num = CycNum.one()
+    den = CycNum.one()
+    for alpha in rs.positive_roots:
+        num = num * q_integer(pairing(weight, alpha), l)
+        den = den * q_integer(rho_pairing(alpha), l)
+    return num / den
+
+
+@pytest.mark.parametrize("label,l", CASES)
+def test_quotient_and_ledger_match_the_oracles(label, l):
+    rs = build_root_system(label)
+    for w in enumerate_alcove(rs, l):
+        d = qdim(rs, l, w)
+        ref = product_route(rs, l, w)
+        assert (d.conductor, d.coeffs, d.den) == (ref.conductor, ref.coeffs, ref.den)
+        assert d.conductor == 2 * l
+        norm = d.norm()
+        assert norm.denominator == 1 and qdim_norm(rs, l, w) == norm.numerator
+
+
+def test_e8_witness_norm_from_the_ledger():
+    e8 = build_root_system("E8")
+    t0 = time.perf_counter()
+    v = classify_prime(e8, 155, 31)
+    assert time.perf_counter() - t0 < 5
+    assert v.verdict == Verdict.BAD and v.witness == (4,) * 8
+    norm = qdim_norm(e8, 155, v.witness)
+    assert norm.bit_length() == 1982 and norm % 31 == 0
+    assert norm == 31**400
+
+
+def test_principal_specialisation_divides_exactly():
+    spec = verlinde._principal_specialisation
+    assert spec([4], [2]) == [1, 0, 1]
+    assert spec([3, 3], [3, 1]) == [1, 1, 1]
+    assert spec([5, 2], [2, 5]) == [1]
+    with pytest.raises(InternalCheckError):
+        spec([2], [3])
+
+
+def test_qdim_norm_rejects_weights_outside_the_alcove():
+    a2 = build_root_system("A2")
+    with pytest.raises(PreconditionError):
+        qdim_norm(a2, 5, (3, 0))
+    with pytest.raises(PreconditionError):
+        qdim_norm(a2, 5, (0,))
+
+
+def _forbid(monkeypatch, *names):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("called off the Verlinde path")
+
+    for owner, name in names:
+        monkeypatch.setattr(owner, name, refuse)
+
+
+def test_simples_take_no_conjugate_products(monkeypatch):
+    _forbid(monkeypatch, (CycNum, "norm"), (CycNum, "inverse"))
+    a2 = build_root_system("A2")
+    assert len(simple_objects(a2, 9)) == 28
+
+
+def test_norm_only_callers_build_no_qdim(monkeypatch, capsys):
+    _forbid(monkeypatch, (CycNum, "norm"), (CycNum, "inverse"), (verlinde, "qdim"))
+    a1 = build_root_system("A1")
+    assert classify_prime(a1, 15, 5).verdict == Verdict.BAD
+    assert scan_dimension_witnesses(a1, 8, 2) == [(1,), (3,), (5,)]
+    assert cli.main(["verlinde", "badprimes", "--type", "A2", "--l", "9", "--pmax", "10"]) == 0
+    assert "Bad" in capsys.readouterr().out
