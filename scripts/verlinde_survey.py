@@ -12,8 +12,8 @@ import sys
 
 from fuscat.arith import primes_upto
 from fuscat.errors import PreconditionError
-from fuscat.rootsys import build_root_system
-from fuscat.verlinde import Verdict, classify_prime, simple_objects
+from fuscat.rootsys import build_root_system, enumerate_alcove
+from fuscat.verlinde import Verdict, classify_prime, qdim_norm
 
 
 def main() -> int:
@@ -39,10 +39,10 @@ def main() -> int:
                     continue
                 cells.append({Verdict.GOOD: "G", Verdict.BAD: "B",
                               Verdict.OUTSIDE_THEOREM: "o"}[v.verdict])
-            simples = simple_objects(rs, l)
-            nonunit = sum(1 for s in simples if abs(s.qdim_norm) != 1)
+            norms = [qdim_norm(rs, l, w) for w in enumerate_alcove(rs, l)]
+            nonunit = sum(1 for v in norms if abs(v) != 1)
             print(f"  l={l:<3d} {' '.join(cells)}   "
-                  f"({len(simples)} simples, {nonunit} with non-unit norm)")
+                  f"({len(norms)} simples, {nonunit} with non-unit norm)")
     return 0
 
 

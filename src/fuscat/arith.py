@@ -1,4 +1,4 @@
-"""Small integer helpers: primality, factorization, divisors, totient."""
+"""Small integer helpers: primality, factorization, divisors, totient, Moebius."""
 
 from __future__ import annotations
 
@@ -76,6 +76,12 @@ def totient(n: int) -> int:
     for p in factorize(n):
         t = t // p * (p - 1)
     return t
+
+
+def mobius(n: int) -> int:
+    """0 unless n is squarefree, else (-1) to the number of prime factors of n."""
+    fac = factorize(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
 
 def p_part(n: int, p: int) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import amplitude, gtcat, verlinde
 from .arith import prime_witnesses, primes_upto
-from .cyclotomic import CycNum, cyclotomic_at_one, parse_element
+from .cyclotomic import CycNum, check_str_digits, cyclotomic_at_one, parse_element
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
     DEFAULT_ENUM_CAP,
@@ -114,14 +114,17 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
 
 def _cmd_cyc(args) -> Report:
     val = parse_element(args.expr, args.n)
+    check_str_digits("the value", *val.coeffs, val.den)
     result: dict = {"conductor": args.n, "value": val, "pretty": str(val)}
     lines = [f"n = {args.n}", f"value = {val}"]
     if args.galois is not None:
         img = val.galois(args.galois)
+        check_str_digits("the Galois image", *img.coeffs, img.den)
         result["galois"] = {"s": args.galois, "image": img, "pretty": str(img)}
         lines.append(f"galois s={args.galois}: {img}")
     if args.norm:
         nrm = val.norm()
+        check_str_digits("the norm", nrm.numerator, nrm.denominator)
         result["norm"] = nrm
         lines.append(f"norm = {nrm}")
     return Report("cyc", {"expr": args.expr, "n": args.n}, result, _provenance(), lines)

@@ -7,49 +7,33 @@ exact; the canonical form divides out the gcd of the coefficients and the
 denominator, so an element is an algebraic integer iff its denominator
 is 1 (the power basis generates the full ring of integers of Q(zeta_n)).
 
-Field norms are computed as the explicit product over all Galois
-conjugates, evaluated modulo x^n - 1 with a balanced product tree and
-reduced modulo the n-th cyclotomic polynomial only at the end.
+Each coefficient operation has one kernel.  `_principal_specialisation`
+is the binomial quotient prod (1 - x^a) / prod (1 - x^b) in Z[x]; it gives
+Phi_n by Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, and the
+Verlinde quantum dimensions.  `_scatter` is the index map f(x) -> f(x^s)
+modulo x^n - 1 behind Galois conjugation, lifts to a larger conductor and
+folding long coefficient lists.  Field norms are the explicit product over
+all Galois conjugates, evaluated modulo x^n - 1 with a balanced product
+tree and reduced modulo Phi_n only at the end.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm, log2
 
-from .arith import divisors, factorize, is_prime, totient
+from .arith import divisors, factorize, is_prime, mobius, totient
 from .errors import InternalCheckError, PreconditionError
 
 
 # ---------------------------------------------------------------------------
 # integer polynomials (coefficient tuples, ascending degree)
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide num by the monic polynomial den; remainder must vanish."""
-    num = num[:]
-    dd = len(den) - 1
-    quot = [0] * max(len(num) - dd, 0)
-    for k in range(len(num) - 1, dd - 1, -1):
-        t = num[k]
-        if t:
-            quot[k - dd] = t
-            for j, c in enumerate(den):
-                num[k - dd + j] -= t * c
-    if any(num):
-        raise InternalCheckError("polynomial division left a remainder")
-    return _trim(quot)
 
 
 @dataclass(frozen=True)
@@ -68,31 +52,43 @@ class CycPoly:
             acc = acc * x + c
         return acc
 
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                term = "x" if i == 1 else f"x^{i}" if i else ""
-                if abs(c) != 1 or not term:
-                    term = f"{abs(c)}{'*' if term else ''}{term}"
-                terms.append(("- " if c < 0 else "+ ") + term)
-        if not terms:
-            return "0"
-        head = terms[-1].lstrip("+ ")
-        if terms[-1].startswith("- "):
-            head = "-" + terms[-1][2:]
-        return " ".join([head] + list(reversed(terms[:-1])))
+
+def _principal_specialisation(nums: list[int], dens: list[int]) -> list[int]:
+    """Coefficients of prod (1 - x^a) / prod (1 - x^b) in Z[x].
+
+    Factors common to both sides cancel first.  Multiplying by 1 - x^a and
+    dividing by 1 - x^b are O(degree) recurrences; every division must be
+    exact.
+    """
+    top, bottom = Counter(nums), Counter(dens)
+    c = [1]
+    for a in (top - bottom).elements():
+        c += [0] * a
+        c = c[:a] + [x - y for x, y in zip(c[a:], c)]
+    for b in (bottom - top).elements():
+        # quotient q_k = c_k + q_(k-b): a running sum along each residue class mod b
+        for r in range(b):
+            c[r::b] = accumulate(c[r::b])
+        if any(c[len(c) - b :]):
+            raise InternalCheckError(f"1 - x^{b} does not divide the binomial product")
+        del c[len(c) - b :]
+    return c
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> CycPoly:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial: x - 1 for n = 1, and for n > 1 the
+    Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, the binomial quotient
+    prod_{d | n} (1 - x^d)^mu(n/d)."""
     if n < 1:
         raise PreconditionError("cyclotomic polynomial needs n >= 1")
-    f = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d < n:
-            f = _poly_div_exact(f, cyclotomic_polynomial(d).coeffs)
+    if n == 1:
+        f = [-1, 1]
+    else:
+        divs = divisors(n)
+        f = _principal_specialisation(
+            [d for d in divs if mobius(n // d) == 1], [d for d in divs if mobius(n // d) == -1]
+        )
     if f[-1] != 1 or len(f) - 1 != totient(n):
         raise InternalCheckError(f"cyclotomic polynomial for n={n} is malformed")
     return CycPoly(tuple(f))
@@ -107,10 +103,6 @@ def cyclotomic_at_one(n: int) -> int:
         return 0
     primes = list(factorize(n))
     return primes[0] if len(primes) == 1 else 1
-
-
-def _phi(n: int) -> int:
-    return cyclotomic_polynomial(n).degree
 
 
 def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
@@ -141,14 +133,13 @@ def _cyclic_mul(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def _balanced_product(factors: list[list[int]], n: int) -> list[int]:
-    """Balanced product tree of coefficient lists modulo x^n - 1."""
-    if not factors:
-        return [1] + [0] * (n - 1)
-    items = deque(factors)
-    while len(items) > 1:
-        items.append(_cyclic_mul(items.popleft(), items.popleft(), n))
-    return items[0]
+def _scatter(coeffs, s: int, n: int) -> list[int]:
+    """Coefficients of f(x^s) modulo x^n - 1, f given by its coefficients."""
+    out = [0] * n
+    for i, v in enumerate(coeffs):
+        if v:
+            out[i * s % n] += v
+    return out
 
 
 def _units(n: int) -> list[int]:
@@ -171,10 +162,7 @@ class CycNum:
             raise PreconditionError("denominator must be nonzero")
         c = [int(v) for v in coeffs]
         if len(c) > conductor:
-            folded = [0] * conductor
-            for i, v in enumerate(c):
-                folded[i % conductor] += v
-            c = folded
+            c = _scatter(c, 1, conductor)
         vec = list(_reduce_mod_phi(c, conductor))
         if den < 0:
             den, vec = -den, [-v for v in vec]
@@ -250,11 +238,7 @@ class CycNum:
             return self
         if m % n:
             raise InternalCheckError("lift target is not a multiple of the conductor")
-        stride = m // n
-        vec = [0] * ((len(self.coeffs) - 1) * stride + 1)
-        for i, v in enumerate(self.coeffs):
-            vec[i * stride] = v
-        return CycNum(m, vec, self.den)
+        return CycNum(m, _scatter(self.coeffs, m // n, m), self.den)
 
     @staticmethod
     def _pair(a: "CycNum", b: "CycNum") -> tuple["CycNum", "CycNum"]:
@@ -307,18 +291,15 @@ class CycNum:
     __rmul__ = __mul__
 
     def _conjugate_numerator_product(self, skip_identity: bool) -> list[int]:
+        """Product of the numerator's Galois conjugates modulo x^n - 1, by a
+        balanced product tree."""
         n = self.conductor
-        nums = list(self.coeffs)
-        factors = []
-        for s in _units(n):
-            if skip_identity and s == 1:
-                continue
-            vec = [0] * n
-            for i, v in enumerate(nums):
-                if v:
-                    vec[(i * s) % n] += v
-            factors.append(vec)
-        return _balanced_product(factors, n)
+        items = deque(_scatter(self.coeffs, s, n) for s in _units(n) if s > 1 or not skip_identity)
+        if not items:
+            return [1]
+        while len(items) > 1:
+            items.append(_cyclic_mul(items.popleft(), items.popleft(), n))
+        return items[0]
 
     def inverse(self) -> "CycNum":
         """Multiplicative inverse via the product of nontrivial conjugates."""
@@ -373,11 +354,7 @@ class CycNum:
         s %= n
         if gcd(s if s else n, n) != 1:
             raise PreconditionError(f"{s} is not coprime to the conductor {n}")
-        vec = [0] * n
-        for i, v in enumerate(self.coeffs):
-            if v:
-                vec[(i * s) % n] += v
-        return CycNum(n, vec, self.den)
+        return CycNum(n, _scatter(self.coeffs, s, n), self.den)
 
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all Galois conjugates."""
@@ -386,7 +363,7 @@ class CycNum:
         red = _reduce_mod_phi(prod, n)
         if any(red[1:]):
             raise InternalCheckError("norm did not reduce to a rational number")
-        return Fraction(red[0], self.den ** _phi(n))
+        return Fraction(red[0], self.den ** totient(n))
 
     # -- serialization / display
 
@@ -441,7 +418,6 @@ def is_p_unit(a: CycNum, p: int) -> bool:
     return a.norm().numerator % p != 0
 
 
-@lru_cache(maxsize=8192)
 def q_integer(m: int, l: int) -> CycNum:
     """Quantum integer [m] = (q^m - q^-m)/(q - q^-1) at q = zeta_{2l}.
 
@@ -466,19 +442,41 @@ _ALLOWED_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "di
 
 
 def parse_element(text: str, conductor: int) -> CycNum:
-    """Parse `z`-expressions: integers, z, + - * / ^ and parentheses."""
+    """Parse `z`-expressions: integers, z, + - * / ^ and parentheses.
+
+    The value is returned in Q(zeta_conductor), whatever it simplifies to,
+    so its norm and Galois images are taken over the field that z names.
+    """
+    if conductor < 1:
+        raise PreconditionError("conductor must be a positive integer")
     try:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+        return _eval_node(tree.body, conductor)._lift(conductor)
     except SyntaxError as exc:
         raise PreconditionError(f"cannot parse element expression: {exc.msg}") from None
-    return _eval_node(tree.body, conductor)
+    except RecursionError:
+        raise PreconditionError("element expression is too long or too deeply nested") from None
+
+
+def _max_str_digits() -> int:
+    """The interpreter's int-to-str limit, or its default when the limit is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def check_str_digits(what: str, *ints: int) -> None:
+    """Refuse integers with more decimal digits than the int-to-str limit,
+    so that rendering them cannot fail."""
+    digits = _max_str_digits()
+    bound = 10**digits
+    if any(abs(v) >= bound for v in ints):
+        raise PreconditionError(f"{what} has an integer of more than {digits} decimal digits")
 
 
 def _check_power_size(a: CycNum, k: int) -> None:
     """Refuse a^k when k * log2 of the larger of a's coefficient 1-norm and
-    its denominator passes the interpreter's int-to-str limit (its default
-    when the limit is off), before any of it is computed."""
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    its denominator passes the int-to-str limit, before any of it is
+    computed."""
+    digits = _max_str_digits()
     bits = log2(max(sum(abs(c) for c in a.coeffs), a.den))
     if bits and k > digits * log2(10) / bits:  # k may be too large for a float
         raise PreconditionError(

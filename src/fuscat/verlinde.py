@@ -5,7 +5,8 @@ with y = q^2 = zeta_l, so the quantum Weyl product over the positive roots
 is the unit q^(sum b - sum a) times the principal specialisation
 P(y) = prod (1 - y^a) / prod (1 - y^b), a = (lambda+rho, alpha) and
 b = (rho, alpha).  P is a polynomial with integer coefficients; `qdim`
-builds it by exact division by binomials and reduces once in Q(zeta_{2l}).
+builds it with the binomial quotient of `cyclotomic` (the kernel that also
+gives Phi_n) and reduces once in Q(zeta_{2l}).
 
 Norms of the dimensions decide divisibility by a prime.  They come from
 the prime-power lemma, not from a product of Galois conjugates: with
@@ -25,11 +26,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from math import gcd, prod
 
 from .arith import is_prime, totient
-from .cyclotomic import CycNum, cyclotomic_at_one
+from .cyclotomic import CycNum, _principal_specialisation, _scatter, cyclotomic_at_one
 from .errors import InternalCheckError, PreconditionError
 from .rootsys import RootSystem, Weight, enumerate_alcove, pairing, rho_pairing
 
@@ -77,28 +77,6 @@ def _weyl_pairings(rs: RootSystem, weight: Weight) -> tuple[list[int], list[int]
     return [pairing(weight, a) for a in roots], [rho_pairing(a) for a in roots]
 
 
-def _principal_specialisation(nums: list[int], dens: list[int]) -> list[int]:
-    """Coefficients of prod (1 - y^a) / prod (1 - y^b) in Z[y].
-
-    Factors common to both sides cancel first.  Multiplying by 1 - y^a and
-    dividing by 1 - y^b are O(degree) recurrences; every division must be
-    exact.
-    """
-    top, bottom = Counter(nums), Counter(dens)
-    c = [1]
-    for a in (top - bottom).elements():
-        c += [0] * a
-        c = c[:a] + [x - y for x, y in zip(c[a:], c)]
-    for b in (bottom - top).elements():
-        # quotient q_k = c_k + q_(k-b): a running sum along each residue class mod b
-        for r in range(b):
-            c[r::b] = accumulate(c[r::b])
-        if any(c[len(c) - b :]):
-            raise InternalCheckError(f"1 - y^{b} does not divide the Weyl numerator")
-        del c[len(c) - b :]
-    return c
-
-
 def qdim(rs: RootSystem, l: int, weight: Weight) -> CycNum:
     """Quantum dimension of the simple labelled by an alcove weight.
 
@@ -109,9 +87,7 @@ def qdim(rs: RootSystem, l: int, weight: Weight) -> CycNum:
     _check_alcove_weight(rs, l, weight)
     nums, dens = _weyl_pairings(rs, weight)
     n = 2 * l
-    folded = [0] * n
-    for j, c in enumerate(_principal_specialisation(nums, dens)):
-        folded[2 * j % n] += c
+    folded = _scatter(_principal_specialisation(nums, dens), 2, n)
     return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
 
 

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuscat.cli import main
 
@@ -215,3 +219,62 @@ def test_oversized_power_is_bad_input(capsys, expr):
     assert code == 2
     assert "exponent" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["2^4000*2^4000*2^4000*2^4000"], "value"),
+    (["(2*z)^4000", "--norm"], "norm"),
+    (["6*10^4299*(z-z^2)", "--galois", "2"], "Galois image"),  # the reduction doubles a coefficient
+])
+def test_unprintable_result_is_bad_input(capsys, argv, what):
+    code, out, err = run(capsys, "cyc", *argv, "--n", "5")
+    assert code == 2
+    assert what in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("expr", ["+".join(["1"] * 5000), "0+" + "-" * 3000 + "1"],
+                         ids=["5000-terms", "3000-minus-signs"])
+def test_overlong_expression_is_bad_input(capsys, expr):
+    code, out, err = run(capsys, "cyc", expr, "--n", "5")
+    assert code == 2
+    assert "nested" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_cyc_works_in_the_field_that_n_names(capsys):
+    for expr in ("z-z+2", "2"):
+        code, out, _ = run(capsys, "cyc", expr, "--n", "8", "--norm")
+        assert code == 0 and "norm = 16" in out.splitlines()
+    code, out, err = run(capsys, "cyc", "2", "--n", "8", "--galois", "2")
+    assert code == 2 and "coprime" in err and out == ""
+    code, out, err = run(capsys, "cyc", "2", "--n", "0")
+    assert code == 2 and "positive" in err and out == ""
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/^"), children).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(children, st.integers(-99, 99)).map(lambda t: f"{t[0]}^{t[1]}"),
+        children.map(lambda e: f"-{e}"),
+    )
+
+
+_ELEMENTS = st.recursive(st.integers(-99, 99).map(str) | st.just("z"), _compound, max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr=_ELEMENTS, n=st.integers(-2, 30), galois=st.none() | st.integers(-30, 30),
+       norm=st.booleans())
+def test_cyc_grammar_exits_zero_or_two(expr, n, galois, norm):
+    argv = ["cyc", expr, "--n", str(n)]
+    argv += ["--galois", str(galois)] if galois is not None else []
+    argv += ["--norm"] if norm else []
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reads an expression like "-z" as an option
+            code = exc.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""

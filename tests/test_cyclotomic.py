@@ -15,7 +15,7 @@ from fuscat.cyclotomic import (
     parse_element,
     q_integer,
 )
-from fuscat.arith import factorize, totient
+from fuscat.arith import factorize, mobius, totient
 from fuscat.errors import PreconditionError
 
 # small conductors for randomized properties; kept small so 1000-case
@@ -67,7 +67,7 @@ def test_phi_product_identity(n):
     assert prod == [-1] + [0] * (n - 1) + [1]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 105, 128, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 105, 128, 200, 210, 240, 242])
 def test_phi_against_sympy(n):
     x = sympy.Symbol("x")
     ours = list(cyclotomic_polynomial(n).coeffs)
@@ -78,6 +78,11 @@ def test_phi_against_sympy(n):
 def test_phi_degree_is_totient():
     for n in range(1, 80):
         assert cyclotomic_polynomial(n).degree == totient(n)
+
+
+def test_mobius_against_sympy():
+    for n in range(1, 301):
+        assert mobius(n) == sympy.mobius(n)
 
 
 # --- field arithmetic examples
