@@ -10,7 +10,7 @@ Modules:
     cli         the `fuscat` command-line front end
 """
 
-from .cyclotomic import CycNum, CycPoly, cyclotomic_polynomial, is_p_unit, q_integer
+from .cyclotomic import CycNum, CycPoly, cyclotomic_polynomial, q_integer
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import PermGroup, builtin_group, char_degrees
 from .rootsys import RootSystem, build_root_system, enumerate_alcove
@@ -33,7 +33,6 @@ __all__ = [
     "classify_prime",
     "cyclotomic_polynomial",
     "enumerate_alcove",
-    "is_p_unit",
     "q_integer",
     "qdim",
     "__version__",

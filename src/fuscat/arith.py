@@ -5,21 +5,41 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import TypeVar
 
+from .errors import PreconditionError
+
 T = TypeVar("T")
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality below 3317044064679887385961981 by deterministic
+    Miller-Rabin; larger n are refused rather than answered unproven."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise PreconditionError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -492,12 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cyc", help="evaluate a cyclotomic element expression")
-    p.add_argument("expr", help="expression in integers, z, + - * / ^ and parentheses")
+    p.add_argument("expr", nargs="?", help="expression in integers, z, + - * / ^ and parentheses")
     p.add_argument("--n", type=int, default=1, help="conductor of z (default 1)")
     p.add_argument("--galois", type=int, help="apply z -> z^s")
     p.add_argument("--norm", action="store_true", help="also print the field norm")
     _add_output_flags(p)
-    p.set_defaults(fn=_cmd_cyc)
+    p.set_defaults(fn=_cmd_cyc, usage_error=p.error)
 
     p = sub.add_parser("lemma-norm", help="table of norms N(1 - zeta_n) against the prime-power rule")
     p.add_argument("--nmax", type=int, default=60)
@@ -559,7 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = ap.parse_known_args(argv)
+    if args.command == "cyc" and args.expr is None and len(extra) == 1:
+        args.expr = extra.pop()  # an expression such as "-z" reads as an unknown option
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.command == "cyc" and args.expr is None:
+        args.usage_error("the following arguments are required: expr")
     try:
         report = args.fn(args)
     except _CrosscheckFailure as exc:

@@ -12,20 +12,23 @@ is the binomial quotient prod (1 - x^a) / prod (1 - x^b) in Z[x]; it gives
 Phi_n by Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, and the
 Verlinde quantum dimensions.  `_scatter` is the index map f(x) -> f(x^s)
 modulo x^n - 1 behind Galois conjugation, lifts to a larger conductor and
-folding long coefficient lists.  Field norms are the explicit product over
-all Galois conjugates, evaluated modulo x^n - 1 with a balanced product
-tree and reduced modulo Phi_n only at the end.
+folding long coefficient lists.  `_norm_and_cofactor` gives field norms and
+inverses by multi-modular evaluation: modulo primes p = 1 (mod n) the
+conjugates of an element are its values at the primitive n-th roots of
+unity mod p, and the norm and the cofactor N/f are combined by CRT under a
+certified bound and an exact check (Cohen, A Course in Computational
+Algebraic Number Theory, sections 3.3 and 4.3).
 """
 
 from __future__ import annotations
 
 import ast
 import sys
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd, lcm, log2
 
 from .arith import divisors, factorize, is_prime, mobius, totient
@@ -144,6 +147,118 @@ def _scatter(coeffs, s: int, n: int) -> list[int]:
 
 def _units(n: int) -> list[int]:
     return [s for s in range(1, n + 1) if gcd(s, n) == 1]
+
+
+# ---------------------------------------------------------------------------
+# multi-modular norms and cofactors
+
+# conductor -> the (p, w) pairs found so far, largest p first
+_SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
+
+
+def _split_primes(n: int):
+    """Primes p = 1 (mod n) below 2^61, largest first, each with a primitive
+    n-th root of unity w mod p.  Found lazily; only the pairs are kept."""
+    found = _SPLIT_PRIMES.setdefault(n, [])
+    for i in count():
+        if i == len(found):
+            p = found[-1][0] - n if found else ((1 << 61) - 2) // n * n + 1
+            while p > 1 and not is_prime(p):
+                p -= n
+            if p == 1:
+                raise PreconditionError(f"no prime p = 1 (mod {n}) is left below 2^61")
+            found.append((p, _root_of_unity(n, p)))
+        yield found[i]
+
+
+def _root_of_unity(n: int, p: int) -> int:
+    """A primitive n-th root of unity modulo a prime p = 1 (mod n)."""
+    for g in count(2):
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in factorize(n)):
+            return w
+
+
+def _crt(xs: list[int], m: int, rs: list[int], p: int) -> tuple[list[int], int]:
+    """The symmetric residues mod m*p of the integers = xs (mod m) and
+    = rs (mod p), and m*p."""
+    t, mp = pow(m, -1, p), m * p
+    ys = [(x + m * ((r - x) * t % p)) % mp for x, r in zip(xs, rs)]
+    return [y - mp if 2 * y > mp else y for y in ys], mp
+
+
+@lru_cache(maxsize=None)
+def _reduction_height(n: int) -> int:
+    """The largest |coefficient| of x^k modulo Phi_n over 0 <= k < n."""
+    phi = cyclotomic_polynomial(n).coeffs
+    r, height = [0] * (len(phi) - 2) + [1], 1
+    for _ in range(n - len(phi) + 1):
+        r = [a - r[-1] * b for a, b in zip([0] + r[:-1], phi)]
+        height = max(height, *map(abs, r))
+    return height
+
+
+def _is_cofactor(coeffs, cofactor: list[int], norm: int, n: int) -> bool:
+    """f * C == N modulo Phi_n, exactly."""
+    return _reduce_mod_phi(_cyclic_mul(list(coeffs), cofactor, n), n) == (norm,) + (0,) * (len(coeffs) - 1)
+
+
+def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[int] | None]:
+    """The norm N of f = sum c_i z^i in Z[zeta_n] and, if asked (f nonzero),
+    its cofactor C = N / f in the power basis.
+
+    Modulo each split prime p, f is evaluated at w^s for every unit s mod n;
+    N is the product of these values and C takes the values N / f(w^s),
+    interpolated on the roots of Phi_n.  N is combined by CRT until the
+    modulus passes 2 ||f||_1^phi(n), which bounds 2 |N| because every
+    conjugate has absolute value at most ||f||_1.  C is combined over the
+    primes that do not divide N and returned only once f * C == N holds
+    exactly modulo Phi_n, which is tried when a prime leaves its residues
+    unchanged.  Its coefficients are at most ||f||_1^(phi(n)-1) times the
+    reduction height of Phi_n, so a check still failing past twice that
+    modulus is an internal error.
+    """
+    units = _units(n)
+    terms = [(i, c) for i, c in enumerate(coeffs) if c]
+    if not terms:
+        return 0, None
+    l1 = sum(abs(c) for _, c in terms)
+    norm_bound = 2 * l1 ** len(units)
+    norm, norm_mod = [0], 1
+    cofactor, cof_mod = [0] * len(units), 1
+    cof_bound = 2 * l1 ** (len(units) - 1) * _reduction_height(n) if with_cofactor else 0
+    phi_terms = [(i, c) for i, c in enumerate(cyclotomic_polynomial(n).coeffs) if c]
+    for p, w in _split_primes(n):
+        powers = list(accumulate(range(n - 1), lambda x, _: x * w % p, initial=1))
+        mod_terms = [(i, c % p) for i, c in terms]
+        values = [sum(c * powers[i * s % n] for i, c in mod_terms) % p for s in units]
+        norm_p = 1
+        for v in values:
+            norm_p = norm_p * v % p
+        if norm_mod <= norm_bound:
+            norm, norm_mod = _crt(norm, norm_mod, [norm_p], p)
+        if not with_cofactor:
+            if norm_mod > norm_bound:
+                return norm[0], None
+            continue
+        if not norm_p:
+            continue
+        # Lagrange on the roots a_s = w^s of Phi_n: C = sum_s t_s Phi_n / (x - a_s)
+        # with t_s = C(a_s) / Phi_n'(a_s); its x^j coefficient is
+        # sum_{i > j} phi_i S_(i-j-1), S_m = sum_s t_s a_s^m the power sums
+        slopes = [sum(i * c * powers[s * (i - 1) % n] for i, c in phi_terms) for s in units]
+        ts = [norm_p * pow(v * d, -1, p) % p for v, d in zip(values, slopes)]
+        sums = [sum(t * powers[s * m % n] for s, t in zip(units, ts)) % p for m in range(len(units))]
+        residues = [sum(c * sums[i - j - 1] for i, c in phi_terms if i > j) % p for j in range(len(units))]
+        previous = cofactor
+        cofactor, cof_mod = _crt(cofactor, cof_mod, residues, p)
+        certified = cof_mod > cof_bound
+        if norm_mod <= norm_bound or not (certified or cofactor == previous):
+            continue
+        if _is_cofactor(coeffs, cofactor, norm[0], n):
+            return norm[0], cofactor
+        if certified:
+            raise InternalCheckError("the multi-modular cofactor fails the exact check")
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +405,14 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def _conjugate_numerator_product(self, skip_identity: bool) -> list[int]:
-        """Product of the numerator's Galois conjugates modulo x^n - 1, by a
-        balanced product tree."""
-        n = self.conductor
-        items = deque(_scatter(self.coeffs, s, n) for s in _units(n) if s > 1 or not skip_identity)
-        if not items:
-            return [1]
-        while len(items) > 1:
-            items.append(_cyclic_mul(items.popleft(), items.popleft(), n))
-        return items[0]
-
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the product of nontrivial conjugates."""
+        """Multiplicative inverse: den * C / N, with N the numerator's norm and
+        C = N / numerator its cofactor in Z[zeta_n]."""
         if self.is_zero:
             raise PreconditionError("division by zero")
         n = self.conductor
-        cofactor = self._conjugate_numerator_product(skip_identity=True)
-        full = _reduce_mod_phi(
-            _cyclic_mul(cofactor, list(self.coeffs), n), n
-        )
-        if any(full[1:]):
-            raise InternalCheckError("conjugate product is not rational")
-        return CycNum(n, [self.den * v for v in cofactor], full[0])
+        norm, cofactor = _norm_and_cofactor(self.coeffs, n, with_cofactor=True)
+        return CycNum(n, [self.den * v for v in cofactor], norm)
 
     def __truediv__(self, other) -> "CycNum":
         other = self._coerce(other)
@@ -358,12 +458,8 @@ class CycNum:
 
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all Galois conjugates."""
-        n = self.conductor
-        prod = self._conjugate_numerator_product(skip_identity=False)
-        red = _reduce_mod_phi(prod, n)
-        if any(red[1:]):
-            raise InternalCheckError("norm did not reduce to a rational number")
-        return Fraction(red[0], self.den ** totient(n))
+        norm, _ = _norm_and_cofactor(self.coeffs, self.conductor, with_cofactor=False)
+        return Fraction(norm, self.den ** totient(self.conductor))
 
     # -- serialization / display
 
@@ -407,15 +503,6 @@ class CycNum:
 
 # ---------------------------------------------------------------------------
 # derived operations
-
-
-def is_p_unit(a: CycNum, p: int) -> bool:
-    """True iff the algebraic integer a has norm coprime to the prime p."""
-    if not a.is_integral:
-        raise PreconditionError("p-unit test is defined for algebraic integers only")
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    return a.norm().numerator % p != 0
 
 
 def q_integer(m: int, l: int) -> CycNum:

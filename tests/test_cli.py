@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -252,6 +253,47 @@ def test_cyc_works_in_the_field_that_n_names(capsys):
     assert code == 2 and "positive" in err and out == ""
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["-z", "--n", "5"], "value = -z"),
+    (["-(1+z)", "--n", "5", "--norm"], "value = -1 - z"),
+    (["--n", "5", "-z"], "value = -z"),
+    (["--n", "5", "--", "-z"], "value = -z"),
+    (["-1+z", "--n", "3"], "value = -1 + z"),
+])
+def test_cyc_expression_may_start_with_minus(capsys, argv, value):
+    code, out, err = run(capsys, "cyc", *argv)
+    assert code == 0 and err == ""
+    assert value in out.splitlines()
+    if "--norm" in argv:
+        assert "norm = 1" in out.splitlines()
+
+
+def test_cyc_still_refuses_missing_or_extra_arguments(capsys):
+    for argv in (["--n", "5"], ["-z", "-z", "--n", "5"], ["z", "--n", "5", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["cyc", *argv])
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "required: expr" in err and "unrecognized arguments: -z -z" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["ito-michler", "--group", "S4", "--p", "1000000000000000003"], "does not divide the group order"),
+    (["verlinde", "classify", "--type", "A1", "--l", "9", "--p", "1000000000000000003"], "Good"),
+])
+def test_large_prime_arguments_answer_at_once(capsys, argv, line):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and line in out
+
+
+def test_primality_past_the_proven_range_is_bad_input(capsys):
+    code, out, err = run(capsys, "verlinde", "classify", "--type", "A1", "--l", "9",
+                         "--p", "3317044064679887385961981")
+    assert code == 2 and "too large" in err and out == ""
+
+
 def _compound(children):
     return st.one_of(
         st.tuples(children, st.sampled_from("+-*/^"), children).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
@@ -261,6 +303,8 @@ def _compound(children):
 
 
 _ELEMENTS = st.recursive(st.integers(-99, 99).map(str) | st.just("z"), _compound, max_leaves=10)
+# expressions that start with "-" and are no plain number, which argparse could read as options
+_ELEMENTS |= st.just("-z") | _ELEMENTS.map(lambda e: f"-({e})")
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,9 +316,6 @@ def test_cyc_grammar_exits_zero_or_two(expr, n, galois, norm):
     argv += ["--norm"] if norm else []
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse reads an expression like "-z" as an option
-            code = exc.code
+        code = main(argv)
     assert code in (0, 2) and "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""

@@ -1,4 +1,6 @@
+import random
 import sys
+from collections import deque
 from fractions import Fraction
 from math import gcd, log2
 
@@ -7,20 +9,60 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuscat import cyclotomic
 from fuscat.cyclotomic import (
     CycNum,
+    _cyclic_mul,
+    _reduce_mod_phi,
+    _scatter,
+    _split_primes,
+    _units,
     cyclotomic_at_one,
     cyclotomic_polynomial,
-    is_p_unit,
     parse_element,
     q_integer,
 )
-from fuscat.arith import factorize, mobius, totient
-from fuscat.errors import PreconditionError
+from fuscat.arith import factorize, is_prime, mobius, totient
+from fuscat.errors import InternalCheckError, PreconditionError
 
 # small conductors for randomized properties; kept small so 1000-case
 # acceptance sweeps stay fast
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 24]
+
+
+def conjugate_numerator_product(a, skip_identity):
+    """Product of the numerator's Galois conjugates modulo x^n - 1, by a
+    balanced product tree: the definitional route to norms and inverses."""
+    n = a.conductor
+    items = deque(_scatter(a.coeffs, s, n) for s in _units(n) if s > 1 or not skip_identity)
+    if not items:
+        return [1]
+    while len(items) > 1:
+        items.append(_cyclic_mul(items.popleft(), items.popleft(), n))
+    return items[0]
+
+
+def oracle_norm(a):
+    red = _reduce_mod_phi(conjugate_numerator_product(a, skip_identity=False), a.conductor)
+    assert not any(red[1:])
+    return Fraction(red[0], a.den ** totient(a.conductor))
+
+
+def oracle_inverse(a):
+    n = a.conductor
+    cofactor = conjugate_numerator_product(a, skip_identity=True)
+    full = _reduce_mod_phi(_cyclic_mul(cofactor, list(a.coeffs), n), n)
+    assert not any(full[1:])
+    return CycNum(n, [a.den * v for v in cofactor], full[0])
+
+
+def dense(rng, n, terms, den=1):
+    """An element of Q(zeta_n) with `terms` distinct powers below n and
+    coefficients in +-1..3."""
+    vec = [0] * n
+    for d in rng.sample(range(n), terms):
+        vec[d] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return CycNum(n, vec, den)
 
 
 def poly_mul(a, b):
@@ -158,17 +200,121 @@ def test_norm_of_rational_is_power():
 
 def test_norm_against_resultant_oracle():
     x = sympy.Symbol("x")
+    rng = random.Random(105240)
     cases = [
         (12, [1, 1, 0, 2]),
         (7, [2, -1, 0, 0, 1, 3]),
         (16, [1, 0, 1, 0, 0, 0, -1, 0]),
         (9, [0, 1, 1, -2, 0, 5]),
+        (105, [rng.randint(-3, 3) for _ in range(48)]),
+        (240, [rng.randint(-3, 3) for _ in range(64)]),
     ]
     for n, coeffs in cases:
         ours = CycNum(n, coeffs).norm()
         poly = sum(c * x**i for i, c in enumerate(coeffs))
         theirs = sympy.resultant(sympy.cyclotomic_poly(n, x), poly)
         assert ours == int(theirs)
+
+
+def test_norm_one_minus_zeta_against_the_conjugate_product():
+    for n in range(1, 201):
+        a = 1 - CycNum.zeta(n)
+        assert a.norm() == oracle_norm(a), n
+
+
+@st.composite
+def dense_elements(draw):
+    n = draw(st.integers(1, 120))
+    phi = totient(n)
+    coeffs = draw(st.lists(st.integers(-50, 50), min_size=phi, max_size=phi))
+    val = CycNum(n, coeffs, draw(st.integers(2, 30)))
+    return val + 1 if val.is_zero else val
+
+
+@given(dense_elements())
+@settings(max_examples=30, deadline=None)
+def test_norm_and_inverse_against_the_conjugate_product(a):
+    assert a.norm() == oracle_norm(a)
+    inv = a.inverse()
+    assert inv == oracle_inverse(a)
+    assert a * inv == 1
+
+
+@pytest.mark.parametrize("n", [210, 240])
+def test_dense_large_conductor_against_the_conjugate_product(n):
+    rng = random.Random(n)
+    a = dense(rng, n, 24)
+    b = dense(rng, n, 8, den=rng.randint(2, 9))
+    for x in (a, b):
+        assert x.norm() == oracle_norm(x)
+        assert x.inverse() == oracle_inverse(x)
+    assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("n", [5, 12, 60, 105])
+def test_inverse_skips_a_prime_dividing_the_norm(n):
+    p, w = next(_split_primes(n))
+    a = CycNum(n, [-w, 1])  # z - w, whose norm is +-Phi_n(w) = 0 (mod p)
+    assert a.norm().numerator % p == 0
+    assert a.norm() == oracle_norm(a)
+    assert a.inverse() == oracle_inverse(a)
+    b = a * dense(random.Random(n), n, min(n, 8))
+    assert b.inverse() == oracle_inverse(b)
+
+
+def test_split_primes_are_primes_with_primitive_roots():
+    for n in (1, 2, 7, 60, 240):
+        primes = _split_primes(n)
+        for _ in range(3):
+            p, w = next(primes)
+            assert p < 2**61 and (p - 1) % n == 0 and is_prime(p)
+            assert pow(w, n, p) == 1
+            assert all(pow(w, n // q, p) != 1 for q in factorize(n))
+
+
+def test_failed_exact_check_adds_primes(monkeypatch):
+    # at the certified coefficient bound a failed check is an internal error;
+    # a looser bound leaves room to fail the check before it
+    a = dense(random.Random(7), 60, 12)
+    checks, primes = [], []
+    check, split_primes = cyclotomic._is_cofactor, cyclotomic._split_primes
+
+    def fail_first(coeffs, cofactor, norm, n):
+        checks.append(len(primes))
+        return len(checks) > 1 and check(coeffs, cofactor, norm, n)
+
+    def counted(n):
+        for pair in split_primes(n):
+            primes.append(pair)
+            yield pair
+
+    monkeypatch.setattr(cyclotomic, "_is_cofactor", fail_first)
+    monkeypatch.setattr(cyclotomic, "_split_primes", counted)
+    monkeypatch.setattr(cyclotomic, "_reduction_height", lambda n: 2**1000)
+    assert a.inverse() == oracle_inverse(a)
+    assert len(checks) == 2 and checks[1] > checks[0]
+
+
+def test_cofactor_is_never_returned_unchecked(monkeypatch):
+    seen = []
+
+    def never(coeffs, cofactor, norm, n):
+        seen.append(1)
+        return False
+
+    monkeypatch.setattr(cyclotomic, "_is_cofactor", never)
+    with pytest.raises(InternalCheckError):
+        dense(random.Random(7), 60, 12).inverse()
+    assert seen
+
+
+def is_p_unit(a, p):
+    """True iff the algebraic integer a has norm coprime to the prime p."""
+    if not a.is_integral:
+        raise PreconditionError("p-unit test is defined for algebraic integers only")
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
+    return a.norm().numerator % p != 0
 
 
 def test_is_p_unit():

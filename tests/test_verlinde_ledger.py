@@ -2,8 +2,8 @@
 
 `qdim` is the exact quotient q^(sum b - sum a) P(q^2) and `qdim_norm` the
 prime-power ledger.  The oracles here are the quantum Weyl product of
-`q_integer`s divided in Q(zeta_{2l}) through `CycNum.inverse`, and the
-conjugate-product `CycNum.norm`.
+`q_integer`s divided in Q(zeta_{2l}) through `CycNum.inverse`, and
+`CycNum.norm`.
 """
 
 import time
