@@ -590,6 +590,8 @@ def _eval_node(node: ast.AST, n: int) -> CycNum:
             if not (e.is_rational and e.den == 1):
                 raise PreconditionError("exponents must be integers")
             k = int(e.as_fraction())
+            if isinstance(node.left, ast.Name):  # the only name is z: z^k is zeta_n^k
+                return CycNum.zeta(n, k)
             if k < 0:
                 a, k = a.inverse(), -k
             _check_power_size(a, k)

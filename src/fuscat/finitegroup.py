@@ -6,7 +6,10 @@ Double cosets and their stabilizers come from one pass over the H-orbits
 on the right cosets G/H; `stabilizer_intersection` is the definitional
 reference that the tests check this route against.
 
-Character degrees come from the class-multiplication-coefficient method:
+The character degrees of an `x`-joined builtin G1 x ... x Gr are the
+products d1*...*dr of its factors' degrees (Irr(G x H) = Irr(G) (x) Irr(H)),
+checked against the product's own class count and order.  Every other
+group takes the class-multiplication-coefficient method:
 the integer class matrices commute and split into common one-dimensional
 eigenspaces over a prime field F_q chosen with q = 1 mod exp(G) and
 q > 2*sqrt(|G|); each common eigenvector is a central character, and the
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from functools import partial
+from math import gcd, isqrt, lcm, prod
 
 from .arith import is_prime, p_part, prime_factors, prime_witnesses
 from .errors import InternalCheckError, PreconditionError
@@ -42,6 +47,13 @@ def enum_cap(cap: int | None) -> int:
     if cap < 1:
         raise PreconditionError(f"the enumeration cap must be positive, got {cap}")
     return cap
+
+
+def _cap_exceeded(cap: int) -> PreconditionError:
+    return PreconditionError(
+        f"group order exceeds the enumeration cap {cap}; "
+        f"raise it via {ENUM_CAP_ENV} or the cap argument"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +188,8 @@ class PermGroup:
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: list[int] | None = None
         self._degrees: tuple[int, ...] | None = None
+        # G1, ..., Gr when the group was built as their direct product
+        self.factors: tuple[PermGroup, ...] = ()
 
     @classmethod
     def from_generators(
@@ -199,10 +213,7 @@ class PermGroup:
                         seen.add(v)
                         nxt.append(v)
                         if len(seen) > cap:
-                            raise PreconditionError(
-                                f"group order exceeds the enumeration cap {cap}; "
-                                f"raise it via {ENUM_CAP_ENV} or the cap argument"
-                            )
+                            raise _cap_exceeded(cap)
             frontier = nxt
         return cls(deg, gens, list(seen))
 
@@ -438,9 +449,29 @@ def _class_matrix(g: PermGroup, i: int) -> list[list[int]]:
 
 
 def char_degrees(g: PermGroup) -> tuple[int, ...]:
-    """Sorted multiset of irreducible character degrees."""
+    """Sorted multiset of irreducible character degrees: the products of the
+    factors' degrees for a recorded direct product, else class-matrix
+    eigensplitting.  Either way there is one degree per conjugacy class of g
+    and the squares sum to |g|."""
     if g._degrees is not None:
         return g._degrees
+    degrees = sorted(_product_degrees(g) if g.factors else _split_degrees(g))
+    if len(degrees) != len(g.conjugacy_classes()) or sum(d * d for d in degrees) != g.order:
+        raise InternalCheckError("character degrees fail the class-count or sum-of-squares check")
+    g._degrees = tuple(degrees)
+    return g._degrees
+
+
+def _product_degrees(g: PermGroup) -> list[int]:
+    """Irr(G1 x ... x Gr) = {chi1 (x) ... (x) chir}: all products of one degree per factor."""
+    degrees = [1]
+    for f in g.factors:
+        degrees = [d * e for d in degrees for e in char_degrees(f)]
+    return degrees
+
+
+def _split_degrees(g: PermGroup) -> list[int]:
+    """Degrees from the common eigenlines of the class matrices over F_q."""
     classes = g.conjugacy_classes()
     k = len(classes)
     order = g.order
@@ -506,11 +537,7 @@ def char_degrees(g: PermGroup) -> tuple[int, ...]:
         if d is None or order % d:
             raise InternalCheckError(f"no valid degree lift for d^2 = {d2} mod {q}")
         degrees.append(d)
-    degrees.sort()
-    if len(degrees) != k or sum(d * d for d in degrees) != order:
-        raise InternalCheckError("degree reconstruction failed the sum-of-squares check")
-    g._degrees = tuple(degrees)
-    return g._degrees
+    return degrees
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +650,10 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
                     orbit.append(d)
         done.update(orbit)
         schreier.discard(identity)
-        stab = PermGroup.from_generators(sorted(schreier) or [identity], degree=g.degree, cap=h.order)
+        if len(orbit) == 1:  # Hx = Hxh for every h: the Schreier generators are h's own
+            stab = h
+        else:
+            stab = PermGroup.from_generators(sorted(schreier) or [identity], degree=g.degree, cap=h.order)
         if len(orbit) * stab.order != h.order:
             raise InternalCheckError("orbit length times stabilizer order is not |H|")
         out.append((x, len(orbit) * h.order, stab))
@@ -745,25 +775,51 @@ def _direct_product(gs: list[PermGroup], cap: int) -> PermGroup:
                 img[offset + i] = offset + v
             gens.append(tuple(img))
         offset += g.degree
-    return PermGroup.from_generators(gens, degree=total, cap=cap)
+    product = PermGroup.from_generators(gens, degree=total, cap=cap)
+    product.factors = tuple(gs)
+    return product
+
+
+def _builtin_factor(name: str, cap: int) -> tuple[int, Callable[[], list[Perm]]]:
+    """The order of a named group that is not a product, read off its name,
+    and the builder of its generators."""
+    m = re.fullmatch(r"([SACDsacd])0*(\d+)", name)
+    if m:
+        fam, digits = m.group(1).upper(), m.group(2)
+        if len(digits) > len(str(cap)):  # n > cap, and the order is at least n
+            raise _cap_exceeded(cap)
+        n = int(digits)
+        if n < 1:
+            raise PreconditionError(f"bad group name {name!r}")
+        order = n
+        if fam in "SA":
+            # n!, stopped once past 2 * cap: n! and n!/2 are then both past the cap
+            order = 1
+            for i in range(2, n + 1):
+                order *= i
+                if order > 2 * cap:
+                    break
+            if fam == "A" and n > 1:
+                order //= 2
+        builder = {"S": _symmetric, "A": _alternating, "C": _cyclic, "D": _dihedral}[fam]
+        return order, partial(builder, n)
+    if name.upper() == "Q8":
+        return 8, _quaternion8
+    if name.upper() == "SL23":
+        return 24, _sl23
+    raise PreconditionError(f"unknown builtin group {name!r}")
 
 
 def builtin_group(name: str, cap: int | None = None) -> PermGroup:
     """Named groups: Sn, An, Cn, Dn (dihedral of order n), Q8, SL23,
-    and direct products joined with 'x' (e.g. S3xC4)."""
-    name = name.strip()
+    and direct products joined with 'x' (e.g. S3xC4).
+
+    The order is read off the name and checked against the cap before any
+    permutation is built.
+    """
     cap = enum_cap(cap)
-    if "x" in name:
-        return _direct_product([builtin_group(part, cap) for part in name.split("x")], cap)
-    m = re.fullmatch(r"([SACDsacd])(\d+)", name)
-    if m:
-        fam, n = m.group(1).upper(), int(m.group(2))
-        if n < 1:
-            raise PreconditionError(f"bad group name {name!r}")
-        gens = {"S": _symmetric, "A": _alternating, "C": _cyclic, "D": _dihedral}[fam](n)
-        return PermGroup.from_generators(gens, cap=cap)
-    if name.upper() == "Q8":
-        return PermGroup.from_generators(_quaternion8(), cap=cap)
-    if name.upper() == "SL23":
-        return PermGroup.from_generators(_sl23(), cap=cap)
-    raise PreconditionError(f"unknown builtin group {name!r}")
+    parts = [_builtin_factor(part.strip(), cap) for part in name.strip().split("x")]
+    if prod(order for order, _ in parts) > cap:
+        raise _cap_exceeded(cap)
+    groups = [PermGroup.from_generators(gens(), cap=cap) for _, gens in parts]
+    return groups[0] if len(groups) == 1 else _direct_product(groups, cap)

@@ -214,6 +214,50 @@ def test_cap_bounds_product_groups(capsys, monkeypatch):
     assert code == 2 and "cap 30" in err
 
 
+@pytest.mark.parametrize("name", [
+    "C100000000", "S100000", "D100000000", "A100000", "S3xC100000000",
+    "C20001", "D20002", "S9", "A12", "S7xS4",
+    pytest.param("C" + "1" * 5000, id="C111...1"),
+    pytest.param("C" + "0" * 5000 + "30001", id="C000...030001"),
+])
+def test_oversized_builtins_are_refused_before_they_are_built(capsys, monkeypatch, name):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "--group", name)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "exceeds the enumeration cap 20000" in err and "Traceback" not in err
+
+
+def test_raised_cap_lets_a_product_through(capsys, monkeypatch):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    code, _, err = run(capsys, "group", "--group", "S7xC2xC2")
+    assert code == 2 and "cap 20000" in err
+    code, payload = run_json(capsys, "group", "--group", "S7xC2xC2", "--cap", "20161")
+    assert code == 0 and payload["result"]["order"] == "20160"
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "30")
+    code, payload = run_json(capsys, "group", "--group", "S3xS3", "--cap", "37")
+    assert code == 0 and payload["result"]["order"] == "36"
+
+
+@pytest.mark.parametrize("name, order, classes", [
+    ("D12xD12xD12", "1728", 216), ("SL23xSL23xC3", "1728", 147),
+])
+def test_large_products_answer_from_their_factors(capsys, name, order, classes):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "group", "--group", name)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and payload["result"]["order"] == order
+    assert len(payload["result"]["degrees"]) == classes
+
+
+def test_product_degrees_match_generic_degrees(capsys):
+    _, by_name = run_json(capsys, "group", "--group", "S3xS3")
+    _, by_gens = run_json(capsys, "group", "--gens", "(1 2), (1 2 3), (4 5), (4 5 6)")
+    assert by_name["result"]["order"] == by_gens["result"]["order"] == "36"
+    assert by_name["result"]["degrees"] == by_gens["result"]["degrees"]
+
+
 @pytest.mark.parametrize("expr", ["2^20000", "2^10^8", "2^(10^400)", "(1+z)^-40000"])
 def test_oversized_power_is_bad_input(capsys, expr):
     code, out, err = run(capsys, "cyc", expr, "--n", "5")

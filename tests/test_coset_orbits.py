@@ -53,7 +53,9 @@ def test_orbit_route_matches_the_definitions(name):
         reference = set_built_double_cosets(g, h)
         assert [(x, size) for x, size, _ in orbits] == reference
         assert double_cosets(g, h) == reference
-        for x, _, stab in orbits:
+        for x, size, stab in orbits:
+            if size == h.order:  # HxH = Hx: the stabilizer is H itself, not a copy
+                assert stab is h
             # the stabilizer of the coset Hx is H n x^-1 H x
             xinv = perm_inv(x)
             expected = [y for y in h.elements if perm_mul(perm_mul(x, y), xinv) in h]

@@ -409,6 +409,15 @@ def test_parse_element_bounds_powers():
     assert parse_element("(-z^2)^-999999", 7) == -CycNum.zeta(7, -2 * 999999)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 240])
+def test_z_powers_against_repeated_multiplication(n):
+    z = CycNum.zeta(n)
+    for k in sorted({0, 1, -1, n - 1, n, n + 1, 2 * n + 3, -(2 * n + 3), 10**30 + 7}):
+        parsed = parse_element(f"z^{k}", n)
+        assert parsed == z**k and parsed.conductor == n
+        assert parse_element(f"3*z^({k}) - z", n) == 3 * z**k - z
+
+
 def test_json_round_trip():
     a = CycNum(16, [1, 0, 2, 0, 0, 0, -1, 0], 3)
     assert CycNum.from_json(a.to_json()) == a

@@ -3,6 +3,7 @@ import random
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+import fuscat.finitegroup as finitegroup
 from fuscat.errors import InternalCheckError, PreconditionError
 from fuscat.finitegroup import (
     PermGroup,
@@ -19,6 +20,7 @@ from fuscat.finitegroup import (
     rep_good_primes,
     stabilizer_intersection,
 )
+from fuscat.gtcat import enumerate_simples
 
 # classical character-degree tables, frozen before the class-matrix engine
 # was written; sources: standard tables for symmetric/alternating/dihedral
@@ -43,6 +45,12 @@ CLASSICAL_DEGREES = {
     "S3xC4": (1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2),
     "S3xS3": (1, 1, 1, 1, 2, 2, 2, 2, 4),
 }
+
+# x-joined builtins whose degrees come from their factors
+PRODUCTS = [
+    "S3xC4", "S3xS3", "C2xC2", "C6xC2", "A4xC2", "SL23xS4", "D12xD12", "S7xC2",
+    "S3xS3xS3xC2", "S4xS4xS3", "Q8xD8xC3",
+]
 
 
 # --- permutation primitives
@@ -102,6 +110,17 @@ def test_enumeration_cap():
         builtin_group("S5", cap=50)
 
 
+@pytest.mark.parametrize("name", [
+    "S4", "A5", "A4", "C7", "D12", "Q8", "SL23", "S3xC4", "A4xC2xQ8",
+    pytest.param("C" + "0" * 5000 + "12", id="C000...012"),
+])
+def test_builtin_order_is_read_off_the_name(name):
+    order = builtin_group(name).order
+    assert builtin_group(name, cap=order).order == order
+    with pytest.raises(PreconditionError, match=f"exceeds the enumeration cap {order - 1}"):
+        builtin_group(name, cap=order - 1)
+
+
 def test_enum_cap_env(monkeypatch):
     monkeypatch.setenv("FUSCAT_ENUM_CAP", "10")
     with pytest.raises(PreconditionError):
@@ -139,6 +158,43 @@ def test_abelian_groups_have_unit_degrees():
     for name in ("C5", "C12", "C2xC2", "C6xC2"):
         g = builtin_group(name)
         assert char_degrees(g) == (1,) * g.order
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_degrees_against_the_class_matrix_route(name):
+    g = builtin_group(name)
+    assert len(g.factors) == name.count("x") + 1
+    oracle = builtin_group(name)
+    oracle.factors = ()
+    assert char_degrees(g) == char_degrees(oracle)
+
+
+def test_product_class_matrices_are_never_built(monkeypatch):
+    built = []
+    class_matrix = finitegroup._class_matrix
+
+    def spy(g, i):
+        built.append(g)
+        return class_matrix(g, i)
+
+    monkeypatch.setattr(finitegroup, "_class_matrix", spy)
+    g = builtin_group("S4xS4xS3")
+    assert char_degrees(g)[-1] == 18
+    # H = G: the identity double coset's stabilizer is G itself, degrees cached
+    assert len(enumerate_simples(g, g)) == len(g.conjugacy_classes())
+    assert built and all(f in g.factors for f in built)
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("S3xC4", "S4"),   # |S4| = |G| = 24, but 5 degrees for 12 classes
+    ("D8xC2", "C10"),  # 10 degrees for 10 classes, but their squares sum to 10, not 16
+])
+def test_corrupted_factors_are_caught(name, wrong):
+    g = builtin_group(name)
+    g.factors = (builtin_group(wrong),)
+    with pytest.raises(InternalCheckError):
+        char_degrees(g)
+    assert g._degrees is None
 
 
 def test_degrees_of_random_subgroups_of_s5():

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("verlinde_survey.py", ["--types", "A1", "--lmax", "9", "--pmax", "10"],
      "  l=9   G B G G   (8 simples, 2 with non-unit norm)"),
     ("group_survey.py", ["--groups", "S3,A4"], "A4      |G|=12    degrees=[1, 1, 1, 3]"),
+    ("group_survey.py", ["--groups", "D12xD12xD12"],
+     "        p=3: good; Sylow of order 27 is normal and abelian, complement order 64"),
 ])
 def test_script_runs(script, args, line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
