@@ -21,7 +21,7 @@ CORPUS = [
     "S3", "S4", "S5", "S6", "A4", "A5", "A6",
     "D8", "D10", "D12", "D20", "D40",
     "C12", "C30", "Q8", "SL23", "S3xC4", "A4xC2",
-    "D12xD12xD12", "SL23xSL23xC3", "S4xS4xS3",
+    "D12xD12xD12", "SL23xSL23xC3", "S4xS4xS3", "C128", "C2xC2xC2xC2xC2xC2",
 ]
 
 

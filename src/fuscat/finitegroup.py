@@ -2,13 +2,16 @@
 
 Groups are enumerated explicitly (orbit closure of the generators) up to a
 configurable cap; conjugacy classes are computed on the element table.
+Every product a*b is one C-level gather, `operator.itemgetter(*a)(b)`,
+and a loop that multiplies by a fixed operand builds its gather once.
 Double cosets and their stabilizers come from one pass over the H-orbits
 on the right cosets G/H; `stabilizer_intersection` is the definitional
 reference that the tests check this route against.
 
 The character degrees of an `x`-joined builtin G1 x ... x Gr are the
 products d1*...*dr of its factors' degrees (Irr(G x H) = Irr(G) (x) Irr(H)),
-checked against the product's own class count and order.  Every other
+checked against the product's own class count and order.  A group with
+as many classes as elements is abelian and has all degrees 1.  Every other
 group takes the class-multiplication-coefficient method:
 the integer class matrices commute and split into common one-dimensional
 eigenspaces over a prime field F_q chosen with q = 1 mod exp(G) and
@@ -25,7 +28,9 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from math import gcd, isqrt, lcm, prod
+from operator import itemgetter
 
 from .arith import is_prime, p_part, prime_factors, prime_witnesses
 from .errors import InternalCheckError, PreconditionError
@@ -64,8 +69,16 @@ def perm_identity(degree: int) -> Perm:
     return tuple(range(degree))
 
 
+def _gather(a: Perm) -> Callable[[Perm], Perm]:
+    """x -> a*x, that is (a*x)[i] = x[a[i]], as one C-level gather."""
+    if len(a) > 1:
+        return itemgetter(*a)
+    # itemgetter with a single index returns the item, not a 1-tuple
+    return lambda x: tuple(map(x.__getitem__, a))
+
+
 def perm_mul(a: Perm, b: Perm) -> Perm:
-    return tuple(b[a[i]] for i in range(len(a)))
+    return _gather(a)(b)
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -202,13 +215,16 @@ class PermGroup:
             deg = max(deg, degree)
         gens = [_pad(g, deg) for g in generators]
         cap = enum_cap(cap)
+        # closure under left multiplication u -> s*u: the same set as the
+        # right closure, and the constructor sorts it
+        left = [_gather(s) for s in gens]
         seen = {perm_identity(deg)}
         frontier = [perm_identity(deg)]
         while frontier:
             nxt = []
             for u in frontier:
-                for s in gens:
-                    v = perm_mul(u, s)
+                for s in left:
+                    v = s(u)
                     if v not in seen:
                         seen.add(v)
                         nxt.append(v)
@@ -228,8 +244,9 @@ class PermGroup:
             if perm_inv(a) not in eset:
                 raise InternalCheckError("element set is not closed under inversion")
         for a in elems:
+            ga = _gather(a)
             for b in elems:
-                if perm_mul(a, b) not in eset:
+                if ga(b) not in eset:
                     raise InternalCheckError("element set is not closed under products")
         gens = [g for g in elems if g != perm_identity(deg)] or [perm_identity(deg)]
         return cls(deg, gens, elems)
@@ -255,10 +272,8 @@ class PermGroup:
         return other.degree == self.degree and all(g in self for g in other.generators)
 
     def exponent(self) -> int:
-        out = 1
-        for g in self.elements:
-            out = lcm(out, perm_order(g))
-        return out
+        # conjugate elements have equal order: one cycle walk per class
+        return lcm(*(perm_order(c.rep) for c in self.conjugacy_classes()))
 
     # -- conjugacy classes
 
@@ -277,7 +292,8 @@ class PermGroup:
         n = self.order
         class_of = [-1] * n
         classes: list[ConjugacyClass] = []
-        inv_gens = [perm_inv(g) for g in self.generators]
+        # g^-1 x g = (g^-1 * x) * g: the first gather is fixed per generator
+        conj = [(_gather(perm_inv(g)), g) for g in self.generators]
         for start in range(n):
             if class_of[start] >= 0:
                 continue
@@ -288,8 +304,8 @@ class PermGroup:
             while queue:
                 i = queue.pop()
                 x = self.elements[i]
-                for g, gi in zip(self.generators, inv_gens):
-                    j = self.index[perm_mul(perm_mul(gi, x), g)]
+                for gi, g in conj:
+                    j = self.index[_gather(gi(x))(g)]
                     if class_of[j] < 0:
                         class_of[j] = cid
                         orbit.append(j)
@@ -439,23 +455,28 @@ def _class_matrix(g: PermGroup, i: int) -> list[list[int]]:
     class_of = g.class_of()
     k = len(classes)
     mat = [[0] * k for _ in range(k)]
-    xs = [perm_inv(g.elements[idx]) for idx in classes[i].members]
+    xs = [_gather(perm_inv(g.elements[idx])) for idx in classes[i].members]
     for kk in range(k):
         z = classes[kk].rep
         for xinv in xs:
-            j = class_of[g.index[perm_mul(xinv, z)]]
+            j = class_of[g.index[xinv(z)]]
             mat[j][kk] += 1
     return mat
 
 
 def char_degrees(g: PermGroup) -> tuple[int, ...]:
     """Sorted multiset of irreducible character degrees: the products of the
-    factors' degrees for a recorded direct product, else class-matrix
-    eigensplitting.  Either way there is one degree per conjugacy class of g
-    and the squares sum to |g|."""
+    factors' degrees for a recorded direct product, all ones for an abelian
+    group, else class-matrix eigensplitting.  Every route must give one
+    degree per conjugacy class of g with squares summing to |g|."""
     if g._degrees is not None:
         return g._degrees
-    degrees = sorted(_product_degrees(g) if g.factors else _split_degrees(g))
+    if g.factors:
+        degrees = sorted(_product_degrees(g))
+    elif len(g.conjugacy_classes()) == g.order:  # abelian: every irreducible is linear
+        degrees = [1] * g.order
+    else:
+        degrees = sorted(_split_degrees(g))
     if len(degrees) != len(g.conjugacy_classes()) or sum(d * d for d in degrees) != g.order:
         raise InternalCheckError("character degrees fail the class-count or sum-of-squares check")
     g._degrees = tuple(degrees)
@@ -584,16 +605,14 @@ def ito_michler_verify(g: PermGroup, p: int) -> ItoMichlerReport:
     if offending is not None:
         return ItoMichlerReport(p, False, offending, None, None, None, None,
                                 reason=f"{p} divides the irreducible degree {offending}")
-    sylow = [x for x in g.elements if _is_p_power(perm_order(x), p)]
+    # conjugate elements have equal order: read each order off its class
+    p_classes = [_is_p_power(perm_order(c.rep), p) for c in g.conjugacy_classes()]
+    sylow = [x for x, c in zip(g.elements, g.class_of()) if p_classes[c]]
     target = p_part(g.order, p)
     sset = set(sylow)
-    closed = all(perm_mul(a, b) in sset for a in sylow for b in sylow)
-    abelian = all(perm_mul(a, b) == perm_mul(b, a) for a in sylow for b in sylow)
-    normal = all(
-        perm_mul(perm_mul(perm_inv(gen), x), gen) in sset
-        for x in sylow
-        for gen in g.generators
-    )
+    closed, abelian = _closed_and_abelian(sylow, g.degree)
+    conj = [(_gather(perm_inv(gen)), gen) for gen in g.generators]
+    normal = all(_gather(gi(x))(gen) in sset for x in sylow for gi, gen in conj)
     if len(sylow) != target or not closed or not abelian or not normal:
         raise InternalCheckError(
             f"Ito-Michler violation for p={p}: |S|={len(sylow)} (expected {target}), "
@@ -603,6 +622,33 @@ def ito_michler_verify(g: PermGroup, p: int) -> ItoMichlerReport:
     if gcd(complement, p) != 1:
         raise InternalCheckError("complement order is not coprime to p")
     return ItoMichlerReport(p, True, None, target, complement, abelian, normal)
+
+
+def _closed_and_abelian(s: list[Perm], degree: int) -> tuple[bool, bool]:
+    """Whether a set S of p-elements is closed under products, and whether
+    its elements commute pairwise, in O(|S| log |S|) products.
+
+    Generators T grow greedily: each x in S outside A = <T> joins T and A is
+    rebuilt, capped at |S|.  A cap overflow or an element of A outside S
+    means S is not closed; otherwise S <= A <= S at the end, so S = <T> is a
+    group, abelian exactly when T commutes pairwise.  A set of p-elements
+    that commutes pairwise is closed (commuting p-elements multiply to a
+    p-element), so an unclosed S is not abelian either.
+    """
+    sset = set(s)
+    gens: list[Perm] = []
+    span = {perm_identity(degree)}  # the elements of <T>
+    for x in s:
+        if x in span:
+            continue
+        gens.append(x)
+        try:
+            span = PermGroup.from_generators(gens, degree=degree, cap=len(s)).index
+        except PreconditionError:  # <T> has more than |S| elements
+            return False, False
+        if not span.keys() <= sset:
+            return False, False
+    return True, all(perm_mul(a, b) == perm_mul(b, a) for a, b in combinations(gens, 2))
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -625,10 +671,11 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
     if not g.is_subgroup(h):
         raise PreconditionError("H is not a subgroup of G")
     coset_of = [-1] * g.order  # element index -> index of the least element of its coset
+    h_gathers = [_gather(a) for a in h.elements]
     for i, x in enumerate(g.elements):
         if coset_of[i] < 0:
-            for a in h.elements:
-                coset_of[g.index[perm_mul(a, x)]] = i
+            for a in h_gathers:
+                coset_of[g.index[a(x)]] = i
     identity = perm_identity(g.degree)
     done: set[int] = set()
     out = []
@@ -639,10 +686,12 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
         transversal = {start: identity}  # coset c -> t in H with (Hx)t = c
         orbit = [start]
         schreier = set()
+        gx = _gather(x)
         for c in orbit:
+            gt = _gather(transversal[c])
             for s in h.generators:
-                ts = perm_mul(transversal[c], s)
-                d = coset_of[g.index[perm_mul(x, ts)]]
+                ts = gt(s)
+                d = coset_of[g.index[gx(ts)]]
                 if d in transversal:
                     schreier.add(perm_mul(ts, perm_inv(transversal[d])))
                 else:

@@ -251,6 +251,17 @@ def test_large_products_answer_from_their_factors(capsys, name, order, classes):
     assert len(payload["result"]["degrees"]) == classes
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "--group", "C256"),  # did not finish in 60 s with the class-matrix route
+    ("ito-michler", "--group", "C512", "--p", "2"),  # past 100 s with |S|^2 closure pairs
+])
+def test_large_abelian_groups_answer_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and out and "Traceback" not in err
+
+
 def test_product_degrees_match_generic_degrees(capsys):
     _, by_name = run_json(capsys, "group", "--group", "S3xS3")
     _, by_gens = run_json(capsys, "group", "--gens", "(1 2), (1 2 3), (4 5), (4 5 6)")

@@ -1,0 +1,164 @@
+"""The gather kernel behind every permutation product, checked against the
+per-point product it replaced, and the shortcuts that ride on it: all-ones
+degrees for abelian groups and the greedy Sylow closure check."""
+
+import importlib.util
+from math import lcm
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fuscat.finitegroup as finitegroup
+from fuscat.arith import prime_factors
+from fuscat.finitegroup import (
+    PermGroup,
+    _closed_and_abelian,
+    _gather,
+    _is_p_power,
+    _split_degrees,
+    builtin_group,
+    char_degrees,
+    parse_gens,
+    perm_inv,
+    perm_mul,
+    perm_order,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _survey_corpus():
+    spec = importlib.util.spec_from_file_location("group_survey", ROOT / "scripts" / "group_survey.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CORPUS
+
+
+def pointwise_mul(a, b):
+    """a*b point by point: a first, then b."""
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+def pointwise_elements(gens, degree):
+    """Closure of the generators under right multiplication u -> u*s."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for s in gens:
+                v = pointwise_mul(u, s)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return sorted(seen)
+
+
+def pointwise_classes(elements, gens):
+    """(rep, sorted member indices) per class, conjugating by two products."""
+    index = {x: i for i, x in enumerate(elements)}
+    inv_gens = [perm_inv(s) for s in gens]
+    class_of = [-1] * len(elements)
+    out = []
+    for start in range(len(elements)):
+        if class_of[start] >= 0:
+            continue
+        class_of[start] = len(out)
+        orbit = [start]
+        queue = [start]
+        while queue:
+            x = elements[queue.pop()]
+            for s, si in zip(gens, inv_gens):
+                j = index[pointwise_mul(pointwise_mul(si, x), s)]
+                if class_of[j] < 0:
+                    class_of[j] = len(out)
+                    orbit.append(j)
+                    queue.append(j)
+        out.append((elements[start], tuple(sorted(orbit))))
+    return out
+
+
+perms = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perms)
+def test_gather_is_the_pointwise_product(pair):
+    a, b = map(tuple, pair)
+    assert perm_mul(a, b) == pointwise_mul(a, b)
+    assert _gather(a)(b) == pointwise_mul(a, b)
+    assert perm_mul(a, perm_inv(a)) == tuple(range(len(a)))
+
+
+def test_degree_one_gather_is_a_tuple():
+    assert _gather((0,))((0,)) == (0,)
+    assert perm_mul((0,), (0,)) == (0,)
+
+
+def _corpus_groups():
+    for name in [*_survey_corpus(), "S1", "C1"]:
+        yield pytest.param(lambda name=name: builtin_group(name), id=name)
+    yield pytest.param(lambda: PermGroup.from_generators(parse_gens("e")), id="gens-e")
+
+
+@pytest.mark.parametrize("build", list(_corpus_groups()))
+def test_kernel_route_matches_the_pointwise_route(build):
+    g = build()
+    assert g.elements == pointwise_elements(g.generators, g.degree)
+    classes = [(c.rep, c.members) for c in g.conjugacy_classes()]
+    assert classes == pointwise_classes(g.elements, g.generators)
+    assert g.exponent() == lcm(*map(perm_order, g.elements))
+
+
+@pytest.mark.parametrize("gens", [
+    "(1 2 3 4 5 6), (7 8)",        # C6 x C2
+    "(1 2), (3 4), (5 6)",          # C2 x C2 x C2
+    "(1 2 3 4 5 6 7 8 9 10 11 12)",  # C12
+])
+def test_abelian_shortcut_against_the_class_matrix_route(monkeypatch, gens):
+    oracle = _split_degrees(PermGroup.from_generators(parse_gens(gens)))
+    called = []
+    monkeypatch.setattr(finitegroup, "_split_degrees", lambda g: called.append(g))
+    g = PermGroup.from_generators(parse_gens(gens))
+    assert not g.factors
+    assert char_degrees(g) == tuple(sorted(oracle)) == (1,) * g.order
+    assert called == []
+
+
+def pairwise_closed_and_abelian(s):
+    sset = set(s)
+    closed = all(perm_mul(a, b) in sset for a in s for b in s)
+    abelian = all(perm_mul(a, b) == perm_mul(b, a) for a in s for b in s)
+    return closed, abelian
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "D12", "Q8", "C2xC2", "C27"])
+def test_greedy_closure_against_all_pairs(name):
+    g = builtin_group(name)
+    for p in prime_factors(g.order):
+        s = [x for x in g.elements if _is_p_power(perm_order(x), p)]
+        assert _closed_and_abelian(s, g.degree) == pairwise_closed_and_abelian(s), p
+
+
+def test_greedy_closure_sees_both_failures():
+    # the 2-elements of S3: <(1 2), (1 3)> overflows the cap |S| = 4
+    s3 = builtin_group("S3")
+    s = [x for x in s3.elements if _is_p_power(perm_order(x), 2)]
+    assert _closed_and_abelian(s, 3) == (False, False)
+    # the 3-elements of A4 generate A4, whose involutions lie outside S;
+    # three repeats of the identity raise the cap to |A4| = 12, so only the
+    # containment test can refuse
+    a4 = builtin_group("A4")
+    s = [x for x in a4.elements if _is_p_power(perm_order(x), 3)]
+    padded = s + [tuple(range(4))] * 3
+    assert _closed_and_abelian(padded, 4) == (False, False)
+    # a closed but non-abelian set of 2-elements
+    q8 = builtin_group("Q8")
+    assert _closed_and_abelian(q8.elements, q8.degree) == (True, False)
+

@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("group_survey.py", ["--groups", "S3,A4"], "A4      |G|=12    degrees=[1, 1, 1, 3]"),
     ("group_survey.py", ["--groups", "D12xD12xD12"],
      "        p=3: good; Sylow of order 27 is normal and abelian, complement order 64"),
+    ("group_survey.py", ["--groups", "C128"],
+     "        p=2: good; Sylow of order 128 is normal and abelian, complement order 1"),
 ])
 def test_script_runs(script, args, line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
