@@ -9,6 +9,10 @@ the inverse Gram matrix, so everything stays in exact rational arithmetic:
     A(T2) = Tr(m m*)            (theta graph: two vertices, three edges)
     A(T4) = Tr(m (1 x m) (m* x 1) m*)   (square with diagonals)
 
+Every tensor and matrix product in this module (the invariance check, the
+dual product m*, both graph amplitudes, the trace form and the Casimir
+route) is one exact Einstein summation through the kernel `_contract`.
+
 The normalization-independent certificate rescales the vertex so that the
 two-vertex bubble subgraph acts as the identity morphism on an edge (the
 closed theta graph then evaluates to the loop value dim X); the square
@@ -19,9 +23,12 @@ root system is evaluated from its closed form in quantum integers.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import getitem
 
 from .cyclotomic import CycNum, q_integer
 from .errors import InternalCheckError, PreconditionError
@@ -46,10 +53,50 @@ class Tensor3:
                     raise PreconditionError("product is not antisymmetric")
         if _det3(self.gram) == 0:
             raise PreconditionError("pairing is degenerate")
-        low = _lower(self.m, self.gram)
+        low = _contract("ijl,lk->ijk", self.m, self.gram)  # b(m(e_i, e_j), e_k)
         for i, j, k in product(range(3), repeat=3):
             if low[i][j][k] != low[j][k][i]:
                 raise PreconditionError("pairing is not invariant for the product")
+
+
+def _contract(spec: str, *tensors):
+    """Exact Einstein summation over range(3), e.g. "lk,ijk,ia,jc->lac".
+
+    Each operand is a nested sequence indexed by the distinct letters of its
+    term.  Operands join two at a time from the left, and a letter is summed
+    as soon as neither a later operand nor the output carries it; zero
+    entries are skipped.  Returns nested tuples in the order of the output
+    letters, or one Fraction when the output is empty.
+    """
+    inputs, out = spec.split("->")
+    terms = inputs.split(",")
+    acc_sub, acc = "", {(): 1}
+    for n, (sub, t) in enumerate(zip(terms, tensors, strict=True)):
+        new = "".join(c for c in sub if c not in acc_sub)
+        shared = [c for c in sub if c in acc_sub]
+        letters = acc_sub + new
+        later = set(out).union(*terms[n + 1:])
+        keep = "".join(c for c in letters if c in later)
+        rows = defaultdict(list)  # entries of t grouped by their shared letters
+        for idx in product(range(3), repeat=len(sub)):
+            if v := reduce(getitem, idx, t):
+                at = dict(zip(sub, idx))
+                rows[tuple(at[c] for c in shared)].append((tuple(at[c] for c in new), v))
+        in_acc = [acc_sub.index(c) for c in shared]
+        pick = [letters.index(c) for c in keep]
+        joined = defaultdict(Fraction)
+        for ka, va in acc.items():
+            for kb, vb in rows[tuple(ka[i] for i in in_acc)]:
+                k = ka + kb
+                joined[tuple(k[i] for i in pick)] += va * vb
+        acc_sub, acc = keep, {k: v for k, v in joined.items() if v}
+
+    def nest(idx):
+        if len(idx) == len(out):
+            return acc.get(tuple(idx[out.index(c)] for c in acc_sub), Fraction(0))
+        return tuple(nest(idx + (i,)) for i in range(3))
+
+    return nest(())
 
 
 def _det3(g: Mat3) -> Fraction:
@@ -75,35 +122,10 @@ def _inv3(g: Mat3) -> Mat3:
     return tuple(tuple(v / d for v in row) for row in cof)
 
 
-def _lower(m, gram):
-    """T[i][j][k] = b(m(e_i, e_j), e_k)."""
-    return [
-        [
-            [sum(m[i][j][l] * gram[l][k] for l in range(3)) for k in range(3)]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-
-
 def _dualized_product(t: Tensor3):
     """(m*)[l][a][c]: components of the map X -> X (x) X dual to m under b."""
     ginv = _inv3(t.gram)
-    return [
-        [
-            [
-                sum(
-                    t.gram[l][k] * t.m[i][j][k] * ginv[i][a] * ginv[j][c]
-                    for k in range(3)
-                    for i in range(3)
-                    for j in range(3)
-                )
-                for c in range(3)
-            ]
-            for a in range(3)
-        ]
-        for l in range(3)
-    ]
+    return _contract("lk,ijk,ia,jc->lac", t.gram, t.m, ginv, ginv)
 
 
 def sl2_adjoint() -> Tensor3:
@@ -119,58 +141,23 @@ def sl2_adjoint() -> Tensor3:
     set_bracket(0, 1, (-2, 0, 0))  # [e, h] = -2e
     set_bracket(0, 2, (0, 1, 0))   # [e, f] = h
     set_bracket(1, 2, (0, 0, -2))  # [h, f] = -2f
-    ad = [_ad_matrix(m, i) for i in range(3)]
-    gram = tuple(
-        tuple(_trace(_mat_mul(ad[i], ad[j])) for j in range(3)) for i in range(3)
-    )
+    gram = _contract("ilk,jkl->ij", m, m)  # Tr(ad e_i ad e_j), (ad e_i)[k][l] = m[i][l][k]
     t = Tensor3(m=tuple(tuple(tuple(r) for r in row) for row in m), gram=gram)
     t.validate()
     return t
 
 
-def _ad_matrix(m, i) -> Mat3:
-    return tuple(tuple(m[i][j][k] for j in range(3)) for k in range(3))
-
-
-def _mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def _trace(a: Mat3) -> Fraction:
-    return a[0][0] + a[1][1] + a[2][2]
-
-
 def amplitude_T2(t: Tensor3) -> Fraction:
     """Theta-graph amplitude Tr(m m*)."""
     t.validate()
-    mstar = _dualized_product(t)
-    return sum(
-        mstar[l][a][c] * t.m[a][c][l] for l, a, c in product(range(3), repeat=3)
-    )
+    return _contract("lac,acl->", _dualized_product(t), t.m)
 
 
 def amplitude_T4(t: Tensor3) -> Fraction:
     """Square-with-diagonals amplitude Tr(m (1 x m) (m* x 1) m*), unnormalized."""
     t.validate()
     mstar = _dualized_product(t)
-    total = Fraction(0)
-    for tt, a, b in product(range(3), repeat=3):
-        if not mstar[tt][a][b]:
-            continue
-        for c, d in product(range(3), repeat=2):
-            if not mstar[a][c][d]:
-                continue
-            for e in range(3):
-                total += (
-                    mstar[tt][a][b]
-                    * mstar[a][c][d]
-                    * t.m[d][b][e]
-                    * t.m[c][e][tt]
-                )
-    return total
+    return _contract("tab,acd,dbe,cet->", mstar, mstar, t.m, t.m)
 
 
 def amplitude_T4_normalized(t: Tensor3) -> Fraction:
@@ -193,39 +180,19 @@ def casimir_square_coefficient(t: Tensor3) -> Fraction:
     In the representation of the algebra on itself, the quartic contraction
     sum_{a,b} y_a y_b y^a y^b (dual bases with respect to the pairing) acts
     as a scalar, and its trace equals this coefficient times the square of
-    the Casimir scalar (the scalar by which sum_a y_a y^a acts).  Everything
-    is an exact 3x3 matrix computation.
+    the Casimir scalar (the scalar by which sum_a y_a y^a acts).  With
+    (ad y_a)[r][s] = m[a][s][r] and y^a = sum_b ginv[a][b] y_b, both are
+    exact 3x3 matrices.
     """
     t.validate()
-    ad = [_ad_matrix(t.m, i) for i in range(3)]
     ginv = _inv3(t.gram)
-    dual = [
-        tuple(
-            tuple(sum(ginv[a][b] * ad[b][r][c] for b in range(3)) for c in range(3))
-            for r in range(3)
-        )
-        for a in range(3)
-    ]
-    casimir = _mat_sum(_mat_mul(ad[a], dual[a]) for a in range(3))
-    lhs = _mat_sum(
-        _mat_mul(_mat_mul(ad[a], ad[b]), _mat_mul(dual[a], dual[b]))
-        for a in range(3)
-        for b in range(3)
-    )
-    _scalar_of(lhs)
+    casimir = _contract("asr,ab,bts->rt", t.m, ginv, t.m)
+    lhs = _contract("asr,bts,ax,xut,by,ycu->rc", t.m, t.m, ginv, t.m, ginv, t.m)
+    trace = 3 * _scalar_of(lhs)
     r = _scalar_of(casimir)
     if r == 0:
         raise InternalCheckError("quadratic element vanished")
-    return _trace(lhs) / r**2
-
-
-def _mat_sum(mats) -> Mat3:
-    acc = [[Fraction(0)] * 3 for _ in range(3)]
-    for m in mats:
-        for i in range(3):
-            for j in range(3):
-                acc[i][j] += m[i][j]
-    return tuple(tuple(row) for row in acc)
+    return trace / r**2
 
 
 def _scalar_of(m: Mat3) -> Fraction:

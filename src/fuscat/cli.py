@@ -87,16 +87,22 @@ def _provenance(**overrides) -> dict:
     return base
 
 
-def _emit(report: Report, args) -> None:
+def _emit(report: Report, args) -> bool:
+    """Write the report; False, with stdout untouched, if --out cannot be written."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(report.payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(report.payload(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return False
     if getattr(args, "json", False):
         print(json.dumps(report.payload(), indent=2, sort_keys=True))
     else:
         for line in report.lines:
             print(line)
+    return True
 
 
 def _table(rows: list[list[str]], header: list[str]) -> list[str]:
@@ -131,6 +137,8 @@ def _cmd_cyc(args) -> Report:
 
 
 def _cmd_lemma_norm(args) -> Report:
+    if args.nmax < 2:
+        raise PreconditionError(f"--nmax must be at least 2 (the table starts at n = 2), got {args.nmax}")
     rows = []
     table = []
     all_match = True
@@ -577,8 +585,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args)
-    return 0
+    return 0 if _emit(report, args) else 2
 
 
 if __name__ == "__main__":

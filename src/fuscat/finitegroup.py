@@ -233,24 +233,6 @@ class PermGroup:
             frontier = nxt
         return cls(deg, gens, list(seen))
 
-    @classmethod
-    def from_elements(cls, elements: list[Perm]) -> "PermGroup":
-        elems = list(dict.fromkeys(elements))
-        if not elems:
-            raise PreconditionError("empty element list")
-        deg = len(elems[0])
-        eset = set(elems)
-        for a in elems:
-            if perm_inv(a) not in eset:
-                raise InternalCheckError("element set is not closed under inversion")
-        for a in elems:
-            ga = _gather(a)
-            for b in elems:
-                if ga(b) not in eset:
-                    raise InternalCheckError("element set is not closed under products")
-        gens = [g for g in elems if g != perm_identity(deg)] or [perm_identity(deg)]
-        return cls(deg, gens, elems)
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -727,7 +709,10 @@ def stabilizer_intersection(g: PermGroup, h: PermGroup, x: Perm) -> PermGroup:
         raise PreconditionError("x is not an element of G")
     xinv = perm_inv(x)
     elems = [y for y in h.elements if perm_mul(perm_mul(xinv, y), x) in h.index]
-    return PermGroup.from_elements(elems)
+    stab = h.subgroup(elems)
+    if stab.order != len(elems):
+        raise InternalCheckError("element set is not closed under products")
+    return stab
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,21 @@
+import ast
+import inspect
 from fractions import Fraction
+from itertools import permutations, product
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fuscat import amplitude
 from fuscat.amplitude import (
     Tensor3,
+    _contract,
+    _det3,
+    _dualized_product,
+    _inv3,
+    _scalar_of,
     amplitude_T2,
     amplitude_T4,
     amplitude_T4_normalized,
@@ -106,3 +118,202 @@ def test_quantum_t4_l9_regression():
     assert v == CycNum(18, [-1, 1, 1, 0, 0, -1])
     assert v.den == 1
     assert v.norm() == 9
+
+
+# ---------------------------------------------------------------------------
+# the contraction kernel against numpy.einsum and the hand-written loops
+
+MODULE_SPECS = sorted(
+    {
+        node.args[0].value
+        for node in ast.walk(ast.parse(inspect.getsource(amplitude)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_contract"
+        and isinstance(node.args[0], ast.Constant)
+    }
+)
+
+
+def test_module_specs_are_all_collected():
+    assert MODULE_SPECS == sorted([
+        "ijl,lk->ijk",
+        "lk,ijk,ia,jc->lac",
+        "lac,acl->",
+        "tab,acd,dbe,cet->",
+        "ilk,jkl->ij",
+        "asr,ab,bts->rt",
+        "asr,bts,ax,xut,by,ycu->rc",
+    ])
+
+
+def fractions_of(x):
+    return [fractions_of(v) for v in x] if isinstance(x, (list, tuple)) else Fraction(x)
+
+
+@pytest.mark.parametrize("spec", MODULE_SPECS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_contract_matches_einsum(spec, data):
+    terms = spec.split("->")[0].split(",")
+    arrays = [
+        np.array(data.draw(st.lists(st.integers(-3, 3), min_size=3 ** len(t), max_size=3 ** len(t))),
+                 dtype=np.int64).reshape((3,) * len(t))
+        for t in terms
+    ]
+    got = _contract(spec, *(fractions_of(a.tolist()) for a in arrays))
+    expected = np.einsum(spec, *arrays)
+    if spec.endswith("->"):
+        assert isinstance(got, Fraction) and got == int(expected)
+    else:
+        assert isinstance(got, tuple)
+        assert fractions_of(got) == fractions_of(expected.tolist())
+
+
+def test_contract_is_exact_on_fractions():
+    half = [[Fraction(1, 2) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
+    third = [[Fraction(i + 1, 3 * (j + 1)) for j in range(3)] for i in range(3)]
+    prod = _contract("ij,jk->ik", half, third)
+    assert prod == tuple(tuple(Fraction(i + 1, 6 * (j + 1)) for j in range(3)) for i in range(3))
+    assert _contract("ij,ji->", half, third) == Fraction(1, 2)
+    assert _contract("ij,jk->ik", half, [[0] * 3] * 3) == ((Fraction(0),) * 3,) * 3
+
+
+def dualized_product_loops(t):
+    ginv = _inv3(t.gram)
+    return [
+        [
+            [
+                sum(
+                    t.gram[l][k] * t.m[i][j][k] * ginv[i][a] * ginv[j][c]
+                    for k in range(3)
+                    for i in range(3)
+                    for j in range(3)
+                )
+                for c in range(3)
+            ]
+            for a in range(3)
+        ]
+        for l in range(3)
+    ]
+
+
+def t4_loops(t):
+    mstar = dualized_product_loops(t)
+    total = Fraction(0)
+    for tt, a, b, c, d, e in product(range(3), repeat=6):
+        total += mstar[tt][a][b] * mstar[a][c][d] * t.m[d][b][e] * t.m[c][e][tt]
+    return total
+
+
+def ad_matrix(m, i):
+    return tuple(tuple(m[i][j][k] for j in range(3)) for k in range(3))
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][l] * b[l][j] for l in range(3)) for j in range(3)) for i in range(3)
+    )
+
+
+def mat_sum(mats):
+    acc = [[Fraction(0)] * 3 for _ in range(3)]
+    for m in mats:
+        for i, j in product(range(3), repeat=2):
+            acc[i][j] += m[i][j]
+    return tuple(tuple(row) for row in acc)
+
+
+def casimir_matrix_route(t):
+    """sum_a ad(y_a) ad(y^a) and sum_{a,b} ad(y_a) ad(y_b) ad(y^a) ad(y^b) as
+    sums of 3x3 matrix products."""
+    ad = [ad_matrix(t.m, i) for i in range(3)]
+    ginv = _inv3(t.gram)
+    dual = [
+        tuple(
+            tuple(sum(ginv[a][b] * ad[b][r][c] for b in range(3)) for c in range(3))
+            for r in range(3)
+        )
+        for a in range(3)
+    ]
+    casimir = mat_sum(mat_mul(ad[a], dual[a]) for a in range(3))
+    lhs = mat_sum(
+        mat_mul(mat_mul(ad[a], ad[b]), mat_mul(dual[a], dual[b]))
+        for a in range(3)
+        for b in range(3)
+    )
+    _scalar_of(lhs)
+    r = _scalar_of(casimir)
+    return (lhs[0][0] + lhs[1][1] + lhs[2][2]) / r**2
+
+
+def so3_cross_product():
+    """m(e_i, e_j) = sum_k eps_ijk e_k with the identity pairing."""
+    m = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for sign, (i, j, k) in zip((1, -1, -1, 1, 1, -1), permutations(range(3))):
+        m[i][j][k] = Fraction(sign)
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+    return Tensor3(m=tuple(tuple(tuple(r) for r in row) for row in m), gram=ident)
+
+
+def change_basis(t, p):
+    """The same product and pairing in the basis e'_i = sum_a p[i][a] e_a."""
+    q = _inv3(p)
+    assert mat_mul(p, q) == tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    m = tuple(
+        tuple(
+            tuple(
+                sum(
+                    p[i][a] * p[j][b] * t.m[a][b][c] * q[c][k]
+                    for a, b, c in product(range(3), repeat=3)
+                )
+                for k in range(3)
+            )
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    gram = tuple(
+        tuple(
+            sum(p[i][a] * p[j][b] * t.gram[a][b] for a, b in product(range(3), repeat=2))
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    return Tensor3(m=m, gram=gram)
+
+
+def test_kernel_routes_match_the_loops_on_sl2():
+    for mf, gf in [(1, 1), (2, 1), (-5, 7), (Fraction(2, 3), Fraction(9, 4))]:
+        t = scaled(sl2_adjoint(), m_factor=mf, gram_factor=gf)
+        assert fractions_of(_dualized_product(t)) == dualized_product_loops(t)
+        assert amplitude_T4(t) == t4_loops(t)
+        assert casimir_square_coefficient(t) == casimir_matrix_route(t) == Fraction(3, 2)
+
+
+def test_so3_cross_product_gives_three_halves_by_both_routes():
+    t = so3_cross_product()
+    t.validate()
+    assert amplitude_T2(t) == 6
+    assert amplitude_T4(t) == t4_loops(t) == 6
+    assert amplitude_T4_normalized(t) == Fraction(3, 2)
+    assert casimir_square_coefficient(t) == casimir_matrix_route(t) == Fraction(3, 2)
+
+
+BASE = sl2_adjoint()
+BASE_VALUES = (amplitude_T2(BASE), amplitude_T4(BASE))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nums=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+    dens=st.lists(st.integers(1, 3), min_size=9, max_size=9),
+)
+def test_amplitudes_are_basis_independent(nums, dens):
+    p = tuple(tuple(Fraction(nums[3 * i + j], dens[3 * i + j]) for j in range(3)) for i in range(3))
+    assume(_det3(p) != 0)
+    t = change_basis(BASE, p)
+    t.validate()
+    assert (amplitude_T2(t), amplitude_T4(t)) == BASE_VALUES
+    assert t4_loops(t) == BASE_VALUES[1]
+    assert amplitude_T4_normalized(t) == Fraction(3, 2)
+    assert casimir_square_coefficient(t) == casimir_matrix_route(t) == Fraction(3, 2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuscat import cli
 from fuscat.cli import main
 
 
@@ -117,6 +118,39 @@ def test_amplitude_cli(capsys):
     assert code == 0
     assert payload["result"]["square"] == "1/2"
     assert payload["result"]["denominator"] == "2"
+
+
+def test_amplitude_classical_text(capsys):
+    code, out, err = run(capsys, "amplitude", "t4", "--classical")
+    assert code == 0 and err == ""
+    assert out == (
+        "classical square amplitude on the rank-3 bracket tensor: 3/2\n"
+        "trace-identity cross-check: 3/2 (agrees)\n"
+        "denominator primes: [2]\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_bad_input(capsys, tmp_path, where, fmt):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "group", "--group", "S3", "--out", str(target), *fmt)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+
+
+def test_crosscheck_failure_keeps_exit_one_when_out_fails(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "cyclotomic_at_one", lambda n: 0)
+    code, out, err = run(capsys, "crosscheck", "--group", "S3", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert f"error: cannot write {tmp_path}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("nmax", ["1", "0", "-4"])
+def test_lemma_norm_needs_nmax_at_least_two(capsys, nmax):
+    code, out, err = run(capsys, "lemma-norm", "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert "--nmax must be at least 2" in err and "Traceback" not in err
 
 
 def test_crosscheck_passes(capsys):

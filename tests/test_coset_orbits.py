@@ -10,7 +10,6 @@ import fuscat.finitegroup as finitegroup
 import fuscat.gtcat as gtcat
 from fuscat.cli import main
 from fuscat.finitegroup import (
-    PermGroup,
     builtin_group,
     char_degrees,
     double_coset_orbits,
@@ -80,7 +79,6 @@ def test_one_orbit_pass_per_gtcat_request(monkeypatch, capsys, action):
     monkeypatch.setattr(finitegroup, "double_coset_orbits", counting)
     monkeypatch.setattr(gtcat, "double_coset_orbits", counting)
     monkeypatch.setattr(finitegroup, "stabilizer_intersection", definitional_route)
-    monkeypatch.setattr(PermGroup, "from_elements", classmethod(definitional_route))
     code = main(["gtcat", action, "--group", "S4", "--subgroup-gens", "(1 2),(3 4)"])
     capsys.readouterr()
     assert code == 0

@@ -300,9 +300,41 @@ def test_representatives_are_lex_minimal():
         assert rep == min(coset)
 
 
+def from_elements(elements):
+    """A PermGroup on a given element list, after checking by definition that
+    the list is closed under inversion and products."""
+    elems = list(dict.fromkeys(elements))
+    if not elems:
+        raise PreconditionError("empty element list")
+    eset = set(elems)
+    for a in elems:
+        if perm_inv(a) not in eset:
+            raise InternalCheckError("element set is not closed under inversion")
+        for b in elems:
+            if perm_mul(a, b) not in eset:
+                raise InternalCheckError("element set is not closed under products")
+    identity = tuple(range(len(elems[0])))
+    return PermGroup(len(identity), [g for g in elems if g != identity] or [identity], elems)
+
+
 def test_from_elements_rejects_non_group():
     with pytest.raises(InternalCheckError):
-        PermGroup.from_elements([(0, 1, 2), (1, 2, 0)])
+        from_elements([(0, 1, 2), (1, 2, 0)])
+    s3 = builtin_group("S3")
+    assert from_elements(s3.elements).elements == s3.elements
+
+
+def test_stabilizer_intersection_matches_the_element_list_route():
+    rng = random.Random(11)
+    for name in ("S3", "A4", "S4", "D12", "Q8"):
+        g = builtin_group(name)
+        for _ in range(4):
+            h = g.subgroup([rng.choice(g.elements), rng.choice(g.elements)])
+            x = rng.choice(g.elements)
+            xinv = perm_inv(x)
+            stab = stabilizer_intersection(g, h, x)
+            reference = from_elements([y for y in h.elements if perm_mul(perm_mul(xinv, y), x) in h])
+            assert stab.elements == reference.elements
 
 
 def test_degrees_beyond_the_builtin_corpus():
