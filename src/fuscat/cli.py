@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import amplitude, gtcat, verlinde
-from .arith import prime_witnesses, primes_upto
+from .arith import prime_factors, prime_witnesses, primes_upto
 from .cyclotomic import CycNum, check_str_digits, cyclotomic_at_one, parse_element
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
@@ -157,6 +157,11 @@ def _cmd_lemma_norm(args) -> Report:
                   _provenance(), lines)
 
 
+def _check_pmax(pmax: int) -> None:
+    if pmax < 2:
+        raise PreconditionError(f"--pmax must be at least 2 (the least prime), got {pmax}")
+
+
 def _verdict_dict(v: verlinde.PrimeVerdict) -> dict:
     return {
         "prime": v.prime,
@@ -196,6 +201,7 @@ def _cmd_verlinde(args) -> Report:
             lines.append(v.detail)
         return Report("verlinde classify", {"type": args.type, "l": args.l, "p": args.p},
                       result, prov, lines)
+    _check_pmax(args.pmax)
     # badprimes: compute the alcove dimension norms once, then filter per prime
     norms = [(w, verlinde.qdim_norm(rs, args.l, w)) for w in enumerate_alcove(rs, args.l)]
     verdicts = []
@@ -350,6 +356,7 @@ def _cmd_ito_michler(args) -> Report:
 def _cmd_amplitude(args) -> Report:
     if args.graph != "t4":
         raise PreconditionError("only the t4 graph is supported")
+    _check_pmax(args.pmax)
     if args.quantum:
         if args.l is None:
             raise PreconditionError("--quantum needs --l")
@@ -428,9 +435,8 @@ def _cmd_crosscheck(args) -> Report:
             len(dcs) == g.order and all(s == 1 for _, s in dcs))
         for rep, size in double_cosets(g, g):
             add(f"{name}: single double coset for H = G", size == g.order)
-        for p in (2, 3, 5):
-            if g.order % p == 0:
-                ito_michler_verify(g, p)  # raises on any structural violation
+        for p in prime_factors(g.order):
+            ito_michler_verify(g, p)  # raises on any structural violation
         add(f"{name}: Sylow structure verified for primes dividing |G|", True)
 
     norm_ok = True

@@ -45,10 +45,6 @@ class CycPoly:
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -469,14 +465,6 @@ class CycNum:
             "numerator": [str(v) for v in self.coeffs],
             "denominator": str(self.den),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CycNum":
-        return cls(
-            int(data["conductor"]),
-            [int(v) for v in data["numerator"]],
-            int(data["denominator"]),
-        )
 
     def __str__(self) -> str:
         terms = []

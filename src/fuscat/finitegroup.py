@@ -8,11 +8,16 @@ Double cosets and their stabilizers come from one pass over the H-orbits
 on the right cosets G/H; `stabilizer_intersection` is the definitional
 reference that the tests check this route against.
 
-The character degrees of an `x`-joined builtin G1 x ... x Gr are the
-products d1*...*dr of its factors' degrees (Irr(G x H) = Irr(G) (x) Irr(H)),
-checked against the product's own class count and order.  A group with
-as many classes as elements is abelian and has all degrees 1.  Every other
-group takes the class-multiplication-coefficient method:
+An `x`-joined builtin G1 x ... x Gr answers from its factors: its order is
+the product of theirs, its classes are the products of their classes, its
+character degrees the products d1*...*dr of theirs (Irr(G x H) =
+Irr(G) (x) Irr(H)), and its Sylow p-subgroup is the product of theirs.
+Its element table, class members and `class_of` are built from the
+factors' tables only when something asks for them.  Every factor route
+first checks that the factors' generators, shifted into place, are the
+product's own.  A group with as many classes as elements is abelian and
+has all degrees 1.  Every other group takes the
+class-multiplication-coefficient method:
 the integer class matrices commute and split into common one-dimensional
 eigenspaces over a prime field F_q chosen with q = 1 mod exp(G) and
 q > 2*sqrt(|G|); each common eigenvector is a central character, and the
@@ -26,7 +31,7 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
@@ -181,28 +186,40 @@ def _pad(p: Perm, degree: int) -> Perm:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    rep: Perm
-    members: tuple[int, ...]  # indices into the element table
+    rep: Perm  # the least element of the class
+    size: int
+    group: PermGroup = field(repr=False, compare=False)
+    number: int = field(repr=False, compare=False)  # position in group.conjugacy_classes()
 
     @property
-    def size(self) -> int:
-        return len(self.members)
+    def members(self) -> tuple[int, ...]:
+        """Indices into the group's element table, in increasing order."""
+        return self.group.class_members()[self.number]
 
 
 class PermGroup:
-    """A finite permutation group with a full element table."""
+    """A finite permutation group.  `from_generators` enumerates its sorted
+    element table at once; a direct product of recorded factors builds the
+    table, `index` and class members from the factors on first need."""
 
-    def __init__(self, degree: int, generators: list[Perm], elements: list[Perm]):
+    def __init__(
+        self,
+        degree: int,
+        generators: list[Perm],
+        elements: list[Perm] | None = None,
+        factors: tuple[PermGroup, ...] = (),
+    ):
         self.degree = degree
         self.generators = [_pad(g, degree) for g in generators]
-        self.elements = sorted(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        self.identity_index = self.index[perm_identity(degree)]
+        # G1, ..., Gr when the group was built as their direct product
+        self.factors = factors
+        self._elements = None if elements is None else sorted(elements)
+        self._order = prod(f.order for f in factors) if elements is None else len(self._elements)
+        self._index: dict[Perm, int] | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: list[int] | None = None
+        self._members: list[tuple[int, ...]] | None = None
         self._degrees: tuple[int, ...] | None = None
-        # G1, ..., Gr when the group was built as their direct product
-        self.factors: tuple[PermGroup, ...] = ()
 
     @classmethod
     def from_generators(
@@ -235,7 +252,28 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self._order
+
+    @property
+    def elements(self) -> list[Perm]:
+        """The sorted element table; for a product, the factors' tables
+        joined in order, which is already sorted."""
+        if self._elements is None:
+            elements: list[Perm] = [()]
+            for f, offset in _offsets(_checked_factors(self)):
+                part = [_shift(x, offset) for x in f.elements]
+                elements = [a + b for a in elements for b in part]
+            self._elements = elements
+        return self._elements
+
+    @property
+    def index(self) -> dict[Perm, int]:
+        if self._index is None:
+            self._index = {g: i for i, g in enumerate(self.elements)}
+        return self._index
+
+    # the identity is the least permutation, so it heads the sorted table
+    identity_index = 0
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.index
@@ -260,46 +298,107 @@ class PermGroup:
     # -- conjugacy classes
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
+        """Classes ordered by their least element.  For a product these are
+        the Cartesian products of the factors' classes: lex order on the
+        joined reps is lex order on the tuples of factor reps."""
         if self._classes is None:
-            self._compute_classes()
+            if self.factors:
+                reps_sizes: list[tuple[Perm, int]] = [((), 1)]
+                for f, offset in _offsets(_checked_factors(self)):
+                    part = [(_shift(c.rep, offset), c.size) for c in f.conjugacy_classes()]
+                    reps_sizes = [(r + s, m * n) for r, m in reps_sizes for s, n in part]
+            else:
+                reps_sizes = self._enumerate_classes()
+            if sum(size for _, size in reps_sizes) != self.order:
+                raise InternalCheckError("conjugacy classes do not partition the group")
+            if any(self.order % size for _, size in reps_sizes):
+                raise InternalCheckError("conjugacy class size does not divide the order")
+            self._classes = [ConjugacyClass(rep, size, self, i) for i, (rep, size) in enumerate(reps_sizes)]
         return self._classes
 
     def class_of(self) -> list[int]:
         """Element index -> conjugacy class index."""
         if self._class_of is None:
-            self._compute_classes()
+            if self.factors:
+                # the table is the factors' tables joined in order, so an index
+                # and its class number both run in mixed radix over the factors
+                class_of = [0]
+                for f in _checked_factors(self):
+                    k, part = len(f.conjugacy_classes()), f.class_of()
+                    class_of = [c * k + d for c in class_of for d in part]
+                self._class_of = class_of
+            else:
+                self.conjugacy_classes()
         return self._class_of
 
-    def _compute_classes(self) -> None:
-        n = self.order
-        class_of = [-1] * n
-        classes: list[ConjugacyClass] = []
+    def class_members(self) -> list[tuple[int, ...]]:
+        """Per class, the indices of its elements in increasing order."""
+        if self._members is None:
+            members: list[list[int]] = [[] for _ in self.conjugacy_classes()]
+            for i, c in enumerate(self.class_of()):
+                members[c].append(i)
+            self._members = [tuple(m) for m in members]
+        return self._members
+
+    def _enumerate_classes(self) -> list[tuple[Perm, int]]:
+        """Conjugation orbits on the element table; fills `class_of`."""
+        elements, index = self.elements, self.index
+        class_of = [-1] * self.order
+        out: list[tuple[Perm, int]] = []
         # g^-1 x g = (g^-1 * x) * g: the first gather is fixed per generator
         conj = [(_gather(perm_inv(g)), g) for g in self.generators]
-        for start in range(n):
+        for start in range(self.order):
             if class_of[start] >= 0:
                 continue
-            cid = len(classes)
-            orbit = [start]
+            cid = len(out)
             class_of[start] = cid
+            size = 1
             queue = [start]
             while queue:
-                i = queue.pop()
-                x = self.elements[i]
+                x = elements[queue.pop()]
                 for gi, g in conj:
-                    j = self.index[_gather(gi(x))(g)]
+                    j = index[_gather(gi(x))(g)]
                     if class_of[j] < 0:
                         class_of[j] = cid
-                        orbit.append(j)
+                        size += 1
                         queue.append(j)
-            classes.append(ConjugacyClass(rep=self.elements[start], members=tuple(sorted(orbit))))
-        if sum(c.size for c in classes) != n:
-            raise InternalCheckError("conjugacy classes do not partition the group")
-        for c in classes:
-            if n % c.size:
-                raise InternalCheckError("conjugacy class size does not divide the order")
-        self._classes = classes
+            out.append((elements[start], size))
         self._class_of = class_of
+        return out
+
+
+def _shift(p: Perm, offset: int) -> Perm:
+    """p acting on the points offset, offset + 1, ..., offset + len(p) - 1."""
+    return tuple(v + offset for v in p) if offset else p
+
+
+def _offsets(gs: tuple[PermGroup, ...]) -> list[tuple[PermGroup, int]]:
+    """Each factor with the first point it acts on in the product."""
+    out, offset = [], 0
+    for g in gs:
+        out.append((g, offset))
+        offset += g.degree
+    return out
+
+
+def _product_generators(gs: tuple[PermGroup, ...]) -> list[Perm]:
+    """The factors' generators, each shifted into place and fixing every
+    point outside its factor."""
+    total = sum(g.degree for g in gs)
+    return [
+        perm_identity(offset) + _shift(s, offset) + tuple(range(offset + g.degree, total))
+        for g, offset in _offsets(gs)
+        for s in g.generators
+    ]
+
+
+def _checked_factors(g: PermGroup) -> tuple[PermGroup, ...]:
+    """The recorded factors, once their generators, shifted into place, are
+    exactly the group's generators: the tie between the factor routes and
+    the group the generators define."""
+    if not g.factors or _product_generators(g.factors) != g.generators:
+        raise InternalCheckError("the recorded factors do not generate the group")
+    return g.factors
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +567,7 @@ def char_degrees(g: PermGroup) -> tuple[int, ...]:
 def _product_degrees(g: PermGroup) -> list[int]:
     """Irr(G1 x ... x Gr) = {chi1 (x) ... (x) chir}: all products of one degree per factor."""
     degrees = [1]
-    for f in g.factors:
+    for f in _checked_factors(g):
         degrees = [d * e for d in degrees for e in char_degrees(f)]
     return degrees
 
@@ -576,7 +675,9 @@ def ito_michler_verify(g: PermGroup, p: int) -> ItoMichlerReport:
     Builds S = {x : order(x) is a power of p}; when the hypothesis holds,
     S must be the (normal, abelian) Sylow p-subgroup, with a complement of
     coprime order.  Any failure is flagged as an internal violation, since
-    the statement is unconditional.
+    the statement is unconditional.  A direct product checks each factor
+    whose order p divides: its Sylow p-subgroup is the product of theirs,
+    normal and abelian exactly when each of theirs is.
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
@@ -587,6 +688,8 @@ def ito_michler_verify(g: PermGroup, p: int) -> ItoMichlerReport:
     if offending is not None:
         return ItoMichlerReport(p, False, offending, None, None, None, None,
                                 reason=f"{p} divides the irreducible degree {offending}")
+    if g.factors:
+        return _product_sylow(g, p)
     # conjugate elements have equal order: read each order off its class
     p_classes = [_is_p_power(perm_order(c.rep), p) for c in g.conjugacy_classes()]
     sylow = [x for x, c in zip(g.elements, g.class_of()) if p_classes[c]]
@@ -604,6 +707,22 @@ def ito_michler_verify(g: PermGroup, p: int) -> ItoMichlerReport:
     if gcd(complement, p) != 1:
         raise InternalCheckError("complement order is not coprime to p")
     return ItoMichlerReport(p, True, None, target, complement, abelian, normal)
+
+
+def _product_sylow(g: PermGroup, p: int) -> ItoMichlerReport:
+    sylow = complement = 1
+    for f in _checked_factors(g):
+        if f.order % p:
+            complement *= f.order
+            continue
+        rep = ito_michler_verify(f, p)
+        if not rep.applicable:
+            raise InternalCheckError(f"a factor has a degree divisible by {p}, the product none")
+        sylow *= rep.sylow_order
+        complement *= rep.complement_order
+    if sylow != p_part(g.order, p) or sylow * complement != g.order:
+        raise InternalCheckError(f"factor Sylow orders do not multiply to the {p}-part of |G|")
+    return ItoMichlerReport(p, True, None, sylow, complement, True, True)
 
 
 def _closed_and_abelian(s: list[Perm], degree: int) -> tuple[bool, bool]:
@@ -798,20 +917,10 @@ def _sl23() -> list[Perm]:
     return [act(((1, 1), (0, 1))), act(((0, 2), (1, 0)))]
 
 
-def _direct_product(gs: list[PermGroup], cap: int) -> PermGroup:
-    gens: list[Perm] = []
-    offset = 0
-    total = sum(g.degree for g in gs)
-    for g in gs:
-        for s in g.generators:
-            img = list(range(total))
-            for i, v in enumerate(s):
-                img[offset + i] = offset + v
-            gens.append(tuple(img))
-        offset += g.degree
-    product = PermGroup.from_generators(gens, degree=total, cap=cap)
-    product.factors = tuple(gs)
-    return product
+def _direct_product(gs: tuple[PermGroup, ...]) -> PermGroup:
+    """G1 x ... x Gr on the disjoint union of the factors' points; nothing
+    of the product is enumerated until something asks for it."""
+    return PermGroup(sum(g.degree for g in gs), _product_generators(gs), factors=gs)
 
 
 def _builtin_factor(name: str, cap: int) -> tuple[int, Callable[[], list[Perm]]]:
@@ -855,5 +964,5 @@ def builtin_group(name: str, cap: int | None = None) -> PermGroup:
     parts = [_builtin_factor(part.strip(), cap) for part in name.strip().split("x")]
     if prod(order for order, _ in parts) > cap:
         raise _cap_exceeded(cap)
-    groups = [PermGroup.from_generators(gens(), cap=cap) for _, gens in parts]
-    return groups[0] if len(groups) == 1 else _direct_product(groups, cap)
+    groups = tuple(PermGroup.from_generators(gens(), cap=cap) for _, gens in parts)
+    return groups[0] if len(groups) == 1 else _direct_product(groups)

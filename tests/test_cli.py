@@ -153,6 +153,34 @@ def test_lemma_norm_needs_nmax_at_least_two(capsys, nmax):
     assert "--nmax must be at least 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("amplitude", "t4", "--classical"),
+    ("amplitude", "t4", "--quantum", "--l", "8"),
+    ("verlinde", "badprimes", "--type", "A1", "--l", "9"),
+])
+@pytest.mark.parametrize("pmax", ["1", "0", "-1", "-5"])
+def test_pmax_needs_at_least_two(capsys, argv, pmax):
+    code, out, err = run(capsys, *argv, "--pmax", pmax)
+    assert code == 2 and out == ""
+    assert f"--pmax must be at least 2 (the least prime), got {pmax}" in err and "Traceback" not in err
+    code, out, _ = run(capsys, *argv, "--pmax", "2")
+    assert code == 0 and out
+
+
+def test_crosscheck_runs_ito_michler_for_every_prime_of_the_order(capsys, monkeypatch):
+    primes = []
+    verify = cli.ito_michler_verify
+
+    def spy(g, p):
+        primes.append(p)
+        return verify(g, p)
+
+    monkeypatch.setattr(cli, "ito_michler_verify", spy)
+    code, out, _ = run(capsys, "crosscheck", "--group", "S7")
+    assert code == 0 and "FAIL" not in out
+    assert primes == [2, 3, 5, 7]
+
+
 def test_crosscheck_passes(capsys):
     for group in ("S3", "S4"):
         code, out, _ = run(capsys, "crosscheck", "--group", group)

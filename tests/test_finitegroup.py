@@ -1,9 +1,11 @@
 import random
+from functools import cache
 
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import fuscat.finitegroup as finitegroup
+from fuscat.arith import prime_factors
 from fuscat.errors import InternalCheckError, PreconditionError
 from fuscat.finitegroup import (
     PermGroup,
@@ -160,13 +162,73 @@ def test_abelian_groups_have_unit_degrees():
         assert char_degrees(g) == (1,) * g.order
 
 
+@cache
+def enumerated(name):
+    """The product as a plain group on its generators: enumerated element
+    table, conjugation-orbit classes, class-matrix degrees."""
+    g = builtin_group(name)
+    return PermGroup.from_generators(g.generators, degree=g.degree, cap=g.order)
+
+
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_product_degrees_against_the_class_matrix_route(name):
     g = builtin_group(name)
     assert len(g.factors) == name.count("x") + 1
-    oracle = builtin_group(name)
-    oracle.factors = ()
+    oracle = enumerated(name)
+    assert not oracle.factors
     assert char_degrees(g) == char_degrees(oracle)
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_classes_against_the_enumerated_product(name):
+    g, oracle = builtin_group(name), enumerated(name)
+    assert g.order == oracle.order and g.degree == oracle.degree
+    assert g.generators == oracle.generators
+    assert [(c.rep, c.size) for c in g.conjugacy_classes()] == [
+        (c.rep, c.size) for c in oracle.conjugacy_classes()
+    ]
+    assert g.exponent() == oracle.exponent()
+    # classes, order and degrees came from the factors alone
+    char_degrees(g)
+    assert g._elements is None and g._index is None and g._class_of is None
+    # class_of and members need no table either; the table comes last
+    assert g.class_of() == oracle.class_of()
+    assert [c.members for c in g.conjugacy_classes()] == [c.members for c in oracle.conjugacy_classes()]
+    assert g._elements is None
+    assert g.elements == oracle.elements and g.index == oracle.index
+    assert g.elements[g.identity_index] == tuple(range(g.degree))
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_product_ito_michler_against_the_enumerated_product(name):
+    g, oracle = builtin_group(name), enumerated(name)
+    for p in prime_factors(g.order):
+        assert ito_michler_verify(g, p) == ito_michler_verify(oracle, p), p
+    assert g._elements is None
+
+
+def test_product_ito_michler_checks_each_factor(monkeypatch):
+    calls = []
+    verify = finitegroup.ito_michler_verify
+
+    def spy(g, p):
+        calls.append((g.order, p))
+        return verify(g, p)
+
+    monkeypatch.setattr(finitegroup, "ito_michler_verify", spy)
+    rep = spy(builtin_group("S3xS3xS3xC2"), 3)
+    assert rep.applicable and (rep.sylow_order, rep.complement_order) == (27, 16)
+    # C2 has no Sylow 3-subgroup to check; each S3 checks its own
+    assert calls == [(432, 3), (6, 3), (6, 3), (6, 3)]
+
+
+def test_mismatched_factors_stop_every_factor_route():
+    g = builtin_group("S3xC4")
+    g.factors = (builtin_group("C4"), builtin_group("S3"))  # right orders, wrong places
+    for route in (PermGroup.conjugacy_classes, PermGroup.class_of, char_degrees,
+                  lambda g: g.elements, lambda g: ito_michler_verify(g, 3)):
+        with pytest.raises(InternalCheckError, match="do not generate the group"):
+            route(g)
 
 
 def test_product_class_matrices_are_never_built(monkeypatch):

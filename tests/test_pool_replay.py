@@ -1,0 +1,103 @@
+"""Every request of the benchmark pools, replayed in-process against its
+golden reply, and the product requests of `group-catalog` checked to stay
+off the product's element table."""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import fuscat.finitegroup as finitegroup
+from fuscat import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+WORKLOADS = _load_workloads()
+GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text())
+
+
+def _reply(argv):
+    """(exit code, SHA-256 of stdout) of one request, the way the benchmark
+    worker takes them."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_pools_are_covered_by_the_goldens():
+    keys = [WORKLOADS.argv_key(argv) for w in WORKLOADS.WORKLOADS.values() for argv in w.pool()]
+    assert len(keys) == len(GOLDENS) == 145
+    assert set(keys) == set(GOLDENS)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_pool_replies_match_the_goldens(monkeypatch, workload):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    mismatched = []
+    for argv in WORKLOADS.WORKLOADS[workload].pool():
+        golden = GOLDENS[WORKLOADS.argv_key(argv)]
+        if _reply(argv) != (golden["exit"], golden["sha256"]):
+            mismatched.append(" ".join(argv))
+    assert mismatched == []
+
+
+PRODUCT_REQUESTS = [
+    argv for argv in WORKLOADS.GROUP_CATALOG.pool()
+    if argv[0] in ("group", "ito-michler") and "x" in argv[argv.index("--group") + 1]
+]
+
+
+def test_the_catalog_sends_product_requests():
+    assert {argv[2] for argv in PRODUCT_REQUESTS} == {
+        "SL23xS4", "D12xD12", "S7xC2", "S3xS3xS3xC2", "S4xS4xS3", "Q8xD8xC3",
+    }
+    assert len(PRODUCT_REQUESTS) == 10
+
+
+@pytest.mark.parametrize("argv", PRODUCT_REQUESTS, ids=" ".join)
+def test_product_requests_build_only_the_factor_tables(monkeypatch, argv):
+    groups, tables = [], []
+    builtin_group = cli.builtin_group
+    from_generators = finitegroup.PermGroup.from_generators
+
+    def group_spy(name, cap=None):
+        groups.append(builtin_group(name, cap=cap))
+        return groups[-1]
+
+    def table_spy(generators, degree=None, cap=None):
+        tables.append(from_generators(generators, degree=degree, cap=cap))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "builtin_group", group_spy)
+    monkeypatch.setattr(finitegroup.PermGroup, "from_generators", table_spy)
+    golden = GOLDENS[WORKLOADS.argv_key(argv)]
+    assert _reply(argv) == (golden["exit"], golden["sha256"])
+    (g,) = groups
+    assert g.factors and g._elements is None and g._index is None
+    assert g._class_of is None and g._members is None
+    # every table enumerated is a factor's, or a Sylow span inside one
+    assert tables[:len(g.factors)] == list(g.factors)
+    assert all(t.degree < g.degree for t in tables)
