@@ -199,8 +199,8 @@ class ConjugacyClass:
 
 class PermGroup:
     """A finite permutation group.  `from_generators` enumerates its sorted
-    element table at once; a direct product of recorded factors builds the
-    table, `index` and class members from the factors on first need."""
+    element table at once; a direct product of recorded factors joins the
+    table and `index` from the factors' tables on first need."""
 
     def __init__(
         self,
@@ -318,17 +318,10 @@ class PermGroup:
 
     def class_of(self) -> list[int]:
         """Element index -> conjugacy class index."""
-        if self._class_of is None:
-            if self.factors:
-                # the table is the factors' tables joined in order, so an index
-                # and its class number both run in mixed radix over the factors
-                class_of = [0]
-                for f in _checked_factors(self):
-                    k, part = len(f.conjugacy_classes()), f.class_of()
-                    class_of = [c * k + d for c in class_of for d in part]
-                self._class_of = class_of
-            else:
-                self.conjugacy_classes()
+        classes = self.conjugacy_classes()  # fills class_of unless self is a product
+        # a product's orbits on its joined table must be its factor classes
+        if self._class_of is None and self._enumerate_classes() != [(c.rep, c.size) for c in classes]:
+            raise InternalCheckError("conjugation orbits do not match the factors' classes")
         return self._class_of
 
     def class_members(self) -> list[tuple[int, ...]]:
@@ -535,12 +528,13 @@ def _class_matrix(g: PermGroup, i: int) -> list[list[int]]:
     classes = g.conjugacy_classes()
     class_of = g.class_of()
     k = len(classes)
+    elements, index = g.elements, g.index
     mat = [[0] * k for _ in range(k)]
-    xs = [_gather(perm_inv(g.elements[idx])) for idx in classes[i].members]
+    xs = [_gather(perm_inv(elements[idx])) for idx in classes[i].members]
     for kk in range(k):
         z = classes[kk].rep
         for xinv in xs:
-            j = class_of[g.index[xinv(z)]]
+            j = class_of[index[xinv(z)]]
             mat[j][kk] += 1
     return mat
 
@@ -618,10 +612,9 @@ def _split_degrees(g: PermGroup) -> list[int]:
     if any(len(w) != 1 for w in spaces):
         raise InternalCheckError("class matrices did not split the class algebra")
 
-    id_class = g.class_of()[g.identity_index]
-    inv_class = [
-        g.class_of()[g.index[perm_inv(c.rep)]] for c in classes
-    ]
+    class_of, index = g.class_of(), g.index
+    id_class = class_of[g.identity_index]
+    inv_class = [class_of[index[perm_inv(c.rep)]] for c in classes]
     sqrt_table = {d * d % q: d for d in range(1, isqrt(order) + 1)}
     degrees = []
     for (vec,) in spaces:
@@ -771,17 +764,18 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
     """
     if not g.is_subgroup(h):
         raise PreconditionError("H is not a subgroup of G")
+    elements, index = g.elements, g.index
     coset_of = [-1] * g.order  # element index -> index of the least element of its coset
     h_gathers = [_gather(a) for a in h.elements]
-    for i, x in enumerate(g.elements):
+    for i, x in enumerate(elements):
         if coset_of[i] < 0:
             for a in h_gathers:
-                coset_of[g.index[a(x)]] = i
+                coset_of[index[a(x)]] = i
     identity = perm_identity(g.degree)
     done: set[int] = set()
     out = []
     # the first element whose coset is not done is the minimum of its double coset
-    for x, start in zip(g.elements, coset_of):
+    for x, start in zip(elements, coset_of):
         if start in done:
             continue
         transversal = {start: identity}  # coset c -> t in H with (Hx)t = c
@@ -792,7 +786,7 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
             gt = _gather(transversal[c])
             for s in h.generators:
                 ts = gt(s)
-                d = coset_of[g.index[gx(ts)]]
+                d = coset_of[index[gx(ts)]]
                 if d in transversal:
                     schreier.add(perm_mul(ts, perm_inv(transversal[d])))
                 else:

@@ -191,10 +191,9 @@ def test_product_classes_against_the_enumerated_product(name):
     # classes, order and degrees came from the factors alone
     char_degrees(g)
     assert g._elements is None and g._index is None and g._class_of is None
-    # class_of and members need no table either; the table comes last
+    # class_of and members are the conjugation orbits on the joined table
     assert g.class_of() == oracle.class_of()
     assert [c.members for c in g.conjugacy_classes()] == [c.members for c in oracle.conjugacy_classes()]
-    assert g._elements is None
     assert g.elements == oracle.elements and g.index == oracle.index
     assert g.elements[g.identity_index] == tuple(range(g.degree))
 
@@ -229,6 +228,14 @@ def test_mismatched_factors_stop_every_factor_route():
                   lambda g: g.elements, lambda g: ito_michler_verify(g, 3)):
         with pytest.raises(InternalCheckError, match="do not generate the group"):
             route(g)
+
+
+def test_product_orbits_must_match_the_factor_classes():
+    g = builtin_group("S3xC4")
+    classes = g.conjugacy_classes()
+    classes[1], classes[2] = classes[2], classes[1]  # a class list out of order
+    with pytest.raises(InternalCheckError, match="do not match the factors' classes"):
+        g.class_of()
 
 
 def test_product_class_matrices_are_never_built(monkeypatch):
