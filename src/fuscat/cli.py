@@ -16,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import amplitude, gtcat, verlinde
 from .arith import prime_factors, prime_witnesses, primes_upto
@@ -498,7 +499,12 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, help=f"enumeration cap (default {DEFAULT_ENUM_CAP}, env FUSCAT_ENUM_CAP)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves it unchanged: each parse returns a fresh namespace.
+    """
     ap = argparse.ArgumentParser(
         prog="fuscat",
         description="Exact-arithmetic good/bad prime calculator for fusion categories.",
@@ -572,6 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one request and return its exit code.
+
+    The parser is built once per process, on the first call (not at import),
+    and reused by every later call.
+    """
     ap = build_parser()
     args, extra = ap.parse_known_args(argv)
     if args.command == "cyc" and args.expr is None and len(extra) == 1:

@@ -45,12 +45,6 @@ class CycPoly:
 
     coeffs: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 def _principal_specialisation(nums: list[int], dens: list[int]) -> list[int]:
     """Coefficients of prod (1 - x^a) / prod (1 - x^b) in Z[x].

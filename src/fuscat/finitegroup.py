@@ -1,7 +1,9 @@
 """Finite permutation groups at desk scale.
 
 Groups are enumerated explicitly (orbit closure of the generators) up to a
-configurable cap; conjugacy classes are computed on the element table.
+configurable cap on the order, which also bounds the element table at
+TABLE_FACTOR x cap points (order x degree); conjugacy classes are computed
+on the element table.
 Every product a*b is one C-level gather, `operator.itemgetter(*a)(b)`,
 and a loop that multiplies by a fixed operand builds its gather once.
 Double cosets and their stabilizers come from one pass over the H-orbits
@@ -44,6 +46,8 @@ Perm = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 20000
 ENUM_CAP_ENV = "FUSCAT_ENUM_CAP"
+# the cap also bounds an element table, order x degree points, at TABLE_FACTOR x cap
+TABLE_FACTOR = 100
 
 
 def enum_cap(cap: int | None) -> int:
@@ -63,6 +67,13 @@ def _cap_exceeded(cap: int) -> PreconditionError:
     return PreconditionError(
         f"group order exceeds the enumeration cap {cap}; "
         f"raise it via {ENUM_CAP_ENV} or the cap argument"
+    )
+
+
+def _table_exceeded(cap: int) -> PreconditionError:
+    return PreconditionError(
+        f"the element table (order x degree) exceeds {TABLE_FACTOR} x the enumeration cap {cap}; "
+        f"raise the cap via {ENUM_CAP_ENV} or the cap argument"
     )
 
 
@@ -223,8 +234,15 @@ class PermGroup:
 
     @classmethod
     def from_generators(
-        cls, generators: list[Perm], degree: int | None = None, cap: int | None = None
+        cls, generators: list[Perm], degree: int | None = None, cap: int | None = None,
+        *, table_check: bool = True,
     ) -> "PermGroup":
+        """The group the generators generate, enumerated by orbit closure.
+
+        Refused once it has more than `cap` elements, or more than
+        TABLE_FACTOR * cap table points (order x degree).  The table test is
+        off only for generators inside a group whose table already passed it.
+        """
         if not generators:
             raise PreconditionError("need at least one generator")
         deg = max(len(g) for g in generators)
@@ -232,6 +250,7 @@ class PermGroup:
             deg = max(deg, degree)
         gens = [_pad(g, deg) for g in generators]
         cap = enum_cap(cap)
+        limit = min(cap, TABLE_FACTOR * cap // deg) if table_check else cap
         # closure under left multiplication u -> s*u: the same set as the
         # right closure, and the constructor sorts it
         left = [_gather(s) for s in gens]
@@ -245,8 +264,8 @@ class PermGroup:
                     if v not in seen:
                         seen.add(v)
                         nxt.append(v)
-                        if len(seen) > cap:
-                            raise _cap_exceeded(cap)
+                        if len(seen) > limit:
+                            raise _cap_exceeded(cap) if len(seen) > cap else _table_exceeded(cap)
             frontier = nxt
         return cls(deg, gens, list(seen))
 
@@ -286,7 +305,7 @@ class PermGroup:
         for g in gens:
             if g not in self:
                 raise PreconditionError(f"{perm_to_cycles(g)} is not an element of the group")
-        return PermGroup.from_generators(gens, degree=self.degree, cap=self.order)
+        return PermGroup.from_generators(gens, degree=self.degree, cap=self.order, table_check=False)
 
     def is_subgroup(self, other: "PermGroup") -> bool:
         return other.degree == self.degree and all(g in self for g in other.generators)
@@ -737,7 +756,7 @@ def _closed_and_abelian(s: list[Perm], degree: int) -> tuple[bool, bool]:
             continue
         gens.append(x)
         try:
-            span = PermGroup.from_generators(gens, degree=degree, cap=len(s)).index
+            span = PermGroup.from_generators(gens, degree=degree, cap=len(s), table_check=False).index
         except PreconditionError:  # <T> has more than |S| elements
             return False, False
         if not span.keys() <= sset:
@@ -797,7 +816,8 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
         if len(orbit) == 1:  # Hx = Hxh for every h: the Schreier generators are h's own
             stab = h
         else:
-            stab = PermGroup.from_generators(sorted(schreier) or [identity], degree=g.degree, cap=h.order)
+            stab = PermGroup.from_generators(sorted(schreier) or [identity], degree=g.degree,
+                                             cap=h.order, table_check=False)
         if len(orbit) * stab.order != h.order:
             raise InternalCheckError("orbit length times stabilizer order is not |H|")
         out.append((x, len(orbit) * h.order, stab))
@@ -917,9 +937,9 @@ def _direct_product(gs: tuple[PermGroup, ...]) -> PermGroup:
     return PermGroup(sum(g.degree for g in gs), _product_generators(gs), factors=gs)
 
 
-def _builtin_factor(name: str, cap: int) -> tuple[int, Callable[[], list[Perm]]]:
-    """The order of a named group that is not a product, read off its name,
-    and the builder of its generators."""
+def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], list[Perm]]]:
+    """The order and degree of a named group that is not a product, read off
+    its name, and the builder of its generators."""
     m = re.fullmatch(r"([SACDsacd])0*(\d+)", name)
     if m:
         fam, digits = m.group(1).upper(), m.group(2)
@@ -939,11 +959,11 @@ def _builtin_factor(name: str, cap: int) -> tuple[int, Callable[[], list[Perm]]]
             if fam == "A" and n > 1:
                 order //= 2
         builder = {"S": _symmetric, "A": _alternating, "C": _cyclic, "D": _dihedral}[fam]
-        return order, partial(builder, n)
+        return order, n // 2 if fam == "D" else n, partial(builder, n)
     if name.upper() == "Q8":
-        return 8, _quaternion8
+        return 8, 8, _quaternion8
     if name.upper() == "SL23":
-        return 24, _sl23
+        return 24, 8, _sl23
     raise PreconditionError(f"unknown builtin group {name!r}")
 
 
@@ -951,12 +971,16 @@ def builtin_group(name: str, cap: int | None = None) -> PermGroup:
     """Named groups: Sn, An, Cn, Dn (dihedral of order n), Q8, SL23,
     and direct products joined with 'x' (e.g. S3xC4).
 
-    The order is read off the name and checked against the cap before any
-    permutation is built.
+    The order and the element table's size (the product of the factors'
+    orders times the sum of their degrees) are read off the name and
+    checked against the cap before any permutation is built.
     """
     cap = enum_cap(cap)
     parts = [_builtin_factor(part.strip(), cap) for part in name.strip().split("x")]
-    if prod(order for order, _ in parts) > cap:
+    order = prod(order for order, _, _ in parts)
+    if order > cap:
         raise _cap_exceeded(cap)
-    groups = tuple(PermGroup.from_generators(gens(), cap=cap) for _, gens in parts)
+    if order * sum(degree for _, degree, _ in parts) > TABLE_FACTOR * cap:
+        raise _table_exceeded(cap)
+    groups = tuple(PermGroup.from_generators(gens(), cap=cap) for _, _, gens in parts)
     return groups[0] if len(groups) == 1 else _direct_product(groups)

@@ -64,15 +64,13 @@ class VerlindeSimple:
     qdim_norm: int
 
 
-def _check_alcove_weight(rs: RootSystem, l: int, weight: Weight) -> None:
+def _weyl_pairings(rs: RootSystem, l: int, weight: Weight) -> tuple[list[int], list[int]]:
+    """(lambda+rho, alpha) and (rho, alpha) over the positive roots, for a
+    weight checked to lie in the level-l alcove."""
     if len(weight) != rs.rank or any(w < 0 for w in weight):
         raise PreconditionError(f"{weight} is not a dominant weight of {rs.label}")
     if pairing(weight, rs.highest_root) >= l:
         raise PreconditionError(f"weight {weight} lies outside the level-{l} alcove")
-
-
-def _weyl_pairings(rs: RootSystem, weight: Weight) -> tuple[list[int], list[int]]:
-    """(lambda+rho, alpha) and (rho, alpha) over the positive roots."""
     roots = rs.positive_roots
     return [pairing(weight, a) for a in roots], [rho_pairing(a) for a in roots]
 
@@ -84,11 +82,7 @@ def qdim(rs: RootSystem, l: int, weight: Weight) -> CycNum:
     at q = zeta_{2l}, evaluated as q^(sum b - sum a) P(q^2); the alcove
     condition keeps every factor nonzero.  The value lives in Q(zeta_{2l}).
     """
-    _check_alcove_weight(rs, l, weight)
-    nums, dens = _weyl_pairings(rs, weight)
-    n = 2 * l
-    folded = _scatter(_principal_specialisation(nums, dens), 2, n)
-    return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
+    return _qdim(l, *_weyl_pairings(rs, l, weight))
 
 
 def qdim_norm(rs: RootSystem, l: int, weight: Weight) -> int:
@@ -98,8 +92,16 @@ def qdim_norm(rs: RootSystem, l: int, weight: Weight) -> int:
     N(1 - zeta_d) = Phi_d(1)^(phi(2l)/phi(d)); the N(1 - zeta_l) factors of
     numerator and denominator cancel, and so do the units.
     """
-    _check_alcove_weight(rs, l, weight)
-    nums, dens = _weyl_pairings(rs, weight)
+    return _qdim_norm(l, *_weyl_pairings(rs, l, weight))
+
+
+def _qdim(l: int, nums: list[int], dens: list[int]) -> CycNum:
+    n = 2 * l
+    folded = _scatter(_principal_specialisation(nums, dens), 2, n)
+    return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
+
+
+def _qdim_norm(l: int, nums: list[int], dens: list[int]) -> int:
     levels = Counter(l // gcd(l, a) for a in nums)
     levels.subtract(l // gcd(l, b) for b in dens)
     phi_n = totient(2 * l)
@@ -109,16 +111,18 @@ def qdim_norm(rs: RootSystem, l: int, weight: Weight) -> int:
         if k and p > 1:
             exponents[p] += k * (phi_n // totient(d))
     if any(e < 0 for e in exponents.values()):
-        raise InternalCheckError(f"dimension norm of {weight} is not an integer")
+        raise InternalCheckError(f"dimension norm for pairings {nums} over {dens} is not an integer")
     return prod(p**e for p, e in exponents.items())
 
 
 def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
-    """All alcove simples with their exact dimensions and dimension norms."""
-    return [
-        VerlindeSimple(weight=w, qdim=qdim(rs, l, w), qdim_norm=qdim_norm(rs, l, w))
-        for w in enumerate_alcove(rs, l)
-    ]
+    """All alcove simples with their exact dimensions and dimension norms;
+    each weight is checked and paired with the positive roots once, for both."""
+    out = []
+    for w in enumerate_alcove(rs, l):
+        nums, dens = _weyl_pairings(rs, l, w)
+        out.append(VerlindeSimple(weight=w, qdim=_qdim(l, nums, dens), qdim_norm=_qdim_norm(l, nums, dens)))
+    return out
 
 
 def _check_theorem_hypotheses(rs: RootSystem, l: int) -> None:

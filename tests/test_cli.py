@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +219,55 @@ def test_exit_code_on_usage():
     assert exc.value.code == 2
 
 
+# (argv, environment) of requests that take every exit route of main
+REUSE_REQUESTS = [
+    (["verlinde", "classify", "--type", "A1", "--p", "3"], {}),  # --l missing
+    (["group", "--group", "S3", "--bogus", "1"], {}),  # unknown option
+    (["cyc", "-z", "--n", "5"], {}),  # the expression read back from the extras
+    (["ito-michler", "--group", "S4", "--p", "2"], {"FUSCAT_ENUM_CAP": "abc"}),
+    (["verlinde", "classify", "--type", "A4", "--l", "35", "--p", "5"], {}),
+    (["verlinde", "simples", "--type", "A2", "--l", "5", "--json"], {}),
+    (["cyc", "1 + z^2", "--n", "7", "--galois", "3", "--norm"], {}),
+    (["group", "--group", "S4", "--json"], {}),
+    (["gtcat", "badprimes", "--group", "S4", "--subgroup-gens", "(1 2)"], {}),
+]
+
+
+def _full_reply(argv, env):
+    """(exit code, stdout, stderr) of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        for key, value in env.items():
+            mp.setenv(key, value)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    codes = [_full_reply(argv, env)[0] for argv, env in REUSE_REQUESTS]
+    assert codes == [2, 2, 0, 2, 0, 0, 0, 0, 0]
+    # two interleaved passes through the shared parser, then each request on a new one
+    order = list(range(len(REUSE_REQUESTS))) + list(reversed(range(len(REUSE_REQUESTS))))
+    reused = [(i, _full_reply(*REUSE_REQUESTS[i])) for i in order]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_full_reply(argv, env) for argv, env in REUSE_REQUESTS]
+    assert all(reply == fresh[i] for i, reply in reused)
+
+
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fuscat.cli as c; print(c.build_parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def test_deterministic_output(capsys):
     _, first = run_json(capsys, "gtcat", "simples", "--group", "S4", "--subgroup-gens", "(1 2),(3 4)")
     _, second = run_json(capsys, "gtcat", "simples", "--group", "S4", "--subgroup-gens", "(1 2),(3 4)")
@@ -289,6 +342,36 @@ def test_oversized_builtins_are_refused_before_they_are_built(capsys, monkeypatc
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert "exceeds the enumeration cap 20000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["C2000", "D8000", "C120xC120", "S3xC700xC3"])
+def test_oversized_element_tables_are_refused_before_they_are_built(capsys, monkeypatch, name):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    monkeypatch.setattr(cli.PermGroup, "from_generators", staticmethod(no_enumeration))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "--group", name)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "exceeds 100 x the enumeration cap 20000" in err and "FUSCAT_ENUM_CAP" in err
+
+
+def test_raised_cap_lets_a_large_table_through(capsys, monkeypatch):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    code, out, _ = run(capsys, "group", "--group", "C2000", "--cap", "40000")
+    assert code == 0 and out.startswith("|G| = 2000 on 2000 points")
+    code, out, _ = run(capsys, "group", "--group", "C1414")
+    assert code == 0 and out.startswith("|G| = 1414 on 1414 points")
+
+
+def test_generated_tables_are_bounded_too(capsys):
+    cycle = "(" + " ".join(str(i) for i in range(1, 201)) + ")"
+    code, _, err = run(capsys, "group", "--gens", cycle, "--cap", "399")
+    assert code == 2 and "exceeds 100 x the enumeration cap 399" in err
+    code, payload = run_json(capsys, "group", "--gens", cycle, "--cap", "400")
+    assert code == 0 and payload["result"]["order"] == "200"
 
 
 def test_raised_cap_lets_a_product_through(capsys, monkeypatch):

@@ -389,8 +389,14 @@ def test_parse_element_rejects(bad):
 
 
 def test_cyclotomic_at_one_matches_the_polynomial():
+    def evaluate(poly, x):  # Horner's rule
+        acc = 0
+        for c in reversed(poly.coeffs):
+            acc = acc * x + c
+        return acc
+
     for n in range(1, 301):
-        assert cyclotomic_at_one(n) == cyclotomic_polynomial(n)(1)
+        assert cyclotomic_at_one(n) == evaluate(cyclotomic_polynomial(n), 1)
     with pytest.raises(PreconditionError):
         cyclotomic_at_one(0)
 

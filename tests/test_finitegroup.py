@@ -11,6 +11,7 @@ from fuscat.finitegroup import (
     PermGroup,
     builtin_group,
     char_degrees,
+    double_coset_orbits,
     double_cosets,
     ito_michler_verify,
     parse_gens,
@@ -121,6 +122,20 @@ def test_builtin_order_is_read_off_the_name(name):
     assert builtin_group(name, cap=order).order == order
     with pytest.raises(PreconditionError, match=f"exceeds the enumeration cap {order - 1}"):
         builtin_group(name, cap=order - 1)
+
+
+def test_table_bound_spares_groups_inside_an_admitted_group():
+    """D800 and C400 act on 400 points and pass the table bound.  A subgroup,
+    a double-coset stabilizer or a Sylow span is enumerated under a cap no
+    larger than its parent's order, and its table is part of the parent's:
+    the table bound must not refuse it."""
+    g = builtin_group("D800")
+    assert g.subgroup(g.generators).order == 800
+    rot, ref = g.generators
+    h = g.subgroup([perm_mul(perm_mul(rot, rot), perm_mul(rot, rot)), ref])
+    assert h.order == 200
+    assert sorted(k.order for _, _, k in double_coset_orbits(g, h)) == [100, 200, 200]
+    assert ito_michler_verify(builtin_group("C400"), 2).sylow_order == 16
 
 
 def test_enum_cap_env(monkeypatch):

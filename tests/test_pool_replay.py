@@ -87,8 +87,8 @@ def test_product_requests_build_only_the_factor_tables(monkeypatch, argv):
         groups.append(builtin_group(name, cap=cap))
         return groups[-1]
 
-    def table_spy(generators, degree=None, cap=None):
-        tables.append(from_generators(generators, degree=degree, cap=cap))
+    def table_spy(generators, degree=None, cap=None, **kwargs):
+        tables.append(from_generators(generators, degree=degree, cap=cap, **kwargs))
         return tables[-1]
 
     monkeypatch.setattr(cli, "builtin_group", group_spy)

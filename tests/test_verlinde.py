@@ -10,6 +10,7 @@ from fuscat.verlinde import (
     Verdict,
     classify_prime,
     qdim,
+    qdim_norm,
     scan_dimension_witnesses,
     simple_objects,
 )
@@ -149,3 +150,10 @@ def _twisted_q_integer(m, l, s):
     for k in range(m):
         total = total + CycNum.zeta(n, (s * (m - 1 - 2 * k)) % n)
     return total
+
+
+@pytest.mark.parametrize("label, l", [("A1", 21), ("A2", 15), ("A3", 15)])
+def test_simple_objects_match_the_public_routes(label, l):
+    rs = build_root_system(label)
+    expected = [(w, qdim(rs, l, w), qdim_norm(rs, l, w)) for w in enumerate_alcove(rs, l)]
+    assert [(s.weight, s.qdim, s.qdim_norm) for s in simple_objects(rs, l)] == expected
