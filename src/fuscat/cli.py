@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .cyclotomic import CycNum, check_str_digits, cyclotomic_at_one, parse_eleme
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
     DEFAULT_ENUM_CAP,
+    TABLE_FACTOR,
     PermGroup,
     builtin_group,
     char_degrees,
@@ -235,13 +237,32 @@ def _cmd_verlinde(args) -> Report:
                   result, prov, lines)
 
 
+def _check_points(cycles: str, limit: int, bound: str) -> None:
+    """Refuse cycle text that names a point above limit, before any
+    permutation is built on that many points."""
+    for digits in re.findall(r"\d+", cycles):
+        digits = digits.lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise PreconditionError(f"point {digits} exceeds {bound}")
+
+
 def _load_group(args) -> tuple[PermGroup, int]:
-    """The group the arguments name, and the enumeration cap in force."""
+    """The group the arguments name, and the enumeration cap in force.
+
+    A --degree or a --gens point above TABLE_FACTOR x cap is refused before
+    any permutation is built: the element table has at least that many points.
+    """
     cap = enum_cap(args.cap)
+    degree = getattr(args, "degree", None)
+    bound = f"{TABLE_FACTOR} x the enumeration cap {cap}"
+    if degree is not None and not 1 <= degree <= TABLE_FACTOR * cap:
+        raise PreconditionError(f"--degree {degree} is not positive" if degree < 1
+                                else f"--degree {degree} exceeds {bound}")
     if getattr(args, "group", None):
         return builtin_group(args.group, cap=cap), cap
     if getattr(args, "gens", None):
-        gens = parse_gens(args.gens, getattr(args, "degree", None))
+        _check_points(args.gens, TABLE_FACTOR * cap, bound)
+        gens = parse_gens(args.gens, degree)
         return PermGroup.from_generators(gens, cap=cap), cap
     raise PreconditionError("give a group via --group NAME or --gens CYCLES")
 
@@ -280,6 +301,7 @@ def _cmd_group(args) -> Report:
 def _subgroup_of(g: PermGroup, args) -> PermGroup:
     if args.subgroup_gens is None:
         return g
+    _check_points(args.subgroup_gens, g.degree, f"the degree {g.degree} of G")
     return g.subgroup(parse_gens(args.subgroup_gens, g.degree))
 
 

@@ -441,10 +441,9 @@ class CycNum:
     def galois(self, s: int) -> "CycNum":
         """Apply the automorphism zeta_n -> zeta_n^s; s must be coprime to n."""
         n = self.conductor
-        s %= n
-        if gcd(s if s else n, n) != 1:
+        if gcd(s, n) != 1:
             raise PreconditionError(f"{s} is not coprime to the conductor {n}")
-        return CycNum(n, _scatter(self.coeffs, s, n), self.den)
+        return CycNum(n, _scatter(self.coeffs, s % n, n), self.den)
 
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all Galois conjugates."""

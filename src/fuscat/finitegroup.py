@@ -13,12 +13,11 @@ reference that the tests check this route against.
 An `x`-joined builtin G1 x ... x Gr answers from its factors: its order is
 the product of theirs, its classes are the products of their classes, its
 character degrees the products d1*...*dr of theirs (Irr(G x H) =
-Irr(G) (x) Irr(H)), and its Sylow p-subgroup is the product of theirs.
-Its element table, class members and `class_of` are built from the
-factors' tables only when something asks for them.  Every factor route
-first checks that the factors' generators, shifted into place, are the
-product's own.  A group with as many classes as elements is abelian and
-has all degrees 1.  Every other group takes the
+Irr(G) (x) Irr(H)).  Its element table, class members and `class_of`
+are built from the factors' tables only when something asks for them.
+Every factor route first checks that the factors' generators, shifted into
+place, are the product's own.  A group with as many classes as elements is
+abelian and has all degrees 1.  Every other group takes the
 class-multiplication-coefficient method:
 the integer class matrices commute and split into common one-dimensional
 eigenspaces over a prime field F_q chosen with q = 1 mod exp(G) and
@@ -26,6 +25,12 @@ q > 2*sqrt(|G|); each common eigenvector is a central character, and the
 squared degree is recovered from the orthogonality sum and lifted to the
 unique integer square root in (0, sqrt(|G|)].  Only degrees are computed;
 character values are never needed downstream.
+
+The Ito-Michler theorem (p divides no irreducible degree exactly when the
+Sylow p-subgroup is normal and abelian) is checked in both directions from
+class data alone, for every group alike, products included: the classes of
+p-power order sum to |G|_p exactly when the Sylow p-subgroup is normal,
+and a normal one is abelian exactly when p divides none of their sizes.
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from operator import itemgetter
 
 from .arith import is_prime, p_part, prime_factors, prime_witnesses
@@ -199,13 +203,6 @@ def _pad(p: Perm, degree: int) -> Perm:
 class ConjugacyClass:
     rep: Perm  # the least element of the class
     size: int
-    group: PermGroup = field(repr=False, compare=False)
-    number: int = field(repr=False, compare=False)  # position in group.conjugacy_classes()
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        """Indices into the group's element table, in increasing order."""
-        return self.group.class_members()[self.number]
 
 
 class PermGroup:
@@ -332,7 +329,7 @@ class PermGroup:
                 raise InternalCheckError("conjugacy classes do not partition the group")
             if any(self.order % size for _, size in reps_sizes):
                 raise InternalCheckError("conjugacy class size does not divide the order")
-            self._classes = [ConjugacyClass(rep, size, self, i) for i, (rep, size) in enumerate(reps_sizes)]
+            self._classes = [ConjugacyClass(rep, size) for rep, size in reps_sizes]
         return self._classes
 
     def class_of(self) -> list[int]:
@@ -549,7 +546,7 @@ def _class_matrix(g: PermGroup, i: int) -> list[list[int]]:
     k = len(classes)
     elements, index = g.elements, g.index
     mat = [[0] * k for _ in range(k)]
-    xs = [_gather(perm_inv(elements[idx])) for idx in classes[i].members]
+    xs = [_gather(perm_inv(elements[idx])) for idx in g.class_members()[i]]
     for kk in range(k):
         z = classes[kk].rep
         for xinv in xs:
@@ -682,86 +679,43 @@ class ItoMichlerReport:
 
 
 def ito_michler_verify(g: PermGroup, p: int) -> ItoMichlerReport:
-    """Check the structural conclusion when p divides |G| but no degree.
-
-    Builds S = {x : order(x) is a power of p}; when the hypothesis holds,
-    S must be the (normal, abelian) Sylow p-subgroup, with a complement of
-    coprime order.  Any failure is flagged as an internal violation, since
-    the statement is unconditional.  A direct product checks each factor
-    whose order p divides: its Sylow p-subgroup is the product of theirs,
-    normal and abelian exactly when each of theirs is.
-    """
+    """Check the Ito-Michler theorem at p, both ways: p divides no
+    irreducible degree exactly when the Sylow p-subgroup is normal and
+    abelian (`_sylow_structure`).  A failure either way is an internal
+    violation, since the theorem is unconditional."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     if g.order % p:
         return ItoMichlerReport(p, False, None, None, None, None, None,
                                 reason=f"{p} does not divide the group order")
     offending = next((d for d in char_degrees(g) if d % p == 0), None)
+    normal, abelian = _sylow_structure(g, p)
+    if (offending is None) != abelian:
+        degrees = "divides no degree" if offending is None else f"divides the degree {offending}"
+        raise InternalCheckError(
+            f"Ito-Michler violation for p={p}: p {degrees}, but the Sylow {p}-subgroup "
+            f"has normal={normal}, abelian={abelian}"
+        )
     if offending is not None:
         return ItoMichlerReport(p, False, offending, None, None, None, None,
                                 reason=f"{p} divides the irreducible degree {offending}")
-    if g.factors:
-        return _product_sylow(g, p)
-    # conjugate elements have equal order: read each order off its class
-    p_classes = [_is_p_power(perm_order(c.rep), p) for c in g.conjugacy_classes()]
-    sylow = [x for x, c in zip(g.elements, g.class_of()) if p_classes[c]]
-    target = p_part(g.order, p)
-    sset = set(sylow)
-    closed, abelian = _closed_and_abelian(sylow, g.degree)
-    conj = [(_gather(perm_inv(gen)), gen) for gen in g.generators]
-    normal = all(_gather(gi(x))(gen) in sset for x in sylow for gi, gen in conj)
-    if len(sylow) != target or not closed or not abelian or not normal:
-        raise InternalCheckError(
-            f"Ito-Michler violation for p={p}: |S|={len(sylow)} (expected {target}), "
-            f"closed={closed}, abelian={abelian}, normal={normal}"
-        )
-    complement = g.order // target
-    if gcd(complement, p) != 1:
-        raise InternalCheckError("complement order is not coprime to p")
-    return ItoMichlerReport(p, True, None, target, complement, abelian, normal)
+    sylow = p_part(g.order, p)
+    return ItoMichlerReport(p, True, None, sylow, g.order // sylow, True, True)
 
 
-def _product_sylow(g: PermGroup, p: int) -> ItoMichlerReport:
-    sylow = complement = 1
-    for f in _checked_factors(g):
-        if f.order % p:
-            complement *= f.order
-            continue
-        rep = ito_michler_verify(f, p)
-        if not rep.applicable:
-            raise InternalCheckError(f"a factor has a degree divisible by {p}, the product none")
-        sylow *= rep.sylow_order
-        complement *= rep.complement_order
-    if sylow != p_part(g.order, p) or sylow * complement != g.order:
-        raise InternalCheckError(f"factor Sylow orders do not multiply to the {p}-part of |G|")
-    return ItoMichlerReport(p, True, None, sylow, complement, True, True)
+def _sylow_structure(g: PermGroup, p: int) -> tuple[bool, bool]:
+    """Whether the Sylow p-subgroup P is normal, and whether it is normal
+    and abelian, from the classes alone.
 
-
-def _closed_and_abelian(s: list[Perm], degree: int) -> tuple[bool, bool]:
-    """Whether a set S of p-elements is closed under products, and whether
-    its elements commute pairwise, in O(|S| log |S|) products.
-
-    Generators T grow greedily: each x in S outside A = <T> joins T and A is
-    rebuilt, capped at |S|.  A cap overflow or an element of A outside S
-    means S is not closed; otherwise S <= A <= S at the end, so S = <T> is a
-    group, abelian exactly when T commutes pairwise.  A set of p-elements
-    that commutes pairwise is closed (commuting p-elements multiply to a
-    p-element), so an unclosed S is not abelian either.
+    The p-elements are the classes whose representative has p-power order;
+    they cover every Sylow p-subgroup, so P is normal exactly when they
+    number |G|_p.  A normal P is abelian exactly when p divides none of
+    their class sizes: C_G(x) has p'-index exactly when it contains a
+    Sylow p-subgroup, which is then P.
     """
-    sset = set(s)
-    gens: list[Perm] = []
-    span = {perm_identity(degree)}  # the elements of <T>
-    for x in s:
-        if x in span:
-            continue
-        gens.append(x)
-        try:
-            span = PermGroup.from_generators(gens, degree=degree, cap=len(s), table_check=False).index
-        except PreconditionError:  # <T> has more than |S| elements
-            return False, False
-        if not span.keys() <= sset:
-            return False, False
-    return True, all(perm_mul(a, b) == perm_mul(b, a) for a, b in combinations(gens, 2))
+    sizes = [c.size for c in g.conjugacy_classes() if _is_p_power(perm_order(c.rep), p)]
+    normal = sum(sizes) == p_part(g.order, p)
+    return normal, normal and all(size % p for size in sizes)
 
 
 def _is_p_power(n: int, p: int) -> bool:

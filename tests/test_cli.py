@@ -374,6 +374,40 @@ def test_generated_tables_are_bounded_too(capsys):
     assert code == 0 and payload["result"]["order"] == "200"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--gens", "(1 2)", "--degree", "10001"], "--degree 10001 exceeds 100 x the enumeration cap 100"),
+    (["--gens", "(1 10001)"], "point 10001 exceeds 100 x the enumeration cap 100"),
+    (["--gens", "(1 2), (3 00000000000000000000000000010001)"], "point 10001 exceeds"),
+    (["--gens", "(1 2)", "--degree", "0"], "--degree 0 is not positive"),
+    (["--gens", "(1 2)", "--degree", "-5"], "--degree -5 is not positive"),
+    (["--group", "S3", "--degree", "0"], "--degree 0 is not positive"),
+])
+def test_points_are_bounded_before_any_permutation_is_built(capsys, monkeypatch, argv, message):
+    built = []
+    monkeypatch.setattr(cli, "parse_gens", lambda *a: built.append(a))
+    code, out, err = run(capsys, "group", *argv, "--cap", "100")
+    assert code == 2 and message in err and out == ""
+    assert built == []
+
+
+def test_points_up_to_the_table_bound_still_answer(capsys):
+    code, out, _ = run(capsys, "group", "--gens", "(1 2)", "--degree", "5000", "--cap", "100")
+    assert code == 0 and out.startswith("|G| = 2 on 5000 points")
+    code, out, _ = run(capsys, "group", "--gens", "(1 5000)", "--cap", "100")
+    assert code == 0 and out.startswith("|G| = 2 on 5000 points")
+
+
+def test_subgroup_points_are_bounded_by_the_degree_of_g(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "parse_gens", lambda *a: built.append(a))
+    code, out, err = run(capsys, "gtcat", "simples", "--group", "S3", "--subgroup-gens", "(1 2000000)")
+    assert code == 2 and "point 2000000 exceeds the degree 3 of G" in err and out == ""
+    assert built == []
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "gtcat", "simples", "--group", "S3", "--subgroup-gens", "(1 3)")
+    assert code == 0 and out.startswith("|G| = 6, |H| = 2")
+
+
 def test_raised_cap_lets_a_product_through(capsys, monkeypatch):
     monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
     code, _, err = run(capsys, "group", "--group", "S7xC2xC2")
@@ -449,6 +483,11 @@ def test_cyc_works_in_the_field_that_n_names(capsys):
         assert code == 0 and "norm = 16" in out.splitlines()
     code, out, err = run(capsys, "cyc", "2", "--n", "8", "--galois", "2")
     assert code == 2 and "coprime" in err and out == ""
+    # the error names the exponent given, not its residue mod n
+    code, out, err = run(capsys, "cyc", "z", "--n", "2", "--galois", "2")
+    assert code == 2 and "2 is not coprime to the conductor 2" in err and out == ""
+    code, out, err = run(capsys, "cyc", "z", "--n", "6", "--galois", "-3")
+    assert code == 2 and "-3 is not coprime to the conductor 6" in err and out == ""
     code, out, err = run(capsys, "cyc", "2", "--n", "0")
     assert code == 2 and "positive" in err and out == ""
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import cache
 
 import pytest
@@ -125,10 +127,10 @@ def test_builtin_order_is_read_off_the_name(name):
 
 
 def test_table_bound_spares_groups_inside_an_admitted_group():
-    """D800 and C400 act on 400 points and pass the table bound.  A subgroup,
-    a double-coset stabilizer or a Sylow span is enumerated under a cap no
-    larger than its parent's order, and its table is part of the parent's:
-    the table bound must not refuse it."""
+    """D800 and C400 act on 400 points and pass the table bound.  A subgroup
+    or a double-coset stabilizer is enumerated under a cap no larger than
+    its parent's order, and its table is part of the parent's: the table
+    bound must not refuse it."""
     g = builtin_group("D800")
     assert g.subgroup(g.generators).order == 800
     rot, ref = g.generators
@@ -208,7 +210,7 @@ def test_product_classes_against_the_enumerated_product(name):
     assert g._elements is None and g._index is None and g._class_of is None
     # class_of and members are the conjugation orbits on the joined table
     assert g.class_of() == oracle.class_of()
-    assert [c.members for c in g.conjugacy_classes()] == [c.members for c in oracle.conjugacy_classes()]
+    assert g.class_members() == oracle.class_members()
     assert g.elements == oracle.elements and g.index == oracle.index
     assert g.elements[g.identity_index] == tuple(range(g.degree))
 
@@ -222,6 +224,8 @@ def test_product_ito_michler_against_the_enumerated_product(name):
 
 
 def test_product_ito_michler_checks_each_factor(monkeypatch):
+    """The factors enter through the product's classes and degrees alone:
+    one call, no recursion into the factors, no element table."""
     calls = []
     verify = finitegroup.ito_michler_verify
 
@@ -230,10 +234,13 @@ def test_product_ito_michler_checks_each_factor(monkeypatch):
         return verify(g, p)
 
     monkeypatch.setattr(finitegroup, "ito_michler_verify", spy)
-    rep = spy(builtin_group("S3xS3xS3xC2"), 3)
+    g = builtin_group("S3xS3xS3xC2")
+    rep = spy(g, 3)
     assert rep.applicable and (rep.sylow_order, rep.complement_order) == (27, 16)
-    # C2 has no Sylow 3-subgroup to check; each S3 checks its own
-    assert calls == [(432, 3), (6, 3), (6, 3), (6, 3)]
+    assert calls == [(432, 3)]
+    assert not spy(g, 2).applicable
+    assert calls == [(432, 3), (432, 2)]
+    assert g._elements is None and g._class_of is None
 
 
 def test_mismatched_factors_stop_every_factor_route():
@@ -323,11 +330,43 @@ def test_ito_michler_on_corpus():
     for name in sorted(CLASSICAL_DEGREES):
         g = builtin_group(name)
         degs = char_degrees(g)
-        for p in (2, 3, 5, 7):
-            if g.order % p:
-                continue
+        for p in prime_factors(g.order):
             rep = ito_michler_verify(g, p)  # raises on violation
             assert rep.applicable == all(d % p for d in degs)
+
+
+@pytest.mark.parametrize("name, p, degrees, structure", [
+    # p divides a faked degree, yet the Sylow p-subgroup is normal and abelian
+    ("A4", 2, (1, 1, 2, 3), "normal=True, abelian=True"),
+    ("S3xC4", 3, (1, 1, 1, 1, 1, 1, 1, 1, 3, 3, 3, 3), "normal=True, abelian=True"),
+    # p divides no faked degree, yet the Sylow p-subgroup is not normal ...
+    ("S4", 2, (1, 1, 3, 3, 3), "normal=False, abelian=False"),
+    # ... or normal and not abelian
+    ("D8xC3", 2, (1,) * 15, "normal=True, abelian=False"),
+])
+def test_faked_degrees_fail_the_check_both_ways(name, p, degrees, structure):
+    g = builtin_group(name)
+    g._degrees = degrees  # the cache char_degrees answers from
+    with pytest.raises(InternalCheckError, match=f"violation for p={p}: .*{structure}"):
+        ito_michler_verify(g, p)
+
+
+def test_a_group_is_freed_without_the_cycle_collector():
+    """Nothing a group caches refers back to it, so it goes with its last
+    reference, whenever the cycle collector runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("S4", "S3xC4"):
+            g = builtin_group(name)
+            char_degrees(g)
+            g.class_members()
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- double cosets and stabilizers

@@ -1,6 +1,7 @@
 """The gather kernel behind every permutation product, checked against the
 per-point product it replaced, and the shortcuts that ride on it: all-ones
-degrees for abelian groups and the greedy Sylow closure check."""
+degrees for abelian groups and the class criterion for a normal abelian
+Sylow subgroup, checked against the element-level route it replaced."""
 
 import importlib.util
 from math import lcm
@@ -11,20 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuscat.finitegroup as finitegroup
-from fuscat.arith import prime_factors
+from fuscat.arith import p_part, prime_factors
 from fuscat.finitegroup import (
     PermGroup,
-    _closed_and_abelian,
     _gather,
     _is_p_power,
     _split_degrees,
+    _sylow_structure,
     builtin_group,
     char_degrees,
+    ito_michler_verify,
     parse_gens,
     perm_inv,
     perm_mul,
     perm_order,
 )
+from test_finitegroup import PRODUCTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,8 +119,8 @@ def test_kernel_route_matches_the_pointwise_route(build):
     g.conjugacy_classes()
     assert (g._elements is None) == bool(g.factors)
     assert g.elements == pointwise_elements(g.generators, g.degree)
-    classes = [(c.rep, c.members) for c in g.conjugacy_classes()]
-    assert classes == pointwise_classes(g.elements, g.generators)
+    classes = [c.rep for c in g.conjugacy_classes()]
+    assert list(zip(classes, g.class_members())) == pointwise_classes(g.elements, g.generators)
     assert g.exponent() == lcm(*map(perm_order, g.elements))
 
 
@@ -143,27 +146,50 @@ def pairwise_closed_and_abelian(s):
     return closed, abelian
 
 
-@pytest.mark.parametrize("name", ["S4", "A4", "D12", "Q8", "C2xC2", "C27"])
-def test_greedy_closure_against_all_pairs(name):
-    g = builtin_group(name)
-    for p in prime_factors(g.order):
-        s = [x for x in g.elements if _is_p_power(perm_order(x), p)]
-        assert _closed_and_abelian(s, g.degree) == pairwise_closed_and_abelian(s), p
+def element_sylow_structure(g, p):
+    """The element-level route: whether the Sylow p-subgroup is normal, and
+    whether it is normal and abelian.  The p-elements S of the element table
+    form a normal Sylow p-subgroup exactly when there are |G|_p of them,
+    closed under products and under conjugation by the generators; it is
+    abelian when they commute pairwise."""
+    s = [x for x in g.elements if _is_p_power(perm_order(x), p)]
+    closed, abelian = pairwise_closed_and_abelian(s)
+    sset = set(s)
+    invariant = all(perm_mul(perm_mul(perm_inv(y), x), y) in sset for x in s for y in g.generators)
+    normal = len(s) == p_part(g.order, p) and closed and invariant
+    return normal, normal and abelian
 
 
-def test_greedy_closure_sees_both_failures():
-    # the 2-elements of S3: <(1 2), (1 3)> overflows the cap |S| = 4
-    s3 = builtin_group("S3")
-    s = [x for x in s3.elements if _is_p_power(perm_order(x), 2)]
-    assert _closed_and_abelian(s, 3) == (False, False)
-    # the 3-elements of A4 generate A4, whose involutions lie outside S;
-    # three repeats of the identity raise the cap to |A4| = 12, so only the
-    # containment test can refuse
-    a4 = builtin_group("A4")
-    s = [x for x in a4.elements if _is_p_power(perm_order(x), 3)]
-    padded = s + [tuple(range(4))] * 3
-    assert _closed_and_abelian(padded, 4) == (False, False)
-    # a closed but non-abelian set of 2-elements
-    q8 = builtin_group("Q8")
-    assert _closed_and_abelian(q8.elements, q8.degree) == (True, False)
+def _sylow_groups():
+    for name in dict.fromkeys([*_survey_corpus(), *PRODUCTS, "C27"]):
+        yield pytest.param(lambda name=name: builtin_group(name), id=name)
+    for name, gens in [
+        ("F20", "(1 2 3 4 5), (2 3 5 4)"),          # normal C5, Sylow C4 not normal
+        ("PSL27", "(1 2 3 4 5 6 7), (1 2)(3 6)"),   # simple: no normal Sylow
+        ("D8xC3", "(1 2 3 4), (1 3), (5 6 7)"),     # normal non-abelian Sylow D8
+    ]:
+        yield pytest.param(lambda gens=gens: PermGroup.from_generators(parse_gens(gens)), id=f"gens-{name}")
 
+
+@pytest.mark.parametrize("build", list(_sylow_groups()))
+def test_class_criterion_against_the_element_oracle(build):
+    g = build()
+    primes = prime_factors(g.order)
+    structures = [_sylow_structure(g, p) for p in primes]
+    for p, (_, normal_abelian) in zip(primes, structures):
+        report = ito_michler_verify(g, p)  # raises unless the degrees agree
+        assert report.applicable == normal_abelian == all(d % p for d in char_degrees(g)), p
+    # a product answers from its factors' classes, off its own element table
+    assert (g._elements is None) == bool(g.factors)
+    assert structures == [element_sylow_structure(g, p) for p in primes]
+
+
+def test_class_criterion_sees_both_failures():
+    for name, p, structure in [
+        ("S3", 2, (False, False)),  # three Sylow 2-subgroups
+        ("A4", 3, (False, False)),  # the 3-elements generate A4
+        ("Q8", 2, (True, False)),   # normal, not abelian
+        ("A4", 2, (True, True)),    # the Klein four-group
+    ]:
+        g = builtin_group(name)
+        assert _sylow_structure(g, p) == element_sylow_structure(g, p) == structure, (name, p)
