@@ -12,8 +12,8 @@ import sys
 
 from fuscat.arith import primes_upto
 from fuscat.errors import PreconditionError
-from fuscat.rootsys import build_root_system, enumerate_alcove
-from fuscat.verlinde import Verdict, classify_prime, qdim_norm
+from fuscat.rootsys import build_root_system
+from fuscat.verlinde import Verdict, alcove_norms, classify_prime
 
 
 def main() -> int:
@@ -39,8 +39,8 @@ def main() -> int:
                     continue
                 cells.append({Verdict.GOOD: "G", Verdict.BAD: "B",
                               Verdict.OUTSIDE_THEOREM: "o"}[v.verdict])
-            norms = [qdim_norm(rs, l, w) for w in enumerate_alcove(rs, l)]
-            nonunit = sum(1 for v in norms if abs(v) != 1)
+            norms = alcove_norms(rs, l)
+            nonunit = sum(1 for _, v in norms if abs(v) != 1)
             print(f"  l={l:<3d} {' '.join(cells)}   "
                   f"({len(norms)} simples, {nonunit} with non-unit norm)")
     return 0

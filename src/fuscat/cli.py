@@ -5,14 +5,16 @@ amplitude, crosscheck.  Output is a deterministic aligned table by default
 or a JSON report with --json / --out; all numbers in JSON are rendered as
 decimal strings so arbitrarily large values survive any JSON parser.
 
-Exit codes: 0 success, 2 violated precondition or bad usage, 1 internal
-consistency failure.
+Exit codes: 0 success, 2 violated precondition, bad usage or a report that
+cannot be written (an --out path, or a stdout whose reader has gone), 1
+internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ from .finitegroup import (
     rep_bad_primes,
     rep_good_primes,
 )
-from .rootsys import build_root_system, enumerate_alcove
+from .rootsys import build_root_system
 from .verlinde import Verdict
 
 Q_CONVENTION = "q = zeta_{2l}, the primitive (2l)-th root of unity; verdicts are Galois-invariant in this choice"
@@ -190,7 +192,7 @@ def _cmd_verlinde(args) -> Report:
                 for s in simples
             ],
         }
-        rows = [[str(list(s.weight)), str(s.qdim), str(s.qdim_norm)] for s in simples]
+        rows = [[str(s["weight"]), s["pretty"], str(s["norm"])] for s in result["simples"]]
         lines = [f"{rs.label}, l={args.l}: {len(simples)} simple objects"]
         lines += _table(rows, ["weight", "qdim", "norm"])
         return Report("verlinde simples", {"type": args.type, "l": args.l}, result, prov, lines)
@@ -205,8 +207,10 @@ def _cmd_verlinde(args) -> Report:
         return Report("verlinde classify", {"type": args.type, "l": args.l, "p": args.p},
                       result, prov, lines)
     _check_pmax(args.pmax)
-    # badprimes: compute the alcove dimension norms once, then filter per prime
-    norms = [(w, verlinde.qdim_norm(rs, args.l, w)) for w in enumerate_alcove(rs, args.l)]
+    # badprimes: compute the alcove dimension norms once, then filter per prime.
+    # A norm's prime factors are Phi_d(1) with d | l, so only the primes
+    # dividing l can have scan hits.
+    norms = verlinde.alcove_norms(rs, args.l)
     verdicts = []
     scan: dict[int, list] = {}
     for p in primes_upto(args.pmax):
@@ -216,7 +220,7 @@ def _cmd_verlinde(args) -> Report:
             v = verlinde.PrimeVerdict(p, Verdict.OUTSIDE_THEOREM,
                                       verlinde.REASON_HYPOTHESIS_FAILURE, detail=str(exc))
         verdicts.append(v)
-        witnesses = [w for w, n in norms if n % p == 0]
+        witnesses = [w for w, n in norms if n % p == 0] if args.l % p == 0 else []
         if witnesses:
             scan[p] = [list(w) for w in witnesses]
     result = {
@@ -259,6 +263,8 @@ def _load_group(args) -> tuple[PermGroup, int]:
         raise PreconditionError(f"--degree {degree} is not positive" if degree < 1
                                 else f"--degree {degree} exceeds {bound}")
     if getattr(args, "group", None):
+        if degree is not None:
+            raise PreconditionError("--degree applies only to --gens")
         return builtin_group(args.group, cap=cap), cap
     if getattr(args, "gens", None):
         _check_points(args.gens, TABLE_FACTOR * cap, bound)
@@ -599,6 +605,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _stdout_to_devnull() -> None:
+    """Point a closed stdout's descriptor at the null device, so that the
+    interpreter's flush at exit finds a writable file and prints nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing is flushed to a descriptor at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one request and return its exit code.
 
@@ -616,15 +634,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.fn(args)
     except _CrosscheckFailure as exc:
-        _emit(exc.report, args)
-        return 1
+        report, code = exc.report, 1
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    return 0 if _emit(report, args) else 2
+    else:
+        code = 0
+    try:
+        written = _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        print("error: cannot write to stdout: the reader has closed it", file=sys.stderr)
+        written = False
+    # an internal inconsistency outranks a report that could not be written
+    return code or (0 if written else 2)
 
 
 if __name__ == "__main__":

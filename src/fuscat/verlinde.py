@@ -15,6 +15,14 @@ p^(phi(2l)/phi(d)) when d = p^k and 1 when d has two or more prime
 factors; the unit and the N(1 - zeta_l) factors cancel.  `CycNum.norm`
 stays the generic route and the tests' oracle.
 
+One dimension per key.  At q = zeta_{2l} we have q^l = -1, so
+[a] = [l - a].  Every alcove pairing lies in 1..l-1 and the denominators
+(rho, alpha) do not depend on the weight, so a dimension and its norm
+depend only on the key of the weight: the sorted tuple of min(a, l - a)
+over the positive roots.  `simple_objects` and `alcove_norms` build each
+distinct value once per call, in a dict local to the call; an A4 alcove
+at l = 15 has 1001 weights and 106 keys.  Nothing is kept between calls.
+
 The classifier only answers inside its hypotheses (l odd, l > h, and for
 divisor primes p >= h); everything else is reported OutsideTheorem rather
 than guessed.  An exhaustive alcove scan of the necessary condition (p
@@ -27,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
+from typing import Callable, TypeVar
 
 from .arith import is_prime, totient
 from .cyclotomic import CycNum, _principal_specialisation, _scatter, cyclotomic_at_one
@@ -115,14 +124,38 @@ def _qdim_norm(l: int, nums: list[int], dens: list[int]) -> int:
     return prod(p**e for p, e in exponents.items())
 
 
-def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
-    """All alcove simples with their exact dimensions and dimension norms;
-    each weight is checked and paired with the positive roots once, for both."""
+T = TypeVar("T")
+
+
+def _per_key(rs: RootSystem, l: int,
+             build: Callable[[int, list[int], list[int]], T]) -> list[tuple[Weight, T]]:
+    """(weight, build(l, nums, dens)) over the level-l alcove, calling build
+    once per distinct dimension key; each weight is paired once."""
+    values: dict[tuple[int, ...], T] = {}
     out = []
     for w in enumerate_alcove(rs, l):
         nums, dens = _weyl_pairings(rs, l, w)
-        out.append(VerlindeSimple(weight=w, qdim=_qdim(l, nums, dens), qdim_norm=_qdim_norm(l, nums, dens)))
+        key = tuple(sorted(min(a, l - a) for a in nums))
+        if key not in values:
+            values[key] = build(l, nums, dens)
+        out.append((w, values[key]))
     return out
+
+
+def _dimension_and_norm(l: int, nums: list[int], dens: list[int]) -> tuple[CycNum, int]:
+    return _qdim(l, nums, dens), _qdim_norm(l, nums, dens)
+
+
+def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
+    """All alcove simples with their exact dimensions and dimension norms;
+    weights with equal keys share one dimension, built once."""
+    return [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm)]
+
+
+def alcove_norms(rs: RootSystem, l: int) -> list[tuple[Weight, int]]:
+    """Every alcove weight with its dimension norm, one ledger per key and
+    no dimension built."""
+    return _per_key(rs, l, _qdim_norm)
 
 
 def _check_theorem_hypotheses(rs: RootSystem, l: int) -> None:
@@ -175,4 +208,4 @@ def scan_dimension_witnesses(rs: RootSystem, l: int, p: int) -> list[Weight]:
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    return [w for w in enumerate_alcove(rs, l) if qdim_norm(rs, l, w) % p == 0]
+    return [w for w, n in alcove_norms(rs, l) if n % p == 0]

@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuscat import cli
+from fuscat.arith import primes_upto
 from fuscat.cli import main
+from fuscat.rootsys import build_root_system, enumerate_alcove
+from fuscat.verlinde import qdim_norm
 
 
 def run(capsys, *argv):
@@ -71,6 +74,22 @@ def test_verlinde_badprimes_table(capsys):
     code, out, _ = run(capsys, "verlinde", "badprimes", "--type", "A1", "--l", "15", "--pmax", "10")
     assert code == 0
     assert "Bad" in out and "scan hits" in out
+
+
+@pytest.mark.parametrize("label, l", [("A1", 8), ("A1", 9), ("A1", 15), ("A1", 21), ("A2", 15), ("A3", 15)])
+def test_badprimes_scans_only_the_primes_dividing_l(capsys, label, l):
+    rs = build_root_system(label)
+    norms = [(w, qdim_norm(rs, l, w)) for w in enumerate_alcove(rs, l)]
+    every_prime = {p: [list(w) for w, n in norms if n % p == 0] for p in primes_upto(50)}
+    every_prime = {p: hits for p, hits in every_prime.items() if hits}
+    assert all(l % p == 0 for p in every_prime)
+    code, payload = run_json(capsys, "verlinde", "badprimes", "--type", label, "--l", str(l), "--pmax", "50")
+    assert code == 0
+    scan = payload["result"]["dimension_scan_witnesses"]
+    assert scan == {str(p): [[str(v) for v in w] for w in hits] for p, hits in every_prime.items()}
+    code, out, _ = run(capsys, "verlinde", "badprimes", "--type", label, "--l", str(l), "--pmax", "50")
+    rows = [line.split() for line in out.splitlines()[3:]]
+    assert [(int(r[0]), int(r[-1])) for r in rows] == [(p, len(every_prime.get(p, []))) for p in primes_upto(50)]
 
 
 def test_group_report(capsys):
@@ -148,6 +167,39 @@ def test_crosscheck_failure_keeps_exit_one_when_out_fails(capsys, tmp_path, monk
     code, out, err = run(capsys, "crosscheck", "--group", "S3", "--out", str(tmp_path))
     assert code == 1 and out == ""
     assert f"error: cannot write {tmp_path}: " in err and "Traceback" not in err
+
+
+CLOSED_STDOUT = "error: cannot write to stdout: the reader has closed it\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "S3"],  # fits the buffer: the pipe breaks at the flush
+    ["verlinde", "simples", "--type", "A3", "--l", "15", "--json"],  # breaks inside print
+])
+def test_closed_stdout_is_bad_input_without_traceback(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fuscat.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 2 and proc.stderr == CLOSED_STDOUT
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_crosscheck_failure_keeps_exit_one_when_stdout_is_closed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cyclotomic_at_one", lambda n: 0)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["crosscheck", "--group", "S3"]) == 1
+    assert capsys.readouterr().err == CLOSED_STDOUT
 
 
 @pytest.mark.parametrize("nmax", ["1", "0", "-4"])
@@ -381,6 +433,7 @@ def test_generated_tables_are_bounded_too(capsys):
     (["--gens", "(1 2)", "--degree", "0"], "--degree 0 is not positive"),
     (["--gens", "(1 2)", "--degree", "-5"], "--degree -5 is not positive"),
     (["--group", "S3", "--degree", "0"], "--degree 0 is not positive"),
+    (["--group", "S3", "--degree", "5"], "--degree applies only to --gens"),
 ])
 def test_points_are_bounded_before_any_permutation_is_built(capsys, monkeypatch, argv, message):
     built = []
@@ -388,6 +441,16 @@ def test_points_are_bounded_before_any_permutation_is_built(capsys, monkeypatch,
     code, out, err = run(capsys, "group", *argv, "--cap", "100")
     assert code == 2 and message in err and out == ""
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "S3"],
+    ["gtcat", "simples", "--group", "S3"],
+    ["ito-michler", "--group", "S3", "--p", "3"],
+])
+def test_degree_is_refused_beside_a_builtin(capsys, argv):
+    code, out, err = run(capsys, *argv, "--degree", "3")
+    assert code == 2 and out == "" and err == "error: --degree applies only to --gens\n"
 
 
 def test_points_up_to_the_table_bound_still_answer(capsys):

@@ -16,6 +16,7 @@ from fuscat.errors import InternalCheckError, PreconditionError
 from fuscat.rootsys import build_root_system, enumerate_alcove, pairing, rho_pairing
 from fuscat.verlinde import (
     Verdict,
+    alcove_norms,
     classify_prime,
     qdim,
     qdim_norm,
@@ -103,3 +104,31 @@ def test_norm_only_callers_build_no_qdim(monkeypatch, capsys):
     assert scan_dimension_witnesses(a1, 8, 2) == [(1,), (3,), (5,)]
     assert cli.main(["verlinde", "badprimes", "--type", "A2", "--l", "9", "--pmax", "10"]) == 0
     assert "Bad" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("label,l", [("A1", 8), ("A1", 21), ("A2", 10), ("A2", 15), ("A3", 15),
+                                     ("A4", 15), ("D4", 15), ("E6", 13)])
+def test_keyed_routes_match_the_per_weight_routes(label, l):
+    rs = build_root_system(label)
+    weights = enumerate_alcove(rs, l)
+    simples = simple_objects(rs, l)
+    assert [s.weight for s in simples] == weights
+    assert alcove_norms(rs, l) == [(w, qdim_norm(rs, l, w)) for w in weights]
+    for s in simples:
+        d = qdim(rs, l, s.weight)
+        assert (s.qdim.conductor, s.qdim.coeffs, s.qdim.den) == (d.conductor, d.coeffs, d.den)
+        assert s.qdim_norm == qdim_norm(rs, l, s.weight)
+
+
+@pytest.mark.parametrize("label,weights,keys", [("A4", 1001, 106), ("A3", 364, 56), ("A2", 91, 19)])
+def test_one_dimension_per_distinct_key(monkeypatch, label, weights, keys):
+    built = []
+
+    def spy(l, nums, dens):
+        built.append(tuple(sorted(min(a, l - a) for a in nums)))
+        return qdim_of(l, nums, dens)
+
+    qdim_of = verlinde._qdim
+    monkeypatch.setattr(verlinde, "_qdim", spy)
+    assert len(simple_objects(build_root_system(label), 15)) == weights
+    assert len(built) == len(set(built)) == keys
