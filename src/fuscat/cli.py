@@ -141,19 +141,23 @@ def _cmd_cyc(args) -> Report:
     return Report("cyc", {"expr": args.expr, "n": args.n}, result, _provenance(), lines)
 
 
+def _root_of_unity_norms(nmax: int) -> list[dict]:
+    """N(1 - zeta_n) against the prime-power rule Phi_n(1), for n = 2..nmax."""
+    rows = []
+    for n in range(2, nmax + 1):
+        nrm = (1 - CycNum.zeta(n)).norm()
+        rule = cyclotomic_at_one(n)
+        rows.append({"n": n, "norm": nrm, "rule": rule, "match": nrm == rule})
+    return rows
+
+
 def _cmd_lemma_norm(args) -> Report:
     if args.nmax < 2:
         raise PreconditionError(f"--nmax must be at least 2 (the table starts at n = 2), got {args.nmax}")
-    rows = []
-    table = []
-    all_match = True
-    for n in range(2, args.nmax + 1):
-        nrm = (1 - CycNum.zeta(n)).norm()
-        rule = cyclotomic_at_one(n)
-        match = nrm == rule
-        all_match = all_match and match
-        rows.append({"n": n, "norm": nrm, "rule": rule, "match": match})
-        table.append([str(n), str(nrm), str(rule) if rule > 1 else "1 (not a prime power)", "ok" if match else "MISMATCH"])
+    rows = _root_of_unity_norms(args.nmax)
+    all_match = all(r["match"] for r in rows)
+    table = [[str(r["n"]), str(r["norm"]), str(r["rule"]) if r["rule"] > 1 else "1 (not a prime power)",
+              "ok" if r["match"] else "MISMATCH"] for r in rows]
     lines = _table(table, ["n", "N(1-zeta_n)", "prime-power rule", "check"])
     lines.append(f"all {args.nmax - 1} values match the prime-power rule: {all_match}")
     if not all_match:
@@ -184,14 +188,16 @@ def _cmd_verlinde(args) -> Report:
     prov = _provenance(q_convention=Q_CONVENTION, hypotheses=hypo)
     if args.verlinde_action == "simples":
         simples = verlinde.simple_objects(rs, args.l)
-        result = {
-            "type": rs.label,
-            "l": args.l,
-            "simples": [
-                {"weight": list(s.weight), "qdim": s.qdim, "pretty": str(s.qdim), "norm": s.qdim_norm}
-                for s in simples
-            ],
-        }
+        # the weights of one key share one dimension object: render it once
+        rendered: dict[int, tuple[dict, str]] = {}
+        entries = []
+        for s in simples:
+            forms = rendered.get(id(s.qdim))
+            if forms is None:
+                forms = rendered[id(s.qdim)] = (s.qdim.to_json(), str(s.qdim))
+            entries.append({"weight": list(s.weight), "qdim": forms[0], "pretty": forms[1],
+                            "norm": s.qdim_norm})
+        result = {"type": rs.label, "l": args.l, "simples": entries}
         rows = [[str(s["weight"]), s["pretty"], str(s["norm"])] for s in result["simples"]]
         lines = [f"{rs.label}, l={args.l}: {len(simples)} simple objects"]
         lines += _table(rows, ["weight", "qdim", "norm"])
@@ -318,13 +324,14 @@ def _cmd_gtcat(args) -> Report:
     simples = gtcat.enumerate_simples(g, h)
     # one entry per double coset; |HxH| = |H|^2/|H^x| is checked by the orbit pass
     dcs = list(dict.fromkeys((s.coset_rep, h.order**2 // s.stabilizer_order) for s in simples))
+    cycles = {r: perm_to_cycles(r) for r, _ in dcs}  # each coset rep rendered once
     result = {
         "order": g.order,
         "subgroup_order": h.order,
-        "double_cosets": [{"rep": perm_to_cycles(r), "size": s} for r, s in dcs],
+        "double_cosets": [{"rep": cycles[r], "size": s} for r, s in dcs],
         "simples": [
             {
-                "rep": perm_to_cycles(s.coset_rep),
+                "rep": cycles[s.coset_rep],
                 "stabilizer_order": s.stabilizer_order,
                 "irrep_degree": s.irrep_degree,
                 "dim": s.dimension,
@@ -336,11 +343,11 @@ def _cmd_gtcat(args) -> Report:
     if args.gtcat_action == "badprimes":
         bad = prime_witnesses((s.dimension, s) for s in simples)
         result["bad_primes"] = [
-            {"prime": p, "witness_dim": s.dimension, "witness_rep": perm_to_cycles(s.coset_rep)}
+            {"prime": p, "witness_dim": s.dimension, "witness_rep": cycles[s.coset_rep]}
             for p, s in bad.items()
         ]
     rows = [
-        [perm_to_cycles(s.coset_rep), str(s.stabilizer_order), str(s.irrep_degree), str(s.dimension)]
+        [cycles[s.coset_rep], str(s.stabilizer_order), str(s.irrep_degree), str(s.dimension)]
         for s in simples
     ]
     lines = [f"|G| = {g.order}, |H| = {h.order}, {len(dcs)} double cosets, {len(simples)} simples"]
@@ -468,19 +475,17 @@ def _cmd_crosscheck(args) -> Report:
             ito_michler_verify(g, p)  # raises on any structural violation
         add(f"{name}: Sylow structure verified for primes dividing |G|", True)
 
-    norm_ok = True
-    for n in range(2, 61):
-        norm_ok = norm_ok and (1 - CycNum.zeta(n)).norm() == cyclotomic_at_one(n)
-    add("root-of-unity norms follow the prime-power rule (n <= 60)", norm_ok)
+    add("root-of-unity norms follow the prime-power rule (n <= 60)",
+        all(r["match"] for r in _root_of_unity_norms(60)))
 
     rs = build_root_system("A1")
     v = verlinde.classify_prime(rs, 9, 3)
-    scanned = verlinde.scan_dimension_witnesses(rs, 9, 3)
+    scanned = verlinde.scan_dimension_witnesses(rs, 9, 3, cap)
     add("A1, l=9: p=3 bad with the scan confirming the witness",
         v.verdict == Verdict.BAD and v.witness in scanned)
     add("A1, l=7: all dimension norms are units",
         all(abs(s.qdim_norm) == 1 and s.qdim.norm() == s.qdim_norm
-            for s in verlinde.simple_objects(rs, 7)))
+            for s in verlinde.simple_objects(rs, 7, cap)))
 
     t = amplitude.sl2_adjoint()
     add("classical square amplitude = 3/2 by both routes",

@@ -119,6 +119,26 @@ def rho_pairing(root: Root) -> int:
     return sum(root)
 
 
+def alcove_size(rs: RootSystem, l: int, limit: int | None = None) -> int:
+    """Number of dominant weights with (lambda + rho, theta) < l, that is of
+    w >= 0 with sum marks_i w_i <= l - 1 - sum marks, counted by an
+    O(rank * l) recurrence without building a weight.  With a limit, a
+    count above it is reported as limit + 1; the recurrence is skipped when
+    the multiples of the least mark's fundamental weight alone exceed it."""
+    marks = rs.highest_root
+    budget = l - 1 - sum(marks)
+    if budget < 0:
+        return 0
+    if limit is not None and budget // min(marks) + 1 > limit:
+        return limit + 1
+    ways = [1] + [0] * budget  # ways[b]: weights with sum marks_i w_i = b
+    for m in marks:
+        for b in range(m, budget + 1):
+            ways[b] += ways[b - m]
+    count = sum(ways)
+    return count if limit is None else min(count, limit + 1)
+
+
 def enumerate_alcove(rs: RootSystem, l: int) -> list[Weight]:
     """Dominant weights with (lambda + rho, theta) < l, in lexicographic order."""
     h = rs.coxeter_number

@@ -23,6 +23,17 @@ over the positive roots.  `simple_objects` and `alcove_norms` build each
 distinct value once per call, in a dict local to the call; an A4 alcove
 at l = 15 has 1001 weights and 106 keys.  Nothing is kept between calls.
 
+Pairing coordinates.  (lambda+rho, alpha) = sum_i c_i (w_i + 1) is linear
+in the weight, so the alcove routes carry the vector of pairings along the
+walk of `rootsys.enumerate_alcove`, adding d times root column i when w_i
+moves by d, and take each key in the same pass.  The checks that a weight
+is dominant and lies in the alcove stay on the public `qdim` and
+`qdim_norm` (and so on `classify_prime`), through `_weyl_pairings`; the
+weights of the walk meet them by construction.  The walk is counted first
+(`rootsys.alcove_size`, which owns the alcove's shape) and an alcove above
+the enumeration cap (`finitegroup.enum_cap`: the cap argument, else
+FUSCAT_ENUM_CAP) is refused before any weight is built.
+
 The classifier only answers inside its hypotheses (l odd, l > h, and for
 divisor primes p >= h); everything else is reported OutsideTheorem rather
 than guessed.  An exhaustive alcove scan of the necessary condition (p
@@ -35,12 +46,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .arith import is_prime, totient
 from .cyclotomic import CycNum, _principal_specialisation, _scatter, cyclotomic_at_one
 from .errors import InternalCheckError, PreconditionError
-from .rootsys import RootSystem, Weight, enumerate_alcove, pairing, rho_pairing
+from .finitegroup import ENUM_CAP_ENV, enum_cap
+from .rootsys import RootSystem, Weight, alcove_size, enumerate_alcove, pairing, rho_pairing
 
 
 class Verdict(Enum):
@@ -127,18 +139,53 @@ def _qdim_norm(l: int, nums: list[int], dens: list[int]) -> int:
 T = TypeVar("T")
 
 
-def _per_key(rs: RootSystem, l: int,
-             build: Callable[[int, list[int], list[int]], T]) -> list[tuple[Weight, T]]:
+def _check_alcove_size(rs: RootSystem, l: int, cap: int) -> None:
+    """Refuse a level-l alcove with more weights than the enumeration cap,
+    before any weight is built."""
+    if alcove_size(rs, l, cap) > cap:
+        raise PreconditionError(
+            f"the level-{l} alcove of {rs.label} has more weights than the enumeration cap {cap}; "
+            f"raise it via {ENUM_CAP_ENV} or the cap argument"
+        )
+
+
+def _alcove_pairings(rs: RootSystem, l: int) -> Iterator[tuple[Weight, list[int]]]:
+    """(weight, [(lambda+rho, alpha) over the positive roots]) along the
+    level-l alcove walk.
+
+    The pairing is linear in the weight, so it is carried from one weight
+    to the next: a coordinate that moves by d adds d times its column of
+    root coefficients.  The walk starts at 0, where the pairings are the
+    heights (rho, alpha).  The lists are fresh for each weight that moves.
+    """
+    roots = rs.positive_roots
+    columns = [[a[i] for a in roots] for i in range(rs.rank)]
+    nums, prev = [rho_pairing(a) for a in roots], (0,) * rs.rank
+    for w in enumerate_alcove(rs, l):
+        for col, v, u in zip(columns, w, prev):
+            if v != u:
+                d = v - u
+                nums = [a + d * c for a, c in zip(nums, col)]
+        prev = w
+        yield w, nums
+
+
+def _per_key(rs: RootSystem, l: int, build: Callable[[int, list[int], list[int]], T],
+             cap: int | None) -> list[tuple[Weight, T]]:
     """(weight, build(l, nums, dens)) over the level-l alcove, calling build
-    once per distinct dimension key; each weight is paired once."""
+    once per distinct dimension key.  The alcove is counted first and
+    refused above the enumeration cap."""
+    _check_alcove_size(rs, l, enum_cap(cap))
+    dens = [rho_pairing(a) for a in rs.positive_roots]
+    fold = [min(a, l - a) for a in range(l)]
     values: dict[tuple[int, ...], T] = {}
     out = []
-    for w in enumerate_alcove(rs, l):
-        nums, dens = _weyl_pairings(rs, l, w)
-        key = tuple(sorted(min(a, l - a) for a in nums))
-        if key not in values:
-            values[key] = build(l, nums, dens)
-        out.append((w, values[key]))
+    for w, nums in _alcove_pairings(rs, l):
+        key = tuple(sorted(map(fold.__getitem__, nums)))
+        value = values.get(key)
+        if value is None:
+            value = values[key] = build(l, nums, dens)
+        out.append((w, value))
     return out
 
 
@@ -146,16 +193,17 @@ def _dimension_and_norm(l: int, nums: list[int], dens: list[int]) -> tuple[CycNu
     return _qdim(l, nums, dens), _qdim_norm(l, nums, dens)
 
 
-def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
+def simple_objects(rs: RootSystem, l: int, cap: int | None = None) -> list[VerlindeSimple]:
     """All alcove simples with their exact dimensions and dimension norms;
-    weights with equal keys share one dimension, built once."""
-    return [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm)]
+    weights with equal keys share one dimension, built once.  An alcove
+    above the enumeration cap (`finitegroup.enum_cap(cap)`) is refused."""
+    return [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm, cap)]
 
 
-def alcove_norms(rs: RootSystem, l: int) -> list[tuple[Weight, int]]:
+def alcove_norms(rs: RootSystem, l: int, cap: int | None = None) -> list[tuple[Weight, int]]:
     """Every alcove weight with its dimension norm, one ledger per key and
-    no dimension built."""
-    return _per_key(rs, l, _qdim_norm)
+    no dimension built; the alcove is bounded as in `simple_objects`."""
+    return _per_key(rs, l, _qdim_norm, cap)
 
 
 def _check_theorem_hypotheses(rs: RootSystem, l: int) -> None:
@@ -200,7 +248,7 @@ def classify_prime(rs: RootSystem, l: int, p: int) -> PrimeVerdict:
     return PrimeVerdict(p, Verdict.BAD, REASON_LEVEL_DIVISOR_WITNESS, witness=witness)
 
 
-def scan_dimension_witnesses(rs: RootSystem, l: int, p: int) -> list[Weight]:
+def scan_dimension_witnesses(rs: RootSystem, l: int, p: int, cap: int | None = None) -> list[Weight]:
     """All alcove weights whose dimension norm p divides (necessary condition).
 
     Runs for any l > h, including even l where the classifier refuses; a
@@ -208,4 +256,4 @@ def scan_dimension_witnesses(rs: RootSystem, l: int, p: int) -> list[Weight]:
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    return [w for w, n in alcove_norms(rs, l) if n % p == 0]
+    return [w for w, n in alcove_norms(rs, l, cap) if n % p == 0]

@@ -621,3 +621,113 @@ def test_cyc_grammar_exits_zero_or_two(expr, n, galois, norm):
         code = main(argv)
     assert code in (0, 2) and "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""
+
+
+def test_gtcat_renders_each_coset_rep_once(capsys, monkeypatch):
+    rendered = []
+    render = cli.perm_to_cycles
+
+    def spy(perm):
+        rendered.append(perm)
+        return render(perm)
+
+    monkeypatch.setattr(cli, "perm_to_cycles", spy)
+    for action in ("simples", "badprimes"):
+        rendered.clear()
+        code, payload = run_json(capsys, "gtcat", action, "--group", "S7", "--subgroup-gens", "(1 2 3 4 5)")
+        assert code == 0
+        assert len(payload["result"]["double_cosets"]) == 208 and len(payload["result"]["simples"]) == 240
+        assert len(rendered) == len(set(rendered)) == 208
+
+
+CROSSCHECK_S3 = """\
+[pass] S3: sum of squared degrees = |G|  (degrees [1, 1, 2])
+[pass] S3: #degrees = #classes
+[pass] S3: bimodule category over (G,G) matches the representation verdicts  (bad primes [2])
+[pass] S3: pointed category (H = e) has no bad primes
+[pass] S3: double cosets of the trivial subgroup are singletons
+[pass] S3: single double coset for H = G
+[pass] S3: Sylow structure verified for primes dividing |G|
+[pass] root-of-unity norms follow the prime-power rule (n <= 60)
+[pass] A1, l=9: p=3 bad with the scan confirming the witness
+[pass] A1, l=7: all dimension norms are units
+[pass] classical square amplitude = 3/2 by both routes
+[pass] quantum square amplitude at l=8 squares to 1/2 with even denominator
+crosscheck: 12/12 passed
+"""
+
+
+def test_crosscheck_report_is_fixed(capsys, monkeypatch):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    assert run(capsys, "crosscheck", "--group", "S3") == (0, CROSSCHECK_S3, "")
+    # one cap governs the whole report: --cap bounds the A1, l=9 alcove too
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "7")
+    assert run(capsys, "crosscheck", "--group", "S3", "--cap", "100") == (0, CROSSCHECK_S3, "")
+    code, out, err = run(capsys, "crosscheck", "--group", "S3", "--cap", "7")
+    assert code == 2 and out == ""
+    assert "level-9 alcove of A1 has more weights than the enumeration cap 7" in err
+
+
+def test_crosscheck_and_lemma_norm_share_the_norm_table(capsys, monkeypatch):
+    calls = []
+    table = cli._root_of_unity_norms
+
+    def spy(nmax):
+        calls.append(nmax)
+        return table(nmax)
+
+    monkeypatch.setattr(cli, "_root_of_unity_norms", spy)
+    assert run(capsys, "lemma-norm", "--nmax", "30")[0] == 0
+    assert run(capsys, "crosscheck", "--group", "S3")[0] == 0
+    assert calls == [30, 60]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verlinde", "simples", "--type", "E8", "--l", "201"],
+    ["verlinde", "simples", "--type", "A1", "--l", "100001"],
+    ["verlinde", "badprimes", "--type", "E8", "--l", "201", "--pmax", "50"],
+])
+def test_oversized_alcoves_are_refused_at_once(capsys, monkeypatch, argv):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "alcove of" in err and "has more weights than the enumeration cap 20000" in err
+    assert "FUSCAT_ENUM_CAP" in err
+
+
+def test_the_env_cap_bounds_the_alcove(capsys, monkeypatch):
+    walked = []
+
+    def walk_spy(rs, l):
+        walked.append((rs.label, l))
+        return []  # stands in for the 100000 weights
+
+    monkeypatch.setattr(cli.verlinde, "enumerate_alcove", walk_spy)
+    a1 = ["verlinde", "simples", "--type", "A1", "--l", "100001"]
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "99999")
+    code, _, err = run(capsys, *a1)
+    assert code == 2 and "alcove of A1 has more weights than the enumeration cap 99999" in err
+    assert walked == []
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "100000")
+    code, out, _ = run(capsys, *a1)
+    assert code == 0 and out.startswith("A1, l=100001: 0 simple objects")
+    assert walked == [("A1", 100001)]
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "100")
+    code, _, err = run(capsys, "verlinde", "badprimes", "--type", "A3", "--l", "15")
+    assert code == 2 and "alcove of A3 has more weights than the enumeration cap 100" in err
+    assert walked == [("A1", 100001)]
+
+
+def test_verlinde_takes_no_cap_flag_and_reports_no_cap(capsys, monkeypatch):
+    argv = ["verlinde", "simples", "--type", "A2", "--l", "5"]
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    _, plain = run_json(capsys, *argv)
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "6")
+    _, capped = run_json(capsys, *argv)
+    assert plain == capped and plain["provenance"]["enum_cap"] is None
+    for action in (["simples"], ["badprimes"], ["classify", "--p", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verlinde", *action, "--type", "A1", "--l", "9", "--cap", "5"])
+        assert exc.value.code == 2 and "unrecognized arguments: --cap 5" in capsys.readouterr().err

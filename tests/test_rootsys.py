@@ -1,7 +1,9 @@
+from math import comb
+
 import pytest
 
 from fuscat.errors import PreconditionError
-from fuscat.rootsys import build_root_system, enumerate_alcove, pairing, rho_pairing
+from fuscat.rootsys import alcove_size, build_root_system, enumerate_alcove, pairing, rho_pairing
 
 ALL_LABELS = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
 
@@ -105,3 +107,31 @@ def test_alcove_requires_l_above_h():
     rs = build_root_system("A2")
     with pytest.raises(PreconditionError):
         enumerate_alcove(rs, rs.coxeter_number)
+
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8"])
+def test_alcove_size_counts_the_enumerated_alcove(label):
+    rs = build_root_system(label)
+    h = rs.coxeter_number
+    for l in range(h + 1, h + 12):
+        assert alcove_size(rs, l) == len(enumerate_alcove(rs, l))
+    # only 0 lies in the level-h alcove, and nothing below it
+    assert alcove_size(rs, h) == 1 and alcove_size(rs, h - 1) == alcove_size(rs, -5) == 0
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "D4", "E6", "E8"])
+def test_alcove_size_stops_just_above_the_limit(label):
+    rs = build_root_system(label)
+    for l in range(rs.coxeter_number + 1, rs.coxeter_number + 12):
+        count = alcove_size(rs, l)
+        for limit in (1, count - 1, count, count + 1):
+            if limit >= 1:
+                assert alcove_size(rs, l, limit) == min(count, limit + 1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4, 8])
+def test_type_a_alcove_size_is_a_binomial(rank):
+    rs = build_root_system(f"A{rank}")
+    for l in (rank + 2, 15, 101, 1001):
+        assert alcove_size(rs, l) == comb(l - 1, rank)

@@ -6,6 +6,7 @@ prime-power ledger.  The oracles here are the quantum Weyl product of
 `CycNum.norm`.
 """
 
+import json
 import time
 
 import pytest
@@ -132,3 +133,91 @@ def test_one_dimension_per_distinct_key(monkeypatch, label, weights, keys):
     monkeypatch.setattr(verlinde, "_qdim", spy)
     assert len(simple_objects(build_root_system(label), 15)) == weights
     assert len(built) == len(set(built)) == keys
+
+
+KEYED_CASES = [("A1", 8), ("A1", 21), ("A2", 10), ("A2", 15), ("A3", 15), ("A4", 15), ("D4", 15),
+               ("E6", 13)]
+
+
+@pytest.mark.parametrize("label,l", KEYED_CASES)
+def test_carried_pairings_match_the_checked_pairings(label, l):
+    rs = build_root_system(label)
+    walked = [(w, list(nums)) for w, nums in verlinde._alcove_pairings(rs, l)]
+    assert [w for w, _ in walked] == enumerate_alcove(rs, l)
+    for w, nums in walked:
+        assert nums == verlinde._weyl_pairings(rs, l, w)[0]
+
+
+def test_the_keyed_routes_walk_once_and_check_no_weight(monkeypatch):
+    walks, checked = [], []
+    walk, check = verlinde.enumerate_alcove, verlinde._weyl_pairings
+
+    def walk_spy(rs, l):
+        walks.append((rs.label, l))
+        return walk(rs, l)
+
+    def check_spy(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(verlinde, "enumerate_alcove", walk_spy)
+    monkeypatch.setattr(verlinde, "_weyl_pairings", check_spy)
+    a4 = build_root_system("A4")
+    assert len(simple_objects(a4, 15)) == 1001
+    assert walks == [("A4", 15)] and checked == []
+    assert len(alcove_norms(a4, 15)) == 1001
+    assert walks == [("A4", 15)] * 2 and checked == []
+    qdim_norm(a4, 15, (0, 1, 0, 0))  # the public route still checks its weight
+    assert len(checked) == 1
+
+
+def test_simples_render_each_distinct_dimension_once(monkeypatch, capsys):
+    calls = {"__str__": 0, "to_json": 0}
+
+    def spy(name):
+        original = getattr(CycNum, name)
+
+        def counted(self):
+            calls[name] += 1
+            return original(self)
+
+        monkeypatch.setattr(CycNum, name, counted)
+
+    spy("__str__")
+    spy("to_json")
+    assert cli.main(["verlinde", "simples", "--type", "A4", "--l", "15", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["simples"]) == 1001
+    assert calls == {"__str__": 106, "to_json": 106}
+
+
+@pytest.mark.parametrize("weight", [(-1, 0), (0, -2), (3, 0), (2, 1), (0,), (0, 0, 0)])
+def test_public_routes_still_refuse_bad_weights(weight):
+    a2 = build_root_system("A2")
+    for route in (qdim, qdim_norm):
+        with pytest.raises(PreconditionError):
+            route(a2, 5, weight)
+
+
+@pytest.mark.parametrize("label,l", [("E8", 201), ("A1", 100001), ("A1", 20002), ("E8", 10**12)])
+def test_alcoves_above_the_cap_are_refused_before_any_weight(monkeypatch, label, l):
+    def no_walk(*_args):
+        raise AssertionError("the alcove was enumerated")
+
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    monkeypatch.setattr(verlinde, "enumerate_alcove", no_walk)
+    rs = build_root_system(label)
+    for route in (simple_objects, alcove_norms, lambda rs, l: scan_dimension_witnesses(rs, l, 3)):
+        with pytest.raises(PreconditionError, match="has more weights than the enumeration cap 20000"):
+            route(rs, l)
+
+
+def test_the_cap_argument_bounds_the_alcove():
+    a3 = build_root_system("A3")
+    assert len(alcove_norms(a3, 15, cap=364)) == 364
+    with pytest.raises(PreconditionError, match="has more weights than the enumeration cap 363"):
+        alcove_norms(a3, 15, cap=363)
+    assert scan_dimension_witnesses(a3, 15, 5, cap=364) == scan_dimension_witnesses(a3, 15, 5)
+    with pytest.raises(PreconditionError, match="cap 363; raise it via FUSCAT_ENUM_CAP or the cap argument"):
+        scan_dimension_witnesses(a3, 15, 5, cap=363)
+    with pytest.raises(PreconditionError, match="positive"):
+        simple_objects(a3, 15, cap=0)
