@@ -554,7 +554,7 @@ def _check_power_size(a: CycNum, k: int) -> None:
 
 def _eval_node(node: ast.AST, n: int) -> CycNum:
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
+        if type(node.value) is int:  # not bool, which is an int subclass
             return CycNum.from_int(node.value)
         raise PreconditionError("only integer literals are allowed")
     if isinstance(node, ast.Name):

@@ -167,21 +167,9 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
 
 
 def parse_gens(text: str, degree: int | None = None) -> list[Perm]:
-    """Parse a comma-separated list of permutations in cycle notation."""
-    parts: list[str] = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
+    """Parse a comma-separated list of permutations in cycle notation; a
+    comma inside a cycle, before its closing parenthesis, separates points."""
+    parts = re.split(r",(?![^()]*\))", text)
     raw = [parse_perm(p, degree) for p in parts if p.strip()]
     if not raw:
         raise PreconditionError("no generators given")
@@ -842,34 +830,8 @@ def _dihedral(order: int) -> list[Perm]:
 
 
 def _quaternion8() -> list[Perm]:
-    units = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    table = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "i"): "-k",
-        ("j", "k"): "i", ("k", "j"): "-i",
-        ("k", "i"): "j", ("i", "k"): "-j",
-    }
-
-    def mul(a: str, b: str) -> str:
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        if a == "1":
-            out = b
-        elif b == "1":
-            out = a
-        else:
-            out = table[(a, b)]
-        if out.startswith("-"):
-            sign, out = -sign, out[1:]
-        return out if sign > 0 else "-" + out
-
-    def right_mult(u: str) -> Perm:
-        return tuple(units.index(mul(v, u)) for v in units)
-
-    return [right_mult("i"), right_mult("j")]
+    """i and j acting on the right of the units 1, -1, i, -i, j, -j, k, -k."""
+    return [parse_perm("(1 3 2 4)(5 8 6 7)", 8), parse_perm("(1 5 2 6)(3 7 4 8)", 8)]
 
 
 def _sl23() -> list[Perm]:

@@ -63,31 +63,22 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
-    """Construct positive roots by closure from the simple roots."""
+    """Construct positive roots by closure from the simple roots: in a
+    simply-laced system, beta + alpha_i is a root exactly when
+    (beta, alpha_i) = -1."""
     family, rank = _parse_label(label)
     cartan = _cartan_matrix(family, rank)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    found: set[Root] = set(simple)
-    frontier = list(simple)
+    found: set[Root] = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
+    frontier = list(found)
     while frontier:
         nxt = []
         for beta in frontier:
             for i in range(rank):
-                pair = sum(beta[j] * cartan[j][i] for j in range(rank))
-                back = 0
-                while True:
-                    lower = list(beta)
-                    lower[i] -= back + 1
-                    if lower[i] < 0 or tuple(lower) not in found:
-                        break
-                    back += 1
-                if back - pair > 0:
-                    cand = list(beta)
-                    cand[i] += 1
-                    cand_t = tuple(cand)
-                    if cand_t not in found:
-                        found.add(cand_t)
-                        nxt.append(cand_t)
+                if sum(b * row[i] for b, row in zip(beta, cartan)) == -1:
+                    cand = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if cand not in found:
+                        found.add(cand)
+                        nxt.append(cand)
         frontier = nxt
     roots = sorted(found, key=lambda r: (sum(r), r))
     heights = [sum(r) for r in roots]

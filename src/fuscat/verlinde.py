@@ -31,8 +31,10 @@ is dominant and lies in the alcove stay on the public `qdim` and
 `qdim_norm` (and so on `classify_prime`), through `_weyl_pairings`; the
 weights of the walk meet them by construction.  The walk is counted first
 (`rootsys.alcove_size`, which owns the alcove's shape) and an alcove above
-the enumeration cap (`finitegroup.enum_cap`: the cap argument, else
-FUSCAT_ENUM_CAP) is refused before any weight is built.
+the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused by
+`check_alcove_size` before any weight is built.  The crosscheck harness
+bounds its own fixed alcoves by its --cap and checks them weight by weight
+through the public routes.
 
 The classifier only answers inside its hypotheses (l odd, l > h, and for
 divisor primes p >= h); everything else is reported OutsideTheorem rather
@@ -139,7 +141,7 @@ def _qdim_norm(l: int, nums: list[int], dens: list[int]) -> int:
 T = TypeVar("T")
 
 
-def _check_alcove_size(rs: RootSystem, l: int, cap: int) -> None:
+def check_alcove_size(rs: RootSystem, l: int, cap: int) -> None:
     """Refuse a level-l alcove with more weights than the enumeration cap,
     before any weight is built."""
     if alcove_size(rs, l, cap) > cap:
@@ -170,12 +172,12 @@ def _alcove_pairings(rs: RootSystem, l: int) -> Iterator[tuple[Weight, list[int]
         yield w, nums
 
 
-def _per_key(rs: RootSystem, l: int, build: Callable[[int, list[int], list[int]], T],
-             cap: int | None) -> list[tuple[Weight, T]]:
+def _per_key(rs: RootSystem, l: int,
+             build: Callable[[int, list[int], list[int]], T]) -> list[tuple[Weight, T]]:
     """(weight, build(l, nums, dens)) over the level-l alcove, calling build
     once per distinct dimension key.  The alcove is counted first and
     refused above the enumeration cap."""
-    _check_alcove_size(rs, l, enum_cap(cap))
+    check_alcove_size(rs, l, enum_cap(None))
     dens = [rho_pairing(a) for a in rs.positive_roots]
     fold = [min(a, l - a) for a in range(l)]
     values: dict[tuple[int, ...], T] = {}
@@ -193,17 +195,17 @@ def _dimension_and_norm(l: int, nums: list[int], dens: list[int]) -> tuple[CycNu
     return _qdim(l, nums, dens), _qdim_norm(l, nums, dens)
 
 
-def simple_objects(rs: RootSystem, l: int, cap: int | None = None) -> list[VerlindeSimple]:
+def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
     """All alcove simples with their exact dimensions and dimension norms;
     weights with equal keys share one dimension, built once.  An alcove
-    above the enumeration cap (`finitegroup.enum_cap(cap)`) is refused."""
-    return [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm, cap)]
+    above the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused."""
+    return [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm)]
 
 
-def alcove_norms(rs: RootSystem, l: int, cap: int | None = None) -> list[tuple[Weight, int]]:
+def alcove_norms(rs: RootSystem, l: int) -> list[tuple[Weight, int]]:
     """Every alcove weight with its dimension norm, one ledger per key and
     no dimension built; the alcove is bounded as in `simple_objects`."""
-    return _per_key(rs, l, _qdim_norm, cap)
+    return _per_key(rs, l, _qdim_norm)
 
 
 def _check_theorem_hypotheses(rs: RootSystem, l: int) -> None:
@@ -248,7 +250,7 @@ def classify_prime(rs: RootSystem, l: int, p: int) -> PrimeVerdict:
     return PrimeVerdict(p, Verdict.BAD, REASON_LEVEL_DIVISOR_WITNESS, witness=witness)
 
 
-def scan_dimension_witnesses(rs: RootSystem, l: int, p: int, cap: int | None = None) -> list[Weight]:
+def scan_dimension_witnesses(rs: RootSystem, l: int, p: int) -> list[Weight]:
     """All alcove weights whose dimension norm p divides (necessary condition).
 
     Runs for any l > h, including even l where the classifier refuses; a
@@ -256,4 +258,4 @@ def scan_dimension_witnesses(rs: RootSystem, l: int, p: int, cap: int | None = N
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    return [w for w, n in alcove_norms(rs, l, cap) if n % p == 0]
+    return [w for w, n in alcove_norms(rs, l) if n % p == 0]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import cli
+from fuscat import cli, verlinde
 from fuscat.arith import primes_upto
 from fuscat.cli import main
 from fuscat.rootsys import build_root_system, enumerate_alcove
@@ -623,6 +624,13 @@ def test_cyc_grammar_exits_zero_or_two(expr, n, galois, norm):
     assert code == 0 or out.getvalue() == ""
 
 
+@pytest.mark.parametrize("expr", ["True+z", "False", "(1+z)/True"])
+def test_cyc_refuses_boolean_constants(capsys, expr):
+    code, out, err = run(capsys, "cyc", expr, "--n", "5")
+    assert code == 2 and out == ""
+    assert err == "error: only integer literals are allowed\n"
+
+
 def test_gtcat_renders_each_coset_rep_once(capsys, monkeypatch):
     rendered = []
     render = cli.perm_to_cycles
@@ -666,6 +674,23 @@ def test_crosscheck_report_is_fixed(capsys, monkeypatch):
     code, out, err = run(capsys, "crosscheck", "--group", "S3", "--cap", "7")
     assert code == 2 and out == ""
     assert "level-9 alcove of A1 has more weights than the enumeration cap 7" in err
+
+
+def test_crosscheck_checks_the_verlinde_lines_by_a_second_route(capsys, monkeypatch):
+    # the keyed alcove routes are not consulted, and the l=9 witness is
+    # confirmed by the generic norm, so a broken ledger fails only the line
+    # that compares the ledger with the generic norm
+    def no_keyed_route(*_args):
+        raise AssertionError("a keyed alcove route was called")
+
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    monkeypatch.setattr(verlinde, "_per_key", no_keyed_route)
+    assert run(capsys, "crosscheck", "--group", "S3") == (0, CROSSCHECK_S3, "")
+    monkeypatch.setattr(verlinde, "_qdim_norm", lambda *_args: 3)
+    code, out, _ = run(capsys, "crosscheck", "--group", "S3")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] A1, l=7: all dimension norms are units"]
 
 
 def test_crosscheck_and_lemma_norm_share_the_norm_table(capsys, monkeypatch):
@@ -731,3 +756,20 @@ def test_verlinde_takes_no_cap_flag_and_reports_no_cap(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["verlinde", *action, "--type", "A1", "--l", "9", "--cap", "5"])
         assert exc.value.code == 2 and "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("fuscat ")]
+
+
+def test_readme_cli_block_lines_run():
+    lines = _readme_cli_lines()
+    assert len(lines) == 14
+    for argv in lines:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv[1:])
+        assert code == 0 and out.getvalue(), argv
+        assert "Traceback" not in err.getvalue(), argv

@@ -382,7 +382,7 @@ def test_parse_element():
     assert parse_element("-7", 1) == -7
 
 
-@pytest.mark.parametrize("bad", ["w + 1", "z**z", "1.5", "import os", "z^(1/2)"])
+@pytest.mark.parametrize("bad", ["w + 1", "z**z", "1.5", "import os", "z^(1/2)", "True+z", "False", "z^True"])
 def test_parse_element_rejects(bad):
     with pytest.raises(PreconditionError):
         parse_element(bad, 8)

@@ -4,6 +4,8 @@ import weakref
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import fuscat.finitegroup as finitegroup
@@ -74,6 +76,57 @@ def test_parse_rejects_garbage():
     for bad in ["(1 2", "1 2 3", "(0 1)", "(1 1 2)", "(a b)"]:
         with pytest.raises(PreconditionError):
             parse_perm(bad)
+
+
+def _depth_split(text):
+    """The comma split of parse_gens by an explicit parenthesis depth count."""
+    parts, depth, cur = [], 0, ""
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if ch == "," and depth == 0:
+            parts.append(cur)
+            cur = ""
+        else:
+            cur += ch
+    return parts + [cur]
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except PreconditionError:
+        return "refused"
+
+
+_GENS_TEXT = st.text(alphabet="(),12 e", max_size=20) | st.lists(
+    st.sampled_from(["(", ")", ",", "1", "3", " ", "e", "(1 2)", "(1,2)", "(2, 3 1)", "(1 3)(2,4)"]),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_GENS_TEXT, degree=st.none() | st.integers(1, 5))
+def test_parse_gens_agrees_with_the_depth_count_split(text, degree):
+    def oracle():
+        raw = [parse_perm(part, degree) for part in _depth_split(text) if part.strip()]
+        if not raw:
+            raise PreconditionError("no generators given")
+        deg = max([len(p) for p in raw] + [degree or 0])
+        return [p + tuple(range(len(p), deg)) for p in raw]
+
+    assert _outcome(lambda: parse_gens(text, degree)) == _outcome(oracle)
+
+
+def test_q8_from_its_cycle_notation():
+    i, j = finitegroup._quaternion8()
+    e = tuple(range(8))
+    i2 = perm_mul(i, i)
+    assert perm_mul(i2, i2) == e and i2 != e
+    assert i2 == perm_mul(j, j)
+    assert perm_mul(perm_mul(perm_inv(j), i), j) == perm_inv(i)
+    q8 = builtin_group("Q8")
+    assert q8.order == 8
+    assert sorted(c.size for c in q8.conjugacy_classes()) == [1, 1, 2, 2, 2]
 
 
 def test_composition_left_to_right():

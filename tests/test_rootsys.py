@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from fuscat.errors import PreconditionError
@@ -135,3 +136,13 @@ def test_type_a_alcove_size_is_a_binomial(rank):
     rs = build_root_system(f"A{rank}")
     for l in (rank + 2, 15, 101, 1001):
         assert alcove_size(rs, l) == comb(l - 1, rank)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_positive_roots_are_the_norm_two_vectors_below_theta(label):
+    # oracle: a positive root of a simply-laced system is exactly a vector
+    # beta with 0 <= beta <= theta coefficient-wise and (beta, beta) = 2
+    rs = build_root_system(label)
+    below = np.indices([t + 1 for t in rs.highest_root]).reshape(rs.rank, -1).T
+    norms = np.einsum("ni,ij,nj->n", below, np.array(rs.cartan), below)
+    assert set(rs.positive_roots) == {tuple(map(int, beta)) for beta in below[norms == 2]}

@@ -6,6 +6,7 @@ prime-power ledger.  The oracles here are the quantum Weyl product of
 `CycNum.norm`.
 """
 
+import inspect
 import json
 import time
 
@@ -211,13 +212,25 @@ def test_alcoves_above_the_cap_are_refused_before_any_weight(monkeypatch, label,
             route(rs, l)
 
 
-def test_the_cap_argument_bounds_the_alcove():
+def test_the_cap_argument_bounds_the_alcove(monkeypatch):
     a3 = build_root_system("A3")
-    assert len(alcove_norms(a3, 15, cap=364)) == 364
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    witnesses = scan_dimension_witnesses(a3, 15, 5)
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "364")
+    assert len(alcove_norms(a3, 15)) == 364
+    assert scan_dimension_witnesses(a3, 15, 5) == witnesses
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "363")
     with pytest.raises(PreconditionError, match="has more weights than the enumeration cap 363"):
-        alcove_norms(a3, 15, cap=363)
-    assert scan_dimension_witnesses(a3, 15, 5, cap=364) == scan_dimension_witnesses(a3, 15, 5)
+        alcove_norms(a3, 15)
     with pytest.raises(PreconditionError, match="cap 363; raise it via FUSCAT_ENUM_CAP or the cap argument"):
-        scan_dimension_witnesses(a3, 15, 5, cap=363)
+        scan_dimension_witnesses(a3, 15, 5)
+    monkeypatch.setenv("FUSCAT_ENUM_CAP", "0")
     with pytest.raises(PreconditionError, match="positive"):
-        simple_objects(a3, 15, cap=0)
+        simple_objects(a3, 15)
+
+
+def test_no_verlinde_route_takes_a_cap():
+    routes = [f for name, f in vars(verlinde).items()
+              if inspect.isfunction(f) and f.__module__ == verlinde.__name__ and not name.startswith("_")]
+    assert verlinde.check_alcove_size in routes and len(routes) >= 7
+    assert [f.__name__ for f in routes if "cap" in inspect.signature(f).parameters] == ["check_alcove_size"]
