@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import amplitude, gtcat, verlinde
-from .arith import prime_factors, prime_witnesses, primes_upto
+from .arith import prime_factors, primes_upto
 from .cyclotomic import CycNum, check_str_digits, cyclotomic_at_one, parse_element
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
@@ -41,6 +41,10 @@ from .finitegroup import (
 )
 from .rootsys import build_root_system, enumerate_alcove
 from .verlinde import Verdict
+
+# lemma-norm --nmax above this is refused: the norm table grows about as
+# nmax^2 (--nmax 500 takes about 1 s, --nmax 1000 about 5 s on a 2-vCPU host)
+NMAX_LIMIT = 500
 
 Q_CONVENTION = "q = zeta_{2l}, the primitive (2l)-th root of unity; verdicts are Galois-invariant in this choice"
 
@@ -154,6 +158,8 @@ def _root_of_unity_norms(nmax: int) -> list[dict]:
 def _cmd_lemma_norm(args) -> Report:
     if args.nmax < 2:
         raise PreconditionError(f"--nmax must be at least 2 (the table starts at n = 2), got {args.nmax}")
+    if args.nmax > NMAX_LIMIT:
+        raise PreconditionError(f"--nmax {args.nmax} exceeds the limit {NMAX_LIMIT}")
     rows = _root_of_unity_norms(args.nmax)
     all_match = all(r["match"] for r in rows)
     table = [[str(r["n"]), str(r["norm"]), str(r["rule"]) if r["rule"] > 1 else "1 (not a prime power)",
@@ -341,7 +347,7 @@ def _cmd_gtcat(args) -> Report:
         "sum_of_squares": sum(s.dimension**2 for s in simples),
     }
     if args.gtcat_action == "badprimes":
-        bad = prime_witnesses((s.dimension, s) for s in simples)
+        bad = gtcat.gt_bad_primes(g, h, simples)
         result["bad_primes"] = [
             {"prime": p, "witness_dim": s.dimension, "witness_rep": cycles[s.coset_rep]}
             for p, s in bad.items()

@@ -16,7 +16,18 @@ character degrees the products d1*...*dr of theirs (Irr(G x H) =
 Irr(G) (x) Irr(H)).  Its element table, class members and `class_of`
 are built from the factors' tables only when something asks for them.
 Every factor route first checks that the factors' generators, shifted into
-place, are the product's own.  A group with as many classes as elements is
+place, are the product's own.
+
+A builtin Sn or An answers from the partitions of n, once its generators
+are checked to be the builtin's own: one class per partition, of size
+n!/z, led by its least element (fixed points first, then cycles on
+consecutive points in increasing length); An keeps the even partitions
+and splits one with distinct odd parts into two halves.  Its degrees come
+from the hook-length formula (for An, one per pair of conjugate partitions
+and two halves for a self-conjugate one).  Its element table is built only
+when something asks for it, for Sn as `itertools.permutations`, already
+sorted; `class_of` is then the conjugation orbits on it, checked against
+the partition classes.  A group with as many classes as elements is
 abelian and has all degrees 1.  Every other group takes the
 class-multiplication-coefficient method:
 the integer class matrices commute and split into common one-dimensional
@@ -40,7 +51,8 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from math import isqrt, lcm, prod
+from itertools import permutations
+from math import factorial, isqrt, lcm, prod
 from operator import itemgetter
 
 from .arith import is_prime, p_part, prime_factors, prime_witnesses
@@ -196,7 +208,8 @@ class ConjugacyClass:
 class PermGroup:
     """A finite permutation group.  `from_generators` enumerates its sorted
     element table at once; a direct product of recorded factors joins the
-    table and `index` from the factors' tables on first need."""
+    table and `index` from the factors' tables on first need, and a named
+    S_n or A_n builds it only then."""
 
     def __init__(
         self,
@@ -204,13 +217,21 @@ class PermGroup:
         generators: list[Perm],
         elements: list[Perm] | None = None,
         factors: tuple[PermGroup, ...] = (),
+        family: tuple[str, int] | None = None,
     ):
         self.degree = degree
         self.generators = [_pad(g, degree) for g in generators]
         # G1, ..., Gr when the group was built as their direct product
         self.factors = factors
+        # ("S", n) or ("A", n) when the group was built as the builtin Sn or An
+        self.family = family
         self._elements = None if elements is None else sorted(elements)
-        self._order = prod(f.order for f in factors) if elements is None else len(self._elements)
+        if elements is not None:
+            self._order = len(self._elements)
+        elif family:
+            self._order = factorial(family[1]) // (2 if family[0] == "A" and family[1] > 1 else 1)
+        else:
+            self._order = prod(f.order for f in factors)
         self._index: dict[Perm, int] | None = None
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: list[int] | None = None
@@ -261,12 +282,20 @@ class PermGroup:
     @property
     def elements(self) -> list[Perm]:
         """The sorted element table; for a product, the factors' tables
-        joined in order, which is already sorted."""
+        joined in order, which is already sorted; for S_n, every
+        permutation of its points in the lex order `itertools` yields them;
+        for A_n, the closure of its generators."""
         if self._elements is None:
-            elements: list[Perm] = [()]
-            for f, offset in _offsets(_checked_factors(self)):
-                part = [_shift(x, offset) for x in f.elements]
-                elements = [a + b for a in elements for b in part]
+            if self.factors:
+                elements: list[Perm] = [()]
+                for f, offset in _offsets(_checked_factors(self)):
+                    part = [_shift(x, offset) for x in f.elements]
+                    elements = [a + b for a in elements for b in part]
+            elif _checked_family(self)[0] == "S":
+                elements = list(permutations(range(self.degree)))
+            else:
+                elements = PermGroup.from_generators(self.generators, self.degree, cap=self.order,
+                                                     table_check=False).elements
             self._elements = elements
         return self._elements
 
@@ -304,13 +333,16 @@ class PermGroup:
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         """Classes ordered by their least element.  For a product these are
         the Cartesian products of the factors' classes: lex order on the
-        joined reps is lex order on the tuples of factor reps."""
+        joined reps is lex order on the tuples of factor reps.  For a named
+        S_n or A_n they come from the partitions of n."""
         if self._classes is None:
             if self.factors:
                 reps_sizes: list[tuple[Perm, int]] = [((), 1)]
                 for f, offset in _offsets(_checked_factors(self)):
                     part = [(_shift(c.rep, offset), c.size) for c in f.conjugacy_classes()]
                     reps_sizes = [(r + s, m * n) for r, m in reps_sizes for s, n in part]
+            elif self.family:
+                reps_sizes = _partition_classes(*_checked_family(self))
             else:
                 reps_sizes = self._enumerate_classes()
             if sum(size for _, size in reps_sizes) != self.order:
@@ -322,10 +354,12 @@ class PermGroup:
 
     def class_of(self) -> list[int]:
         """Element index -> conjugacy class index."""
-        classes = self.conjugacy_classes()  # fills class_of unless self is a product
-        # a product's orbits on its joined table must be its factor classes
+        classes = self.conjugacy_classes()  # fills class_of unless self is a product or named
+        # the orbits on a product's or a named group's table must be the
+        # classes its factors or the partitions gave
         if self._class_of is None and self._enumerate_classes() != [(c.rep, c.size) for c in classes]:
-            raise InternalCheckError("conjugation orbits do not match the factors' classes")
+            whose = "the factors'" if self.factors else "the partition"
+            raise InternalCheckError(f"conjugation orbits do not match {whose} classes")
         return self._class_of
 
     def class_members(self) -> list[tuple[int, ...]]:
@@ -396,6 +430,92 @@ def _checked_factors(g: PermGroup) -> tuple[PermGroup, ...]:
     if not g.factors or _product_generators(g.factors) != g.generators:
         raise InternalCheckError("the recorded factors do not generate the group")
     return g.factors
+
+
+# ---------------------------------------------------------------------------
+# S_n and A_n from the partitions of n
+
+
+def _checked_family(g: PermGroup) -> tuple[str, int]:
+    """The recorded family and n, once the group's generators are exactly
+    the builtin Sn's or An's: the tie between the partition routes and the
+    group the generators define."""
+    if not g.family or _family_generators(*g.family) != g.generators:
+        raise InternalCheckError("the recorded family does not generate the group")
+    return g.family
+
+
+def _partitions(n: int, most: int | None = None):
+    """The partitions of n into parts of at most `most`, each a
+    non-increasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _least_of_type(parts: tuple[int, ...]) -> Perm:
+    """The least permutation of cycle type `parts`: the fixed points first,
+    then the cycles on consecutive points in increasing length."""
+    out: list[int] = []
+    for length in sorted(parts):
+        start = len(out)
+        out += range(start + 1, start + length)
+        out.append(start)
+    return tuple(out)
+
+
+def _partition_classes(family: str, n: int) -> list[tuple[Perm, int]]:
+    """(least element, size) per class of S_n or A_n, ordered by element.
+
+    S_n has one class per partition, of size n!/z (z = prod i^m_i m_i!,
+    the centralizer order).  A_n keeps the even partitions, and one with
+    distinct odd parts splits into two halves: its centralizer lies in
+    A_n, so only odd permutations conjugate one half to the other.  The
+    second half's least element is then the second least of the S_n
+    class, the first with its last two points swapped (any other
+    permutation that agrees with it up to there changes the cycle type).
+    """
+    alternating = family == "A" and n > 1
+    out = []
+    for parts in _partitions(n):
+        if alternating and (n - len(parts)) % 2:
+            continue
+        rep = _least_of_type(parts)
+        size = factorial(n) // prod(k ** parts.count(k) * factorial(parts.count(k)) for k in set(parts))
+        if alternating and len(set(parts)) == len(parts) and all(k % 2 for k in parts):
+            swap = list(range(n))
+            swap[-2:] = n - 1, n - 2
+            other = tuple(swap[rep[swap[i]]] for i in range(n))
+            out += [(rep, size // 2), (other, size // 2)]
+        else:
+            out.append((rep, size))
+    return sorted(out)
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 for k in parts if k > j) for j in range(parts[0]))
+
+
+def _hook_degrees(family: str, n: int) -> list[int]:
+    """Irreducible degrees of S_n or A_n.  S_n has f = n!/prod(hook
+    lengths) per partition (Frame, Robinson and Thrall); A_n has one degree
+    f per pair of conjugate partitions, and two halves f/2 for a
+    self-conjugate one."""
+    out = []
+    for parts in _partitions(n):
+        conj = _conjugate(parts)
+        hooks = prod(k - j + conj[j] - i - 1 for i, k in enumerate(parts) for j in range(k))
+        f = factorial(n) // hooks
+        if family == "S" or n < 2:
+            out.append(f)
+        elif parts == conj:
+            out += [f // 2, f // 2]
+        elif parts > conj:
+            out.append(f)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +665,16 @@ def _class_matrix(g: PermGroup, i: int) -> list[list[int]]:
 
 def char_degrees(g: PermGroup) -> tuple[int, ...]:
     """Sorted multiset of irreducible character degrees: the products of the
-    factors' degrees for a recorded direct product, all ones for an abelian
-    group, else class-matrix eigensplitting.  Every route must give one
-    degree per conjugacy class of g with squares summing to |g|."""
+    factors' degrees for a recorded direct product, the hook-length degrees
+    for a named S_n or A_n, all ones for an abelian group, else class-matrix
+    eigensplitting.  Every route must give one degree per conjugacy class
+    of g with squares summing to |g|."""
     if g._degrees is not None:
         return g._degrees
     if g.factors:
         degrees = sorted(_product_degrees(g))
+    elif g.family:
+        degrees = sorted(_hook_degrees(*_checked_family(g)))
     elif len(g.conjugacy_classes()) == g.order:  # abelian: every irreducible is linear
         degrees = [1] * g.order
     else:
@@ -816,6 +939,10 @@ def _alternating(n: int) -> list[Perm]:
     return [three, big]
 
 
+def _family_generators(family: str, n: int) -> list[Perm]:
+    return _symmetric(n) if family == "S" else _alternating(n)
+
+
 def _cyclic(n: int) -> list[Perm]:
     return [tuple(list(range(1, n)) + [0])] if n > 1 else [perm_identity(1)]
 
@@ -853,9 +980,9 @@ def _direct_product(gs: tuple[PermGroup, ...]) -> PermGroup:
     return PermGroup(sum(g.degree for g in gs), _product_generators(gs), factors=gs)
 
 
-def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], list[Perm]]]:
+def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], PermGroup]]:
     """The order and degree of a named group that is not a product, read off
-    its name, and the builder of its generators."""
+    its name, and a function that builds the group."""
     m = re.fullmatch(r"([SACDsacd])0*(\d+)", name)
     if m:
         fam, digits = m.group(1).upper(), m.group(2)
@@ -864,7 +991,6 @@ def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], list[Pe
         n = int(digits)
         if n < 1:
             raise PreconditionError(f"bad group name {name!r}")
-        order = n
         if fam in "SA":
             # n!, stopped once past 2 * cap: n! and n!/2 are then both past the cap
             order = 1
@@ -874,13 +1000,19 @@ def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], list[Pe
                     break
             if fam == "A" and n > 1:
                 order //= 2
-        builder = {"S": _symmetric, "A": _alternating, "C": _cyclic, "D": _dihedral}[fam]
-        return order, n // 2 if fam == "D" else n, partial(builder, n)
+            # answers from the partitions of n; no table until one is asked for
+            return order, n, lambda: PermGroup(n, _family_generators(fam, n), family=(fam, n))
+        generators = {"C": _cyclic, "D": _dihedral}[fam]
+        return n, n // 2 if fam == "D" else n, partial(_enumerated, partial(generators, n), cap)
     if name.upper() == "Q8":
-        return 8, 8, _quaternion8
+        return 8, 8, partial(_enumerated, _quaternion8, cap)
     if name.upper() == "SL23":
-        return 24, 8, _sl23
+        return 24, 8, partial(_enumerated, _sl23, cap)
     raise PreconditionError(f"unknown builtin group {name!r}")
+
+
+def _enumerated(generators: Callable[[], list[Perm]], cap: int) -> PermGroup:
+    return PermGroup.from_generators(generators(), cap=cap)
 
 
 def builtin_group(name: str, cap: int | None = None) -> PermGroup:
@@ -892,11 +1024,14 @@ def builtin_group(name: str, cap: int | None = None) -> PermGroup:
     checked against the cap before any permutation is built.
     """
     cap = enum_cap(cap)
-    parts = [_builtin_factor(part.strip(), cap) for part in name.strip().split("x")]
+    names = name.strip().split("x")
+    if any(not part.strip() for part in names):
+        raise PreconditionError(f"bad group name {name!r}: a factor is empty")
+    parts = [_builtin_factor(part.strip(), cap) for part in names]
     order = prod(order for order, _, _ in parts)
     if order > cap:
         raise _cap_exceeded(cap)
     if order * sum(degree for _, degree, _ in parts) > TABLE_FACTOR * cap:
         raise _table_exceeded(cap)
-    groups = tuple(PermGroup.from_generators(gens(), cap=cap) for _, _, gens in parts)
+    groups = tuple(build() for _, _, build in parts)
     return groups[0] if len(groups) == 1 else _direct_product(groups)

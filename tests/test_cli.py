@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import cli, verlinde
+from fuscat import cli, finitegroup, verlinde
 from fuscat.arith import primes_upto
 from fuscat.cli import main
 from fuscat.rootsys import build_root_system, enumerate_alcove
@@ -208,6 +208,47 @@ def test_lemma_norm_needs_nmax_at_least_two(capsys, nmax):
     code, out, err = run(capsys, "lemma-norm", "--nmax", nmax)
     assert code == 2 and out == ""
     assert "--nmax must be at least 2" in err and "Traceback" not in err
+
+
+def test_lemma_norm_admits_nmax_up_to_the_limit(capsys):
+    assert cli.NMAX_LIMIT == 500
+    code, out, _ = run(capsys, "lemma-norm", "--nmax", "500")
+    assert code == 0 and out.splitlines()[-1] == "all 499 values match the prime-power rule: True"
+
+
+def test_lemma_norm_refuses_nmax_above_the_limit_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_root_of_unity_norms", lambda nmax: pytest.fail("the table was built"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lemma-norm", "--nmax", "501")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "--nmax 501 exceeds the limit 500" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["S7x", "x", "S3xxC4"])
+def test_empty_factor_names_the_whole_group(capsys, name):
+    code, out, err = run(capsys, "group", "--group", name)
+    assert code == 2 and out == ""
+    assert f"bad group name {name!r}: a factor is empty" in err and "Traceback" not in err
+
+
+def test_named_symmetric_group_builds_no_table(capsys, monkeypatch):
+    groups, built = [], []
+    builtin_group = cli.builtin_group
+
+    def group_spy(name, cap=None):
+        groups.append(builtin_group(name, cap=cap))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "builtin_group", group_spy)
+    monkeypatch.setattr(cli.PermGroup, "from_generators", staticmethod(lambda *a, **k: built.append(a)))
+    monkeypatch.setattr(finitegroup, "_class_matrix", lambda g, i: built.append(g))
+    monkeypatch.setattr(finitegroup, "permutations", lambda *a: built.append(a))
+    code, out, _ = run(capsys, "group", "--group", "S7")
+    assert code == 0 and out.startswith("|G| = 5040 on 7 points\nconjugacy classes: 15\n")
+    (g,) = groups
+    assert g.family == ("S", 7) and built == []
+    assert g._elements is None and g._index is None and g._class_of is None
 
 
 @pytest.mark.parametrize("argv", [

@@ -322,11 +322,74 @@ def test_product_class_matrices_are_never_built(monkeypatch):
         return class_matrix(g, i)
 
     monkeypatch.setattr(finitegroup, "_class_matrix", spy)
-    g = builtin_group("S4xS4xS3")
-    assert char_degrees(g)[-1] == 18
-    # H = G: the identity double coset's stabilizer is G itself, degrees cached
-    assert len(enumerate_simples(g, g)) == len(g.conjugacy_classes())
-    assert built and all(f in g.factors for f in built)
+    for name, largest in [("S4xS4xS3", 18), ("SL23xD12xS3", 12)]:
+        built.clear()
+        g = builtin_group(name)
+        assert char_degrees(g)[-1] == largest
+        # H = G: the identity double coset's stabilizer is G itself, degrees cached
+        assert len(enumerate_simples(g, g)) == len(g.conjugacy_classes())
+        # only a factor that is no named Sn or An splits its class algebra
+        assert all(f in g.factors and f.family is None for f in built)
+        assert {id(f) for f in built} == {id(f) for f in g.factors if f.family is None}, name
+
+
+# --- S_n and A_n from the partitions of n
+
+NAMED = [f"{fam}{n}" for fam in "SA" for n in range(1, 9)]
+
+
+@cache
+def table_route(name):
+    """The named group as a plain group on its generators: closure table,
+    conjugation-orbit classes, class-matrix degrees."""
+    g = builtin_group(name, cap=40320)
+    return PermGroup.from_generators(g.generators, degree=g.degree, cap=g.order)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_partition_route_against_the_table_route(name):
+    g, oracle = builtin_group(name, cap=40320), table_route(name)
+    assert g.family == (name[0], int(name[1:])) and oracle.family is None
+    assert g.order == oracle.order and g.generators == oracle.generators
+    assert [(c.rep, c.size) for c in g.conjugacy_classes()] == [
+        (c.rep, c.size) for c in oracle.conjugacy_classes()
+    ]
+    assert char_degrees(g) == char_degrees(oracle)
+    assert g.exponent() == oracle.exponent()
+    for p in prime_factors(g.order):
+        assert ito_michler_verify(g, p) == ito_michler_verify(oracle, p), p
+    # all of it from the partitions, with no element table
+    assert g._elements is None and g._index is None and g._class_of is None
+    assert g.class_of() == oracle.class_of()
+    assert g.elements == oracle.elements
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_table_is_the_closure_table(n):
+    g = builtin_group(f"S{n}")
+    assert g.elements == PermGroup.from_generators(g.generators, degree=n).elements
+
+
+@pytest.mark.parametrize("name", ["S5", "A5", "S4xA4"])
+def test_changed_generators_stop_every_partition_route(name):
+    g = builtin_group(name)
+    named = [f for f in g.factors or (g,) if f.family]
+    for f in named:
+        f.generators = [parse_perm("(1 2)", f.degree), parse_perm("(1 2 3)", f.degree)]
+    if g.factors:  # a product on the changed factors, so that its own tie holds
+        g.generators = finitegroup._product_generators(g.factors)
+    for route in (PermGroup.conjugacy_classes, PermGroup.class_of, PermGroup.exponent, char_degrees,
+                  lambda g: g.elements, lambda g: ito_michler_verify(g, 2)):
+        with pytest.raises(InternalCheckError, match="recorded family does not generate the group"):
+            route(g)
+
+
+def test_named_orbits_must_match_the_partition_classes():
+    g = builtin_group("S4")
+    classes = g.conjugacy_classes()
+    classes[1], classes[2] = classes[2], classes[1]  # a class list out of order
+    with pytest.raises(InternalCheckError, match="do not match the partition classes"):
+        g.class_of()
 
 
 @pytest.mark.parametrize("name, wrong", [

@@ -113,11 +113,13 @@ def _corpus_groups():
 @pytest.mark.parametrize("build", list(_corpus_groups()))
 def test_kernel_route_matches_the_pointwise_route(build):
     g = build()
-    # a product's classes come from its factors; its element table is
-    # joined from theirs only when asked for below
-    assert (g._elements is None) == bool(g.factors)
+    # a product's classes come from its factors, and a named Sn's or An's
+    # from the partitions of n; the element table is built only when asked
+    # for below
+    lazy = bool(g.factors or g.family)
+    assert (g._elements is None) == lazy
     g.conjugacy_classes()
-    assert (g._elements is None) == bool(g.factors)
+    assert (g._elements is None) == lazy
     assert g.elements == pointwise_elements(g.generators, g.degree)
     classes = [c.rep for c in g.conjugacy_classes()]
     assert list(zip(classes, g.class_members())) == pointwise_classes(g.elements, g.generators)
@@ -179,8 +181,9 @@ def test_class_criterion_against_the_element_oracle(build):
     for p, (_, normal_abelian) in zip(primes, structures):
         report = ito_michler_verify(g, p)  # raises unless the degrees agree
         assert report.applicable == normal_abelian == all(d % p for d in char_degrees(g)), p
-    # a product answers from its factors' classes, off its own element table
-    assert (g._elements is None) == bool(g.factors)
+    # a product answers from its factors' classes, and a named Sn or An
+    # from the partitions of n, off its own element table
+    assert (g._elements is None) == bool(g.factors or g.family)
     assert structures == [element_sylow_structure(g, p) for p in primes]
 
 

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
-from fuscat.errors import PreconditionError
+import fuscat.gtcat as gtcat
+from fuscat.errors import InternalCheckError, PreconditionError
 from fuscat.finitegroup import builtin_group, char_degrees, parse_gens, rep_bad_primes
 from fuscat.gtcat import enumerate_simples, gt_bad_primes
 
@@ -73,3 +75,45 @@ def test_subgroup_required():
     g = builtin_group("A4")
     with pytest.raises(PreconditionError):
         enumerate_simples(g, builtin_group("S4"))
+
+
+@pytest.mark.parametrize("name, gens, order, bad", [
+    ("S7", "(1 2 3 4 5)", 5, [5]),
+    ("S7", "(1 2 3 4),(1 2)", 24, [2, 3]),
+    ("S7", "(1 2),(1 2 3 4 5)", 120, [2, 3, 5]),
+    ("A7", "(1 2 3),(1 2 4)", 12, [2, 3]),
+    ("S6", "(1 2 3 4 5 6)", 6, [2, 3]),
+    ("S6", "(1 2),(1 2 3 4 5)", 120, [2, 3, 5]),
+])
+def test_verdicts_pass_the_sylow_check(monkeypatch, name, gens, order, bad):
+    consulted = []
+    sylow = gtcat._sylow_structure
+
+    def spy(k, p):
+        consulted.append(k.order)
+        return sylow(k, p)
+
+    monkeypatch.setattr(gtcat, "_sylow_structure", spy)
+    g = builtin_group(name)
+    h = g.subgroup(parse_gens(gens, g.degree))
+    assert h.order == order
+    simples = enumerate_simples(g, h)
+    assert list(gt_bad_primes(g, h, simples)) == bad == list(gt_bad_primes(g, h))
+    # the second route asked the stabilizers, not the degrees
+    assert consulted and all(order % k == 0 for k in consulted)
+
+
+@pytest.mark.parametrize("name, degrees, by_dimensions, by_sylow", [
+    # 2 divides no faked degree, yet S3's Sylow 2-subgroup is not normal
+    ("S3", (1,) * 6, [], [2]),
+    # 2 divides a faked degree, yet C6's Sylow 2-subgroup is normal and abelian
+    ("C6", (1, 1, 2), [2], []),
+    # both ways at once: A4's Sylow 3-subgroup is not normal, its Sylow 2-subgroup is
+    ("A4", (2, 2, 2), [2], [3]),
+])
+def test_faked_degrees_fail_the_sylow_check(name, degrees, by_dimensions, by_sylow):
+    g = builtin_group(name)
+    g._degrees = degrees  # the cache char_degrees answers from; H = G is its own stabilizer
+    message = f"the bad primes {by_dimensions}, the stabilizers' Sylow subgroups {by_sylow}"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        gt_bad_primes(g, g)

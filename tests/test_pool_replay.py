@@ -98,6 +98,10 @@ def test_product_requests_build_only_the_factor_tables(monkeypatch, argv):
     (g,) = groups
     assert g.factors and g._elements is None and g._index is None
     assert g._class_of is None and g._members is None
-    # every table enumerated is a factor's, or a Sylow span inside one
-    assert tables[:len(g.factors)] == list(g.factors)
+    # every table enumerated is that of a factor that is no named Sn or An,
+    # or a Sylow span inside one; a named factor answers from the
+    # partitions of n and builds no table at all
+    enumerated = [f for f in g.factors if f.family is None]
+    assert tables[:len(enumerated)] == enumerated
     assert all(t.degree < g.degree for t in tables)
+    assert all(f._elements is None for f in g.factors if f.family)
