@@ -46,6 +46,18 @@ from .verlinde import Verdict
 # nmax^2 (--nmax 500 takes about 1 s, --nmax 1000 about 5 s on a 2-vCPU host)
 NMAX_LIMIT = 500
 
+# cyc --n above this is refused before the expression is parsed: an inverse
+# costs about phi(n)^2 multiplications per step of primes, and the steps grow
+# with phi(n).  At the largest prime admitted, 887, `cyc "1/(2+z+z^3)"` takes
+# about 1.7 s and `cyc 2+z+3*z^7 --norm` 0.2 s; at n = 1009 the inverse takes
+# 3.6 s (2-vCPU host, interpreter start included)
+CONDUCTOR_LIMIT = 900
+
+# --pmax above this is refused before the primes are sieved: `verlinde
+# badprimes` prints a row per prime, and --pmax 100000 takes about 0.4 s and
+# prints 0.55 MB (--pmax 1000000: 2.9 s, 4.6 MB) on a 2-vCPU host
+PMAX_LIMIT = 100000
+
 Q_CONVENTION = "q = zeta_{2l}, the primitive (2l)-th root of unity; verdicts are Galois-invariant in this choice"
 
 
@@ -128,6 +140,8 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
 
 
 def _cmd_cyc(args) -> Report:
+    if args.n > CONDUCTOR_LIMIT:
+        raise PreconditionError(f"--n {args.n} exceeds the limit {CONDUCTOR_LIMIT}")
     val = parse_element(args.expr, args.n)
     check_str_digits("the value", *val.coeffs, val.den)
     result: dict = {"conductor": args.n, "value": val, "pretty": str(val)}
@@ -175,6 +189,8 @@ def _cmd_lemma_norm(args) -> Report:
 def _check_pmax(pmax: int) -> None:
     if pmax < 2:
         raise PreconditionError(f"--pmax must be at least 2 (the least prime), got {pmax}")
+    if pmax > PMAX_LIMIT:
+        raise PreconditionError(f"--pmax {pmax} exceeds the limit {PMAX_LIMIT}")
 
 
 def _verdict_dict(v: verlinde.PrimeVerdict) -> dict:

@@ -13,11 +13,18 @@ Phi_n by Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, and the
 Verlinde quantum dimensions.  `_scatter` is the index map f(x) -> f(x^s)
 modulo x^n - 1 behind Galois conjugation, lifts to a larger conductor and
 folding long coefficient lists.  `_norm_and_cofactor` gives field norms and
-inverses by multi-modular evaluation: modulo primes p = 1 (mod n) the
-conjugates of an element are its values at the primitive n-th roots of
-unity mod p, and the norm and the cofactor N/f are combined by CRT under a
-certified bound and an exact check (Cohen, A Course in Computational
-Algebraic Number Theory, sections 3.3 and 4.3).
+inverses by multi-modular evaluation (Cohen, A Course in Computational
+Algebraic Number Theory, sections 3.3 and 4.3).  It works in steps, each
+modulo a product M of up to eight split primes p = 1 (mod n); the CRT W of
+their roots of unity is a primitive n-th root modulo every p, so the
+conjugates of an element modulo M are its values at the powers W^s.  The
+cofactor N/f takes at each root the product of the other values, from
+prefix and suffix products, and is interpolated on the roots of Phi_n with
+one batch inverse per step (Montgomery's trick); norm and cofactor are
+combined by CRT over the steps under a certified bound and an exact check.
+
+`parse_element` evaluates the CLI grammar in Z[x]/(x^n - 1), as sparse
+coefficient maps over one denominator, and reduces modulo Phi_n once.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 from math import gcd, lcm, log2
+from operator import add, mul
 
 from .arith import divisors, factorize, is_prime, mobius, totient
 from .errors import InternalCheckError, PreconditionError
@@ -102,14 +110,15 @@ def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
     """Remainder of a coefficient list modulo Phi_n, padded to length phi(n)."""
     phi = cyclotomic_polynomial(n).coeffs
     deg = len(phi) - 1
+    low = [(j, v) for j, v in enumerate(phi[:deg]) if v]
     c = coeffs[:]
     for k in range(len(c) - 1, deg - 1, -1):
         t = c[k]
         if t:
             c[k] = 0
             base = k - deg
-            for j in range(deg):
-                c[base + j] -= t * phi[j]
+            for j, v in low:
+                c[base + j] -= t * v
     c = c[:deg]
     c += [0] * (deg - len(c))
     return tuple(c)
@@ -144,6 +153,12 @@ def _units(n: int) -> list[int]:
 
 # conductor -> the (p, w) pairs found so far, largest p first
 _SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
+
+
+# a step of the norm and cofactor kernel works modulo the product of at most
+# this many split primes, about 490 bits: CPython's cost per multiply is
+# nearly flat up to a few hundred bits, while its long division is quadratic
+_STEP_PRIMES = 8
 
 
 def _split_primes(n: int):
@@ -197,16 +212,23 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     """The norm N of f = sum c_i z^i in Z[zeta_n] and, if asked (f nonzero),
     its cofactor C = N / f in the power basis.
 
-    Modulo each split prime p, f is evaluated at w^s for every unit s mod n;
-    N is the product of these values and C takes the values N / f(w^s),
-    interpolated on the roots of Phi_n.  N is combined by CRT until the
-    modulus passes 2 ||f||_1^phi(n), which bounds 2 |N| because every
-    conjugate has absolute value at most ||f||_1.  C is combined over the
-    primes that do not divide N and returned only once f * C == N holds
-    exactly modulo Phi_n, which is tried when a prime leaves its residues
-    unchanged.  Its coefficients are at most ||f||_1^(phi(n)-1) times the
-    reduction height of Phi_n, so a check still failing past twice that
-    modulus is an internal error.
+    The work goes in steps, each modulo the product M of the next split
+    primes p: up to `_STEP_PRIMES` of them, and no more than the bounds
+    below still need.  W, the CRT of their roots w, is a primitive n-th root
+    of unity modulo every p, so the conjugates of f modulo M are its values
+    at a_s = W^s for the units s mod n, and N is their product.
+
+    N is combined by CRT over the steps until the modulus passes
+    2 ||f||_1^phi(n), which bounds 2 |N| because every conjugate has
+    absolute value at most ||f||_1.  C, whose value at a_s is the product
+    of the other values, taken from prefix and suffix products (see
+    `_cofactor_residues`), is combined over the steps until the last prime
+    of one leaves it unchanged (its symmetric residues are those modulo the
+    primes before) or its modulus passes 2 ||f||_1^(phi(n)-1) times the
+    reduction height of Phi_n, which bounds twice its coefficients.  Once N
+    is certified, C is returned only if f * C == N holds exactly modulo
+    Phi_n.  A check that fails is followed by more steps of C, and one still
+    failing past that bound is an internal error.
     """
     units = _units(n)
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
@@ -217,38 +239,86 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     norm, norm_mod = [0], 1
     cofactor, cof_mod = [0] * len(units), 1
     cof_bound = 2 * l1 ** (len(units) - 1) * _reduction_height(n) if with_cofactor else 0
-    phi_terms = [(i, c) for i, c in enumerate(cyclotomic_polynomial(n).coeffs) if c]
-    for p, w in _split_primes(n):
-        powers = list(accumulate(range(n - 1), lambda x, _: x * w % p, initial=1))
-        mod_terms = [(i, c % p) for i, c in terms]
-        values = [sum(c * powers[i * s % n] for i, c in mod_terms) % p for s in units]
-        norm_p = 1
-        for v in values:
-            norm_p = norm_p * v % p
+    primes = _split_primes(n)
+    settled = not with_cofactor  # C is not asked for, or a step left it unchanged
+    while True:
+        need = max(norm_bound // norm_mod if norm_mod <= norm_bound else 0,
+                   0 if settled else cof_bound // cof_mod)
+        root, m = 0, 1  # W = w (mod p) for each prime p of the step, and their product
+        for k, (p, w) in enumerate(primes, 1):
+            root, m = root + m * ((w - root) * pow(m, -1, p) % p), m * p
+            if k == _STEP_PRIMES or m > need:
+                break
+        powers = list(accumulate(range(n - 1), lambda x, _: x * root % m, initial=1))
+        mod_terms = [(i, c if -m < c < m else c % m) for i, c in terms]
+        values = [sum([c * powers[i * s % n] for i, c in mod_terms]) % m for s in units]
         if norm_mod <= norm_bound:
-            norm, norm_mod = _crt(norm, norm_mod, [norm_p], p)
+            norm_m = 1
+            for v in values:
+                norm_m = norm_m * v % m
+            norm, norm_mod = _crt(norm, norm_mod, [norm_m], m)
+        if not settled:
+            residues = _cofactor_residues(values, powers, units, n, m)
+            cofactor, cof_mod = _crt(cofactor, cof_mod, residues, m)
+            certified = cof_mod > cof_bound
+            # unchanged by the step's last prime p: C has the same symmetric residues mod cof_mod / p
+            below = cof_mod // p
+            settled = certified or all(-below < 2 * y <= below for y in cofactor)
+        if norm_mod <= norm_bound or not settled:
+            continue
         if not with_cofactor:
-            if norm_mod > norm_bound:
-                return norm[0], None
-            continue
-        if not norm_p:
-            continue
-        # Lagrange on the roots a_s = w^s of Phi_n: C = sum_s t_s Phi_n / (x - a_s)
-        # with t_s = C(a_s) / Phi_n'(a_s); its x^j coefficient is
-        # sum_{i > j} phi_i S_(i-j-1), S_m = sum_s t_s a_s^m the power sums
-        slopes = [sum(i * c * powers[s * (i - 1) % n] for i, c in phi_terms) for s in units]
-        ts = [norm_p * pow(v * d, -1, p) % p for v, d in zip(values, slopes)]
-        sums = [sum(t * powers[s * m % n] for s, t in zip(units, ts)) % p for m in range(len(units))]
-        residues = [sum(c * sums[i - j - 1] for i, c in phi_terms if i > j) % p for j in range(len(units))]
-        previous = cofactor
-        cofactor, cof_mod = _crt(cofactor, cof_mod, residues, p)
-        certified = cof_mod > cof_bound
-        if norm_mod <= norm_bound or not (certified or cofactor == previous):
-            continue
+            return norm[0], None
         if _is_cofactor(coeffs, cofactor, norm[0], n):
             return norm[0], cofactor
         if certified:
             raise InternalCheckError("the multi-modular cofactor fails the exact check")
+        settled = False
+
+
+def _cofactor_residues(values: list[int], powers: list[int], units: list[int], n: int, m: int) -> list[int]:
+    """The cofactor C = N / f modulo m, from the values f(a_s) at the roots
+    a_s = W^s of Phi_n and the powers of W.
+
+    C(a_s) is the product of the other values, a prefix times a suffix
+    product, so it holds even where f(a_s) = 0 modulo a prime of m.  C is
+    the Lagrange interpolant sum_s t_s Phi_n / (x - a_s), t_s = C(a_s) /
+    Phi_n'(a_s); its x^j coefficient is sum_{i > j} phi_i S_(i-j-1), with
+    S_j = sum_s t_s a_s^j the power sums.  At each root
+    1 / Phi_n'(a) = a prod_{d | n, d < n} (a^d - 1)^(-mu(n/d)) / n, from
+    x^n - 1 = Phi_n(x) prod_{d | n, d < n} Phi_d(x); the factors are units
+    modulo m, as no prime of m divides n, and all the roots' denominators are
+    inverted in one batch with a single modular inverse.
+    """
+    phi = len(units)
+    prefix = list(accumulate(values, lambda x, y: x * y % m, initial=1))
+    suffix = list(accumulate(reversed(values), lambda x, y: x * y % m, initial=1))
+    signed = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of n
+    for q in factorize(n):
+        signed += [(e * q, -mu) for e, mu in signed]
+    # t_s = C(a_s) a_s prod_(d in over) (a_s^d - 1) / (n prod_(d in under) (a_s^d - 1))
+    over = [n // e for e, mu in signed if mu == -1]
+    under = [n // e for e, mu in signed if mu == 1 and e > 1]
+    tops, bottoms = [], []
+    for k, s in enumerate(units):
+        top, bottom = prefix[k] * suffix[phi - 1 - k] % m * powers[s % n] % m, n
+        for d in over:
+            top = top * (powers[s * d % n] - 1) % m
+        for d in under:
+            bottom = bottom * (powers[s * d % n] - 1) % m
+        tops.append(top)
+        bottoms.append(bottom)
+    lead = list(accumulate(bottoms, lambda x, y: x * y % m, initial=1))
+    inv = pow(lead[-1], -1, m)
+    ts = [0] * phi
+    for k in range(phi - 1, -1, -1):
+        ts[k] = tops[k] * (inv * lead[k] % m) % m
+        inv = inv * bottoms[k] % m
+    sums = [sum(map(mul, ts, [powers[s * j % n] for s in units])) % m for j in range(phi)]
+    residues = [0] * phi
+    for i, c in enumerate(cyclotomic_polynomial(n).coeffs):
+        if i and c:
+            residues[:i] = map(add, residues[:i], map(c.__mul__, sums[i - 1 :: -1]))
+    return [r % m for r in residues]
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +584,17 @@ def parse_element(text: str, conductor: int) -> CycNum:
 
     The value is returned in Q(zeta_conductor), whatever it simplifies to,
     so its norm and Galois images are taken over the field that z names.
+    It is evaluated in Z[x]/(x^n - 1), as a sparse map from exponent to
+    coefficient over one denominator, and reduced modulo Phi_n once at the
+    end; a `CycNum` is built before that only where the field is needed: a
+    divisor with more than one term, which is inverted, the base of a power
+    other than z, and an exponent with a term in z.
     """
     if conductor < 1:
         raise PreconditionError("conductor must be a positive integer")
     try:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
-        return _eval_node(tree.body, conductor)._lift(conductor)
+        return _field_value(_eval_node(tree.body, conductor), conductor)
     except SyntaxError as exc:
         raise PreconditionError(f"cannot parse element expression: {exc.msg}") from None
     except RecursionError:
@@ -552,37 +627,99 @@ def _check_power_size(a: CycNum, k: int) -> None:
         )
 
 
-def _eval_node(node: ast.AST, n: int) -> CycNum:
+# an element of Z[x]/(x^n - 1) over a positive denominator: {exponent mod n: coefficient}, den
+_RingValue = tuple[dict[int, int], int]
+
+
+def _field_value(value: _RingValue, n: int) -> CycNum:
+    terms, den = value
+    vec = [0] * (max(terms, default=0) + 1)
+    for e, c in terms.items():
+        vec[e] = c
+    return CycNum(n, vec, den)
+
+
+def _ring_value(a: CycNum, n: int) -> _RingValue:
+    """A preimage of a in Z[x]/(x^n - 1); a's conductor divides n."""
+    step = n // a.conductor
+    return {i * step: c for i, c in enumerate(a.coeffs) if c}, a.den
+
+
+def _ring_add(a: _RingValue, b: _RingValue, sign: int) -> _RingValue:
+    """a + sign * b."""
+    (ta, da), (tb, db) = a, b
+    den = lcm(da, db)
+    ka, kb = den // da, sign * (den // db)
+    out = {e: c * ka for e, c in ta.items()}
+    for e, c in tb.items():
+        out[e] = out.get(e, 0) + c * kb
+    return {e: c for e, c in out.items() if c}, den
+
+
+def _ring_mul(a: _RingValue, b: _RingValue, n: int) -> _RingValue:
+    (ta, da), (tb, db) = a, b
+    out: dict[int, int] = {}
+    for e, c in ta.items():
+        for f, d in tb.items():
+            k = (e + f) % n
+            out[k] = out.get(k, 0) + c * d
+    return {e: c for e, c in out.items() if c}, da * db
+
+
+def _ring_inverse(b: _RingValue, n: int) -> _RingValue:
+    """1 / b; a single term c z^e inverts to z^-e / c with no field work."""
+    terms, den = b
+    if len(terms) > 1:
+        return _ring_value(_field_value(b, n).inverse(), n)
+    if not terms:
+        raise PreconditionError("division by zero")
+    ((e, c),) = terms.items()
+    return {-e % n: den if c > 0 else -den}, abs(c)
+
+
+def _eval_node(node: ast.AST, n: int) -> _RingValue:
     if isinstance(node, ast.Constant):
         if type(node.value) is int:  # not bool, which is an int subclass
-            return CycNum.from_int(node.value)
+            return {0: node.value} if node.value else {}, 1
         raise PreconditionError("only integer literals are allowed")
     if isinstance(node, ast.Name):
         if node.id == "z":
-            return CycNum.zeta(n)
+            return {1 % n: 1}, 1
         raise PreconditionError(f"unknown symbol {node.id!r} (only z is allowed)")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = _eval_node(node.operand, n)
-        return -v if isinstance(node.op, ast.USub) else v
+        terms, den = _eval_node(node.operand, n)
+        return ({e: -c for e, c in terms.items()} if isinstance(node.op, ast.USub) else terms), den
     if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
         a = _eval_node(node.left, n)
-        if isinstance(node.op, ast.Pow):
-            e = _eval_node(node.right, n)
-            if not (e.is_rational and e.den == 1):
-                raise PreconditionError("exponents must be integers")
-            k = int(e.as_fraction())
-            if isinstance(node.left, ast.Name):  # the only name is z: z^k is zeta_n^k
-                return CycNum.zeta(n, k)
-            if k < 0:
-                a, k = a.inverse(), -k
-            _check_power_size(a, k)
-            return a ** k
         b = _eval_node(node.right, n)
+        if isinstance(node.op, ast.Pow):
+            k = _integer_exponent(b, n)
+            if isinstance(node.left, ast.Name):  # the only name is z: z^k is zeta_n^k
+                return {k % n: 1}, 1
+            base = _field_value(a, n)
+            if k < 0:
+                base, k = base.inverse(), -k
+            _check_power_size(base, k)
+            return _ring_value(base**k, n)
         if isinstance(node.op, ast.Add):
-            return a + b
+            return _ring_add(a, b, 1)
         if isinstance(node.op, ast.Sub):
-            return a - b
+            return _ring_add(a, b, -1)
         if isinstance(node.op, ast.Mult):
-            return a * b
-        return a / b
+            return _ring_mul(a, b, n)
+        return _ring_mul(a, _ring_inverse(b, n), n)
     raise PreconditionError("unsupported syntax in element expression")
+
+
+def _integer_exponent(e: _RingValue, n: int) -> int:
+    """The integer that an exponent's value is; anything else is refused."""
+    terms, den = e
+    if set(terms) - {0}:  # a term in z: the field decides whether it is rational
+        v = _field_value(e, n)
+        if not v.is_rational:
+            raise PreconditionError("exponents must be integers")
+        terms, den = {0: v.coeffs[0]}, v.den
+    num = terms.get(0, 0)
+    if num % den:
+        raise PreconditionError("exponents must be integers")
+    return num // den

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import cli, finitegroup, verlinde
+from fuscat import arith, cli, cyclotomic, finitegroup, verlinde
 from fuscat.arith import primes_upto
 from fuscat.cli import main
 from fuscat.rootsys import build_root_system, enumerate_alcove
@@ -263,6 +263,54 @@ def test_pmax_needs_at_least_two(capsys, argv, pmax):
     assert f"--pmax must be at least 2 (the least prime), got {pmax}" in err and "Traceback" not in err
     code, out, _ = run(capsys, *argv, "--pmax", "2")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv", [
+    ("amplitude", "t4", "--classical"),
+    ("amplitude", "t4", "--quantum", "--l", "9"),
+    ("verlinde", "badprimes", "--type", "A1", "--l", "9"),
+])
+def test_pmax_is_admitted_up_to_the_limit(capsys, argv):
+    assert cli.PMAX_LIMIT == 100000
+    code, out, err = run(capsys, *argv, "--pmax", "100000")
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("amplitude", "t4", "--classical"),
+    ("amplitude", "t4", "--quantum", "--l", "9"),
+    ("verlinde", "badprimes", "--type", "A1", "--l", "9"),
+])
+def test_pmax_above_the_limit_is_refused_before_the_sieve(capsys, monkeypatch, argv):
+    for module in (cli, arith):
+        monkeypatch.setattr(module, "primes_upto", lambda n: pytest.fail("the primes were sieved"))
+    monkeypatch.setattr(verlinde, "alcove_norms", lambda *a: pytest.fail("the alcove was walked"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--pmax", "100001")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "--pmax 100001 exceeds the limit 100000" in err and "Traceback" not in err
+
+
+def test_cyc_admits_conductors_up_to_the_limit(capsys):
+    assert cli.CONDUCTOR_LIMIT == 900
+    code, payload = run_json(capsys, "cyc", "1/(2+z+z^3)", "--n", "900")
+    assert code == 0
+    value = payload["result"]["value"]
+    assert value["conductor"] == "900" and len(value["numerator"]) == 240  # phi(900)
+    code, out, _ = run(capsys, "cyc", "2+z+3*z^7", "--n", "900", "--norm")
+    assert code == 0 and out.splitlines()[-1].startswith("norm = ")
+
+
+def test_cyc_refuses_conductors_above_the_limit_before_phi_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", lambda n: pytest.fail(f"Phi_{n} was built"))
+    monkeypatch.setattr(cli, "parse_element", lambda *a: pytest.fail("the expression was parsed"))
+    for argv in (["z", "--norm"], ["1/(2+z+z^3)"], ["2+z+3*z^7", "--galois", "5"]):
+        code, out, err = run(capsys, "cyc", *argv, "--n", "901")
+        assert code == 2 and out == ""
+        assert err == "error: --n 901 exceeds the limit 900\n"
+    code, out, err = run(capsys, "cyc", "z", "--n", "1000000000", "--norm")
+    assert code == 2 and "--n 1000000000 exceeds the limit 900" in err
 
 
 def test_crosscheck_runs_ito_michler_for_every_prime_of_the_order(capsys, monkeypatch):

@@ -262,6 +262,52 @@ def test_inverse_skips_a_prime_dividing_the_norm(n):
     assert b.inverse() == oracle_inverse(b)
 
 
+def _primes_drawn(monkeypatch):
+    """Patch `_split_primes` to count the primes each call draws."""
+    calls = []
+    split_primes = cyclotomic._split_primes
+
+    def counted(n):
+        calls.append(0)
+        for pair in split_primes(n):
+            calls[-1] += 1
+            yield pair
+
+    monkeypatch.setattr(cyclotomic, "_split_primes", counted)
+    return calls
+
+
+def test_bounds_past_one_step_against_the_conjugate_product(monkeypatch):
+    rng = random.Random(1040)
+    huge = CycNum(60, [rng.randint(-10**40, 10**40) for _ in range(16)])
+    vec = [0] * 64  # below phi(240), so the power basis keeps the 1-norm
+    for d in rng.sample(range(64), 24):
+        vec[d] = rng.choice((-1, 1)) * rng.randint(30, 50)
+    wide = CycNum(240, vec)
+    assert 900 < sum(map(abs, wide.coeffs)) < 1500
+    calls = _primes_drawn(monkeypatch)
+    for a in (huge, wide):
+        calls.clear()
+        assert a.norm() == oracle_norm(a)
+        assert calls[0] > cyclotomic._STEP_PRIMES
+        calls.clear()
+        assert a.inverse() == oracle_inverse(a)
+        assert calls[0] > cyclotomic._STEP_PRIMES
+
+
+@pytest.mark.parametrize("n", [5, 12, 60, 105])
+def test_a_zero_value_inside_the_first_step(n):
+    primes = _split_primes(n)
+    p1, _ = next(primes)
+    p2, w2 = next(primes)
+    a = CycNum(n, [-w2, 1])  # z - w2: a zero value modulo p2 but not modulo p1
+    assert a.norm().numerator % p2 == 0 and a.norm().numerator % p1 != 0
+    assert a.norm() == oracle_norm(a)
+    assert a.inverse() == oracle_inverse(a)
+    b = a * dense(random.Random(n), n, min(n, 8))
+    assert b.inverse() == oracle_inverse(b)
+
+
 def test_split_primes_are_primes_with_primitive_roots():
     for n in (1, 2, 7, 60, 240):
         primes = _split_primes(n)

@@ -1,6 +1,8 @@
 """Every request of the benchmark pools, replayed in-process against its
-golden reply, and the product requests of `group-catalog` checked to stay
-off the product's element table."""
+golden reply, the product requests of `group-catalog` checked to stay
+off the product's element table, and the `cyc` requests of
+`cyclotomic-large` checked to draw no more split primes than the
+one-prime-at-a-time norm and inverse did."""
 
 import contextlib
 import hashlib
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import fuscat.finitegroup as finitegroup
-from fuscat import cli
+from fuscat import cli, cyclotomic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -105,3 +107,33 @@ def test_product_requests_build_only_the_factor_tables(monkeypatch, argv):
     assert tables[:len(enumerated)] == enumerated
     assert all(t.degree < g.degree for t in tables)
     assert all(f._elements is None for f in g.factors if f.family)
+
+
+# primes drawn from `_split_primes` per `cyc` request of the pool when the
+# norm and inverse went one split prime at a time: conductor -> (norm, division)
+ONE_PRIME_AT_A_TIME = {60: (2, 2), 72: (3, 2), 84: (3, 2), 90: (3, 3), 105: (6, 6), 120: (4, 3),
+                       126: (4, 3), 150: (5, 4), 168: (6, 5), 180: (6, 5), 210: (6, 5), 240: (8, 5)}
+
+
+def test_cyc_requests_take_no_more_primes_than_one_at_a_time(monkeypatch):
+    calls = []
+    split_primes = cyclotomic._split_primes
+
+    def counted(n):
+        calls.append(0)
+        for pair in split_primes(n):
+            calls[-1] += 1
+            yield pair
+
+    monkeypatch.setattr(cyclotomic, "_split_primes", counted)
+    requests = [argv for argv in WORKLOADS.CYCLOTOMIC_LARGE.pool() if argv[0] == "cyc"]
+    assert len(requests) == 3 * len(ONE_PRIME_AT_A_TIME)
+    for argv in requests:
+        calls.clear()
+        golden = GOLDENS[WORKLOADS.argv_key(argv)]
+        assert _reply(argv) == (golden["exit"], golden["sha256"])
+        norm, division = ONE_PRIME_AT_A_TIME[int(argv[argv.index("--n") + 1])]
+        if "--galois" in argv:
+            assert calls == []
+        else:
+            assert len(calls) == 1 and calls[0] <= (norm if "--norm" in argv else division), argv
