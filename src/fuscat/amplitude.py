@@ -11,7 +11,11 @@ the inverse Gram matrix, so everything stays in exact rational arithmetic:
 
 Every tensor and matrix product in this module (the invariance check, the
 dual product m*, both graph amplitudes, the trace form and the Casimir
-route) is one exact Einstein summation through the kernel `_contract`.
+route) is one exact Einstein summation through the kernel `_contract`,
+which scales each operand to integers by the lcm of its denominators, sums
+over plain integers and divides by the product of the scales once at the
+end.  Its index bookkeeping (which entries join, where each product lands)
+depends on the spec alone and is planned once per spec.
 
 The normalization-independent certificate rescales the vertex so that the
 two-vertex bubble subgraph acts as the identity morphism on an edge (the
@@ -26,9 +30,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from itertools import product
-from operator import getitem
+from math import lcm
 
 from .cyclotomic import CycNum, q_integer
 from .errors import InternalCheckError, PreconditionError
@@ -59,44 +63,73 @@ class Tensor3:
                 raise PreconditionError("pairing is not invariant for the product")
 
 
-def _contract(spec: str, *tensors):
-    """Exact Einstein summation over range(3), e.g. "lk,ijk,ia,jc->lac".
+@lru_cache(maxsize=None)
+def _contraction_plan(spec: str):
+    """The index bookkeeping of a spec, which depends on nothing else.
 
-    Each operand is a nested sequence indexed by the distinct letters of its
-    term.  Operands join two at a time from the left, and a letter is summed
-    as soon as neither a later operand nor the output carries it; zero
-    entries are skipped.  Returns nested tuples in the order of the output
-    letters, or one Fraction when the output is empty.
+    Per operand: its depth; the (shared, new) letter values of each of its
+    entries in row-major order; the shared letter values of each key of the
+    accumulator; and the key after the join of each accumulator key and new
+    letter values, with the letters nothing later carries dropped.  Then
+    the final accumulator key of each output entry in row-major order.
     """
     inputs, out = spec.split("->")
     terms = inputs.split(",")
-    acc_sub, acc = "", {(): 1}
-    for n, (sub, t) in enumerate(zip(terms, tensors, strict=True)):
+    acc_sub, steps = "", []
+    for n, sub in enumerate(terms):
         new = "".join(c for c in sub if c not in acc_sub)
         shared = [c for c in sub if c in acc_sub]
         letters = acc_sub + new
         later = set(out).union(*terms[n + 1:])
         keep = "".join(c for c in letters if c in later)
-        rows = defaultdict(list)  # entries of t grouped by their shared letters
+        entries = []
         for idx in product(range(3), repeat=len(sub)):
-            if v := reduce(getitem, idx, t):
-                at = dict(zip(sub, idx))
-                rows[tuple(at[c] for c in shared)].append((tuple(at[c] for c in new), v))
+            at = dict(zip(sub, idx))
+            entries.append((tuple(at[c] for c in shared), tuple(at[c] for c in new)))
         in_acc = [acc_sub.index(c) for c in shared]
         pick = [letters.index(c) for c in keep]
-        joined = defaultdict(Fraction)
+        acc_keys = list(product(range(3), repeat=len(acc_sub)))
+        shared_of = {ka: tuple(ka[i] for i in in_acc) for ka in acc_keys}
+        joined_key = {(ka, kb): tuple((ka + kb)[i] for i in pick)
+                      for ka in acc_keys for kb in product(range(3), repeat=len(new))}
+        steps.append((len(sub), entries, shared_of, joined_key))
+        acc_sub = keep
+    order = [tuple(idx[out.index(c)] for c in acc_sub) for idx in product(range(3), repeat=len(out))]
+    return steps, order, len(out)
+
+
+def _contract(spec: str, *tensors):
+    """Exact Einstein summation over range(3), e.g. "lk,ijk,ia,jc->lac".
+
+    Each operand is a nested sequence of integers or Fractions indexed by
+    the distinct letters of its term.  Each operand is scaled to integers
+    by the lcm of its denominators, and the sums run over plain integers
+    under the product of those scales, which divides the result once at the
+    end.  Operands join two at a time from the left, and a letter is summed
+    as soon as neither a later operand nor the output carries it; zero
+    entries are skipped.  Returns nested tuples of Fractions in the order of
+    the output letters, or one Fraction when the output is empty.
+    """
+    steps, order, rank = _contraction_plan(spec)
+    acc, den = {(): 1}, 1
+    for (depth, entries, shared_of, joined_key), t in zip(steps, tensors, strict=True):
+        for _ in range(depth - 1):
+            t = [v for row in t for v in row]
+        scale = lcm(*(v.denominator for v in t))  # a zero entry has denominator 1
+        den *= scale
+        rows = defaultdict(list)  # entries of t, times scale, grouped by their shared letters
+        for (shared, new), v in zip(entries, t):
+            if x := v.numerator * (scale // v.denominator):
+                rows[shared].append((new, x))
+        joined = defaultdict(int)
         for ka, va in acc.items():
-            for kb, vb in rows[tuple(ka[i] for i in in_acc)]:
-                k = ka + kb
-                joined[tuple(k[i] for i in pick)] += va * vb
-        acc_sub, acc = keep, {k: v for k, v in joined.items() if v}
-
-    def nest(idx):
-        if len(idx) == len(out):
-            return acc.get(tuple(idx[out.index(c)] for c in acc_sub), Fraction(0))
-        return tuple(nest(idx + (i,)) for i in range(3))
-
-    return nest(())
+            for kb, vb in rows[shared_of[ka]]:
+                joined[joined_key[ka, kb]] += va * vb
+        acc = {k: v for k, v in joined.items() if v}
+    values = [Fraction(acc.get(k, 0), den) for k in order]
+    for _ in range(rank):
+        values = [tuple(values[i:i + 3]) for i in range(0, len(values), 3)]
+    return values[0]
 
 
 def _det3(g: Mat3) -> Fraction:
@@ -147,17 +180,24 @@ def sl2_adjoint() -> Tensor3:
     return t
 
 
+def _theta(t: Tensor3, mstar) -> Fraction:
+    return _contract("lac,acl->", mstar, t.m)
+
+
+def _square(t: Tensor3, mstar) -> Fraction:
+    return _contract("tab,acd,dbe,cet->", mstar, mstar, t.m, t.m)
+
+
 def amplitude_T2(t: Tensor3) -> Fraction:
     """Theta-graph amplitude Tr(m m*)."""
     t.validate()
-    return _contract("lac,acl->", _dualized_product(t), t.m)
+    return _theta(t, _dualized_product(t))
 
 
 def amplitude_T4(t: Tensor3) -> Fraction:
     """Square-with-diagonals amplitude Tr(m (1 x m) (m* x 1) m*), unnormalized."""
     t.validate()
-    mstar = _dualized_product(t)
-    return _contract("tab,acd,dbe,cet->", mstar, mstar, t.m, t.m)
+    return _square(t, _dualized_product(t))
 
 
 def amplitude_T4_normalized(t: Tensor3) -> Fraction:
@@ -166,12 +206,15 @@ def amplitude_T4_normalized(t: Tensor3) -> Fraction:
     The vertex is rescaled so that the open two-vertex bubble equals the
     identity on an edge, which makes the square graph evaluate to
     dim^2 A(T4)/A(T2)^2; the double ratio is invariant under rescaling
-    either the product or the pairing.
+    either the product or the pairing.  The tensor is validated and m* built
+    once for both graphs.
     """
-    a2 = amplitude_T2(t)
+    t.validate()
+    mstar = _dualized_product(t)
+    a2 = _theta(t, mstar)
     if a2 == 0:
         raise PreconditionError("theta-graph amplitude vanishes; cannot normalize")
-    return 9 * amplitude_T4(t) / a2**2
+    return 9 * _square(t, mstar) / a2**2
 
 
 def casimir_square_coefficient(t: Tensor3) -> Fraction:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import amplitude, gtcat, verlinde
-from .arith import prime_factors, primes_upto
+from .arith import prime_factors, primes_upto, totient
 from .cyclotomic import CycNum, check_str_digits, cyclotomic_at_one, parse_element
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
@@ -39,7 +39,7 @@ from .finitegroup import (
     rep_bad_primes,
     rep_good_primes,
 )
-from .rootsys import build_root_system, enumerate_alcove
+from .rootsys import alcove_size, build_root_system, enumerate_alcove
 from .verlinde import Verdict
 
 # lemma-norm --nmax above this is refused: the norm table grows about as
@@ -57,6 +57,13 @@ CONDUCTOR_LIMIT = 900
 # badprimes` prints a row per prime, and --pmax 100000 takes about 0.4 s and
 # prints 0.55 MB (--pmax 1000000: 2.9 s, 4.6 MB) on a 2-vCPU host
 PMAX_LIMIT = 100000
+
+# verlinde simples is refused, before any dimension is built, when its alcove
+# weights times phi(2l) (one coefficient each) pass this limit; the
+# enumeration cap is checked first.  At the limit a reply is about 4 MB of
+# JSON and takes 0.3-0.8 s for types A and D, 1.8 s for E7 at l = 33 and 5 s
+# for E8 at l = 49 (2-vCPU host, interpreter start included)
+SIMPLES_LIMIT = 100000
 
 Q_CONVENTION = "q = zeta_{2l}, the primitive (2l)-th root of unity; verdicts are Galois-invariant in this choice"
 
@@ -193,6 +200,22 @@ def _check_pmax(pmax: int) -> None:
         raise PreconditionError(f"--pmax {pmax} exceeds the limit {PMAX_LIMIT}")
 
 
+def _check_simples_size(rs, l: int) -> None:
+    """Refuse a `verlinde simples` reply above SIMPLES_LIMIT coefficients.
+    An alcove above the enumeration cap is left to `simple_objects`, which
+    refuses it with the cap's own message."""
+    cap = enum_cap(None)
+    weights = alcove_size(rs, l, cap)
+    if not 0 < weights <= cap:
+        return
+    size = weights * totient(2 * l)
+    if size > SIMPLES_LIMIT:
+        raise PreconditionError(
+            f"verlinde simples for {rs.label} at l={l} would print {weights} weights x "
+            f"phi({2 * l}) = {size} coefficients, above the limit {SIMPLES_LIMIT}"
+        )
+
+
 def _verdict_dict(v: verlinde.PrimeVerdict) -> dict:
     return {
         "prime": v.prime,
@@ -209,6 +232,7 @@ def _cmd_verlinde(args) -> Report:
             "l_odd": args.l % 2 == 1, "l_gt_h": args.l > rs.coxeter_number}
     prov = _provenance(q_convention=Q_CONVENTION, hypotheses=hypo)
     if args.verlinde_action == "simples":
+        _check_simples_size(rs, args.l)
         simples = verlinde.simple_objects(rs, args.l)
         # the weights of one key share one dimension object: render it once
         rendered: dict[int, tuple[dict, str]] = {}

@@ -6,6 +6,10 @@ unity), together with a positive integer denominator.  All arithmetic is
 exact; the canonical form divides out the gcd of the coefficients and the
 denominator, so an element is an algebraic integer iff its denominator
 is 1 (the power basis generates the full ring of integers of Q(zeta_n)).
+Only a vector longer than phi(n) is reduced modulo Phi_n; a result that is
+canonical by construction skips the reduction: a negation, a sum or a
+difference (its vector has phi(n) entries, so only the gcd is divided out)
+and a rational lifted to a larger conductor.
 
 Each coefficient operation has one kernel.  `_principal_specialisation`
 is the binomial quotient prod (1 - x^a) / prod (1 - x^b) in Z[x]; it gives
@@ -22,6 +26,11 @@ cofactor N/f takes at each root the product of the other values, from
 prefix and suffix products, and is interpolated on the roots of Phi_n with
 one batch inverse per step (Montgomery's trick); norm and cofactor are
 combined by CRT over the steps under a certified bound and an exact check.
+The setup that depends only on the conductor is taken once per conductor
+(the units mod n, the low terms of Phi_n, the divisors behind Phi_n'), and
+a step's powers of W once per conductor and step; the primes are still
+drawn from `_split_primes` on every call.  An inverse is refused before
+any work when phi(n) log2 ||f||_1 passes `INVERSE_BITS_LIMIT`.
 
 `parse_element` evaluates the CLI grammar in Z[x]/(x^n - 1), as sparse
 coefficient maps over one denominator, and reduces modulo Phi_n once.
@@ -106,11 +115,20 @@ def cyclotomic_at_one(n: int) -> int:
     return primes[0] if len(primes) == 1 else 1
 
 
-def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
-    """Remainder of a coefficient list modulo Phi_n, padded to length phi(n)."""
+@lru_cache(maxsize=None)
+def _low_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (j, c_j) of Phi_n below its leading one."""
     phi = cyclotomic_polynomial(n).coeffs
-    deg = len(phi) - 1
-    low = [(j, v) for j, v in enumerate(phi[:deg]) if v]
+    return tuple((j, v) for j, v in enumerate(phi[:-1]) if v)
+
+
+def _reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
+    """Remainder of a coefficient list modulo Phi_n, padded to length phi(n);
+    a list no longer than phi(n) is only padded."""
+    deg = len(cyclotomic_polynomial(n).coeffs) - 1
+    if len(coeffs) <= deg:
+        return coeffs + [0] * (deg - len(coeffs))
+    low = _low_terms(n)
     c = coeffs[:]
     for k in range(len(c) - 1, deg - 1, -1):
         t = c[k]
@@ -119,9 +137,8 @@ def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
             base = k - deg
             for j, v in low:
                 c[base + j] -= t * v
-    c = c[:deg]
-    c += [0] * (deg - len(c))
-    return tuple(c)
+    del c[deg:]
+    return c
 
 
 def _cyclic_mul(a: list[int], b: list[int], n: int) -> list[int]:
@@ -144,8 +161,9 @@ def _scatter(coeffs, s: int, n: int) -> list[int]:
     return out
 
 
-def _units(n: int) -> list[int]:
-    return [s for s in range(1, n + 1) if gcd(s, n) == 1]
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    return tuple(s for s in range(1, n + 1) if gcd(s, n) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +223,7 @@ def _reduction_height(n: int) -> int:
 
 def _is_cofactor(coeffs, cofactor: list[int], norm: int, n: int) -> bool:
     """f * C == N modulo Phi_n, exactly."""
-    return _reduce_mod_phi(_cyclic_mul(list(coeffs), cofactor, n), n) == (norm,) + (0,) * (len(coeffs) - 1)
+    return _reduce_mod_phi(_cyclic_mul(list(coeffs), cofactor, n), n) == [norm] + [0] * (len(coeffs) - 1)
 
 
 def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[int] | None]:
@@ -244,14 +262,16 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     while True:
         need = max(norm_bound // norm_mod if norm_mod <= norm_bound else 0,
                    0 if settled else cof_bound // cof_mod)
-        root, m = 0, 1  # W = w (mod p) for each prime p of the step, and their product
+        step, m = [], 1
         for k, (p, w) in enumerate(primes, 1):
-            root, m = root + m * ((w - root) * pow(m, -1, p) % p), m * p
+            step.append((p, w))
+            m *= p
             if k == _STEP_PRIMES or m > need:
                 break
-        powers = list(accumulate(range(n - 1), lambda x, _: x * root % m, initial=1))
+        powers = _step_powers(n, tuple(step))
         mod_terms = [(i, c if -m < c < m else c % m) for i, c in terms]
-        values = [sum([c * powers[i * s % n] for i, c in mod_terms]) % m for s in units]
+        columns = [[c * powers[i * s % n] for s in units] for i, c in mod_terms]
+        values = [v % m for v in map(sum, zip(*columns))]
         if norm_mod <= norm_bound:
             norm_m = 1
             for v in values:
@@ -275,7 +295,33 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
         settled = False
 
 
-def _cofactor_residues(values: list[int], powers: list[int], units: list[int], n: int, m: int) -> list[int]:
+# (conductor, step) pairs whose powers of W are kept; a step's powers take at
+# most n numbers of about 490 bits, some 80 kB at the largest conductor
+_STEP_CACHE = 256
+
+
+@lru_cache(maxsize=_STEP_CACHE)
+def _step_powers(n: int, step: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """W^0, ..., W^(n-1) modulo M, the product of the step's primes p, where
+    W = w (mod p) is the CRT of their roots w."""
+    root, m = 0, 1
+    for p, w in step:
+        root, m = root + m * ((w - root) * pow(m, -1, p) % p), m * p
+    return tuple(accumulate(range(n - 1), lambda x, _: x * root % m, initial=1))
+
+
+@lru_cache(maxsize=None)
+def _slope_factors(n: int) -> tuple[list[int], list[int]]:
+    """The divisors d < n of n with mu(n/d) = -1 and = 1: 1/Phi_n'(a) is
+    a prod_over (a^d - 1) / (n prod_under (a^d - 1)) at a root a of Phi_n."""
+    signed = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of n
+    for q in factorize(n):
+        signed += [(e * q, -mu) for e, mu in signed]
+    return ([n // e for e, mu in signed if mu == -1],
+            [n // e for e, mu in signed if mu == 1 and e > 1])
+
+
+def _cofactor_residues(values: list[int], powers, units, n: int, m: int) -> list[int]:
     """The cofactor C = N / f modulo m, from the values f(a_s) at the roots
     a_s = W^s of Phi_n and the powers of W.
 
@@ -292,12 +338,8 @@ def _cofactor_residues(values: list[int], powers: list[int], units: list[int], n
     phi = len(units)
     prefix = list(accumulate(values, lambda x, y: x * y % m, initial=1))
     suffix = list(accumulate(reversed(values), lambda x, y: x * y % m, initial=1))
-    signed = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of n
-    for q in factorize(n):
-        signed += [(e * q, -mu) for e, mu in signed]
     # t_s = C(a_s) a_s prod_(d in over) (a_s^d - 1) / (n prod_(d in under) (a_s^d - 1))
-    over = [n // e for e, mu in signed if mu == -1]
-    under = [n // e for e, mu in signed if mu == 1 and e > 1]
+    over, under = _slope_factors(n)
     tops, bottoms = [], []
     for k, s in enumerate(units):
         top, bottom = prefix[k] * suffix[phi - 1 - k] % m * powers[s % n] % m, n
@@ -324,6 +366,14 @@ def _cofactor_residues(values: list[int], powers: list[int], units: list[int], n
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
+# an inverse is refused, before any work, when phi(n) * log2 ||f||_1 of its
+# numerator f passes this many bits: that bounds the cofactor's size and so
+# the number of its multi-modular steps, each of about phi(n)^2
+# multiplications.  At n = 887, 1/(2+z+z^3) (1772 bits) takes about 1.7 s and
+# 1/(23+z) (4062 bits) about 4.4 s; 1/(99+98z+97z^2) (7265 bits) took 10 s
+# (2-vCPU host, interpreter start included)
+INVERSE_BITS_LIMIT = 4096
+
 
 class CycNum:
     """An element of Q(zeta_n) in canonical reduced form. Immutable."""
@@ -338,13 +388,10 @@ class CycNum:
         c = [int(v) for v in coeffs]
         if len(c) > conductor:
             c = _scatter(c, 1, conductor)
-        vec = list(_reduce_mod_phi(c, conductor))
+        vec = _reduce_mod_phi(c, conductor)
         if den < 0:
             den, vec = -den, [-v for v in vec]
-        g = 0
-        for v in vec:
-            g = gcd(g, v)
-        g = gcd(g, den)
+        g = gcd(*vec, den)
         if g > 1:
             vec = [v // g for v in vec]
             den //= g
@@ -354,6 +401,16 @@ class CycNum:
         object.__setattr__(self, "coeffs", tuple(vec))
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _canonical(cls, conductor: int, coeffs: tuple[int, ...], den: int) -> "CycNum":
+        """An element from a vector of length phi(n) and a denominator that
+        are already in canonical form, with no reduction and no gcd."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "conductor", conductor)
+        object.__setattr__(a, "coeffs", coeffs)
+        object.__setattr__(a, "den", den)
+        return a
+
     def __setattr__(self, *_):
         raise AttributeError("CycNum is immutable")
 
@@ -361,12 +418,12 @@ class CycNum:
 
     @classmethod
     def from_int(cls, v: int) -> "CycNum":
-        return cls(1, [v])
+        return cls._canonical(1, (int(v),), 1)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "CycNum":
-        f = Fraction(f)
-        return cls(1, [f.numerator], f.denominator)
+        f = Fraction(f)  # in lowest terms, with a positive denominator
+        return cls._canonical(1, (f.numerator,), f.denominator)
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
@@ -407,12 +464,16 @@ class CycNum:
         return Fraction(self.coeffs[0], self.den)
 
     def _lift(self, m: int) -> "CycNum":
-        """Embed into Q(zeta_m); requires conductor | m."""
+        """Embed into Q(zeta_m); requires conductor | m.  A rational stays
+        canonical: its vector is only padded."""
         n = self.conductor
         if m == n:
             return self
         if m % n:
             raise InternalCheckError("lift target is not a multiple of the conductor")
+        if n == 1:
+            phi = len(cyclotomic_polynomial(m).coeffs) - 1
+            return CycNum._canonical(m, self.coeffs + (0,) * (phi - 1), self.den)
         return CycNum(m, _scatter(self.coeffs, m // n, m), self.den)
 
     @staticmethod
@@ -432,27 +493,35 @@ class CycNum:
 
     # -- ring/field operations
 
+    @staticmethod
+    def _combine(a: "CycNum", b: "CycNum", sign: int) -> "CycNum":
+        """a + sign * b; the vector comes out of length phi(n), so it is not reduced."""
+        a, b = CycNum._pair(a, b)
+        vec = [x * b.den + sign * y * a.den for x, y in zip(a.coeffs, b.coeffs)]
+        return CycNum(a.conductor, vec, a.den * b.den)
+
     def __add__(self, other) -> "CycNum":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._pair(self, other)
-        vec = [x * b.den + y * a.den for x, y in zip(a.coeffs, b.coeffs)]
-        return CycNum(a.conductor, vec, a.den * b.den)
+        return self._combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.conductor, [-v for v in self.coeffs], self.den)
+        return CycNum._canonical(self.conductor, tuple(-v for v in self.coeffs), self.den)
 
     def __sub__(self, other) -> "CycNum":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(self, other, -1)
 
     def __rsub__(self, other) -> "CycNum":
-        return -(self - other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, self, -1)
 
     def __mul__(self, other) -> "CycNum":
         other = self._coerce(other)
@@ -471,6 +540,12 @@ class CycNum:
         if self.is_zero:
             raise PreconditionError("division by zero")
         n = self.conductor
+        bits = len(self.coeffs) * log2(sum(map(abs, self.coeffs)))
+        if bits > INVERSE_BITS_LIMIT:
+            raise PreconditionError(
+                f"inverse in Q(zeta_{n}) of an element with phi(n) * log2 ||f||_1 = {bits:.0f} "
+                f"exceeds the limit {INVERSE_BITS_LIMIT}"
+            )
         norm, cofactor = _norm_and_cofactor(self.coeffs, n, with_cofactor=True)
         return CycNum(n, [self.den * v for v in cofactor], norm)
 
@@ -518,7 +593,7 @@ class CycNum:
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all Galois conjugates."""
         norm, _ = _norm_and_cofactor(self.coeffs, self.conductor, with_cofactor=False)
-        return Fraction(norm, self.den ** totient(self.conductor))
+        return Fraction(norm, self.den ** len(self.coeffs))
 
     # -- serialization / display
 

@@ -169,6 +169,52 @@ def test_contract_matches_einsum(spec, data):
         assert fractions_of(got) == fractions_of(expected.tolist())
 
 
+def contract_loops(spec, *tensors):
+    """Einstein summation by a plain loop over every index, in Fractions."""
+    inputs, out = spec.split("->")
+    terms = inputs.split(",")
+    letters = sorted(set(inputs) - {","})
+    sums = {}
+    for idx in product(range(3), repeat=len(letters)):
+        at = dict(zip(letters, idx))
+        v = Fraction(1)
+        for sub, t in zip(terms, tensors):
+            for c in sub:
+                t = t[at[c]]
+            v *= t
+            if not v:
+                break
+        key = tuple(at[c] for c in out)
+        sums[key] = sums.get(key, Fraction(0)) + v
+
+    def nest(idx):
+        if len(idx) == len(out):
+            return sums[idx]
+        return tuple(nest(idx + (i,)) for i in range(3))
+
+    return nest(())
+
+
+fraction_entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 12))
+
+
+@pytest.mark.parametrize("spec", MODULE_SPECS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_contract_with_fractional_operands_matches_the_loops(spec, data):
+    def draw(term):
+        flat = data.draw(st.lists(fraction_entries, min_size=3 ** len(term), max_size=3 ** len(term)))
+        for _ in term[1:]:
+            flat = [flat[i:i + 3] for i in range(0, len(flat), 3)]
+        return flat
+
+    tensors = [draw(t) for t in spec.split("->")[0].split(",")]
+    got = _contract(spec, *tensors)
+    assert got == contract_loops(spec, *tensors)
+    leaves = [got] if spec.endswith("->") else list(np.array(got, dtype=object).flat)
+    assert all(type(v) is Fraction for v in leaves)
+
+
 def test_contract_is_exact_on_fractions():
     half = [[Fraction(1, 2) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
     third = [[Fraction(i + 1, 3 * (j + 1)) for j in range(3)] for i in range(3)]

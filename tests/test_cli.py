@@ -302,6 +302,23 @@ def test_cyc_admits_conductors_up_to_the_limit(capsys):
     assert code == 0 and out.splitlines()[-1].startswith("norm = ")
 
 
+def test_cyc_refuses_an_inverse_above_the_bit_limit_at_once(capsys):
+    assert cyclotomic.INVERSE_BITS_LIMIT == 4096
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cyc", "1/(99+98*z+97*z^2)", "--n", "887")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "exceeds the limit 4096" in err
+    # a negative power inverts its base through the same check
+    code, _, err = run(capsys, "cyc", "(99+98*z+97*z^2)^-1", "--n", "887")
+    assert code == 2 and "exceeds the limit 4096" in err
+
+
+def test_cyc_admits_the_largest_prime_conductor_inverse(capsys):
+    code, payload = run_json(capsys, "cyc", "1/(2+z+z^3)", "--n", "887")
+    assert code == 0 and len(payload["result"]["value"]["numerator"]) == 886
+
+
 def test_cyc_refuses_conductors_above_the_limit_before_phi_is_built(capsys, monkeypatch):
     monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", lambda n: pytest.fail(f"Phi_{n} was built"))
     monkeypatch.setattr(cli, "parse_element", lambda *a: pytest.fail("the expression was parsed"))
@@ -811,6 +828,30 @@ def test_oversized_alcoves_are_refused_at_once(capsys, monkeypatch, argv):
     assert "FUSCAT_ENUM_CAP" in err
 
 
+@pytest.mark.parametrize("label,l,weights,phi", [
+    ("A1", 2001, 2000, 1232), ("E8", 59, 17342, 58), ("A2", 199, 19503, 198),
+])
+def test_simples_refuses_a_large_reply_before_any_dimension(capsys, monkeypatch, label, l, weights, phi):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    monkeypatch.setattr(verlinde, "simple_objects", lambda *a: pytest.fail("the alcove was walked"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verlinde", "simples", "--type", label, "--l", str(l))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"{weights} weights x phi({2 * l}) = {weights * phi} coefficients" in err
+    assert "above the limit 100000" in err
+
+
+def test_simples_admits_replies_up_to_the_limit(capsys, monkeypatch):
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    assert cli.SIMPLES_LIMIT == 100000
+    # A1 at l = 435: 434 weights x phi(870) = 224, 97216 coefficients
+    code, out, _ = run(capsys, "verlinde", "simples", "--type", "A1", "--l", "435")
+    assert code == 0 and out.startswith("A1, l=435: 434 simple objects")
+    code, _, err = run(capsys, "verlinde", "simples", "--type", "A1", "--l", "436")
+    assert code == 2 and "435 weights x phi(872) = 187920 coefficients" in err
+
+
 def test_the_env_cap_bounds_the_alcove(capsys, monkeypatch):
     walked = []
 
@@ -825,8 +866,13 @@ def test_the_env_cap_bounds_the_alcove(capsys, monkeypatch):
     assert code == 2 and "alcove of A1 has more weights than the enumeration cap 99999" in err
     assert walked == []
     monkeypatch.setenv("FUSCAT_ENUM_CAP", "100000")
-    code, out, _ = run(capsys, *a1)
-    assert code == 0 and out.startswith("A1, l=100001: 0 simple objects")
+    # the cap admits the alcove; `simples` is then refused by the size of its
+    # reply before the walk, and `badprimes`, which has no such bound, walks it
+    code, _, err = run(capsys, *a1)
+    assert code == 2 and f"above the limit {cli.SIMPLES_LIMIT}" in err
+    assert walked == []
+    code, out, _ = run(capsys, "verlinde", "badprimes", "--type", "A1", "--l", "100001")
+    assert code == 0 and out.startswith("A1, l=100001, primes up to 100")
     assert walked == [("A1", 100001)]
     monkeypatch.setenv("FUSCAT_ENUM_CAP", "100")
     code, _, err = run(capsys, "verlinde", "badprimes", "--type", "A3", "--l", "15")

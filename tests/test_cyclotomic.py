@@ -161,6 +161,42 @@ def test_canonical_form_reduces_gcd():
     assert CycNum(5, [0, 0, 0, 0], 7) == 0
 
 
+def fully_reduced(a):
+    """a rebuilt from a vector longer than phi(n), so the constructor
+    reduces modulo Phi_n and divides out the gcd."""
+    return CycNum(a.conductor, list(a.coeffs) + [0] * a.conductor, a.den)
+
+
+def same_value(*values):
+    forms = {(v.conductor, v.coeffs, v.den) for v in values}
+    return len(forms) == 1 and all(type(c) is int for c in values[0].coeffs)
+
+
+def test_one_minus_zeta_does_not_depend_on_how_it_was_built():
+    for n in range(2, 121):
+        z = CycNum.zeta(n)
+        built = [1 - z, -(z - 1), CycNum(n, [1, -1])]
+        assert same_value(*built, fully_reduced(built[0])), n
+        assert len({v.norm() for v in built}) == 1
+        assert built[0].norm() == cyclotomic_at_one(n)
+        for r in (CycNum.from_int(-4), CycNum.from_fraction(Fraction(6, -4))):  # lifted, not reduced
+            assert same_value(r._lift(n), fully_reduced(CycNum(n, [r.coeffs[0]], r.den)))
+
+
+@pytest.mark.parametrize("n", [12, 60, 105])
+def test_differences_do_not_depend_on_how_they_were_built(n):
+    rng = random.Random(n)
+    for _ in range(25):
+        a = dense(rng, n, rng.randint(1, min(n, 12)), den=rng.randint(1, 12))
+        b = dense(rng, n, rng.randint(1, min(n, 12)), den=rng.randint(1, 12))
+        k = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+        c = dense(rng, n // 3, rng.randint(1, 4), den=rng.randint(1, 6))  # a lift from a subfield
+        assert same_value(a - b, a + (-b), fully_reduced(a - b))
+        assert same_value(k - a, -(a - k), fully_reduced(k - a))
+        assert same_value(a - c, a + (-c), -(c - a), fully_reduced(a - c))
+        assert same_value(-a, fully_reduced(-a)) and -(-a) == a
+
+
 # --- Galois action and norms
 
 
@@ -339,6 +375,16 @@ def test_failed_exact_check_adds_primes(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_reduction_height", lambda n: 2**1000)
     assert a.inverse() == oracle_inverse(a)
     assert len(checks) == 2 and checks[1] > checks[0]
+
+
+def test_inverse_refuses_above_the_bit_limit_before_any_work(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_norm_and_cofactor", lambda *a, **k: pytest.fail("inverted"))
+    a = CycNum(887, [99, 98, 97])  # 886 * log2(294) is about 7265 bits
+    for invert in (CycNum.inverse, lambda x: 1 / x, lambda x: x**-2):
+        with pytest.raises(PreconditionError, match="exceeds the limit 4096"):
+            invert(a)
+    with pytest.raises(PreconditionError, match="exceeds the limit"):
+        parse_element("1/(99+98*z+97*z^2)", 887)
 
 
 def test_cofactor_is_never_returned_unchecked(monkeypatch):
