@@ -188,18 +188,6 @@ def _square(t: Tensor3, mstar) -> Fraction:
     return _contract("tab,acd,dbe,cet->", mstar, mstar, t.m, t.m)
 
 
-def amplitude_T2(t: Tensor3) -> Fraction:
-    """Theta-graph amplitude Tr(m m*)."""
-    t.validate()
-    return _theta(t, _dualized_product(t))
-
-
-def amplitude_T4(t: Tensor3) -> Fraction:
-    """Square-with-diagonals amplitude Tr(m (1 x m) (m* x 1) m*), unnormalized."""
-    t.validate()
-    return _square(t, _dualized_product(t))
-
-
 def amplitude_T4_normalized(t: Tensor3) -> Fraction:
     """Square amplitude with the bubble-normalized vertex.
 

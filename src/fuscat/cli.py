@@ -3,7 +3,10 @@
 Subcommands: cyc, lemma-norm, verlinde, group, gtcat, ito-michler,
 amplitude, crosscheck.  Output is a deterministic aligned table by default
 or a JSON report with --json / --out; all numbers in JSON are rendered as
-decimal strings so arbitrarily large values survive any JSON parser.
+decimal strings so arbitrarily large values survive any JSON parser.  The
+JSON text is written by one recursive renderer, with sorted keys and a
+two-space indent; a block the report shares (a dict, list, tuple or CycNum
+reached again at the same depth) is encoded once and spliced in after.
 
 Exit codes: 0 success, 2 violated precondition, bad usage or a report that
 cannot be written (an --out path, or a stdout whose reader has gone), 1
@@ -13,13 +16,13 @@ internal consistency failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import amplitude, gtcat, verlinde
 from .arith import prime_factors, primes_upto, totient
@@ -50,7 +53,8 @@ NMAX_LIMIT = 500
 # costs about phi(n)^2 multiplications per step of primes, and the steps grow
 # with phi(n).  At the largest prime admitted, 887, `cyc "1/(2+z+z^3)"` takes
 # about 1.7 s and `cyc 2+z+3*z^7 --norm` 0.2 s; at n = 1009 the inverse takes
-# 3.6 s (2-vCPU host, interpreter start included)
+# 3.6 s (2-vCPU host, interpreter start included).  `amplitude t4 --quantum`
+# works at the conductor 2l and is refused above the same limit
 CONDUCTOR_LIMIT = 900
 
 # --pmax above this is refused before the primes are sieved: `verlinde
@@ -76,8 +80,9 @@ class Report:
     provenance: dict = field(default_factory=dict)
     lines: list[str] = field(default_factory=list)
 
-    def payload(self) -> dict:
-        return _stringify(
+    def payload(self) -> str:
+        """The JSON text of the report, without a trailing newline."""
+        return render_json(
             {
                 "command": self.command,
                 "params": self.params,
@@ -87,21 +92,88 @@ class Report:
         )
 
 
-def _stringify(obj):
-    """Render every number as a decimal string, recursively."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, CycNum):
-        return obj.to_json()
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _stringify(v) for k, v in obj.items()}
-    return obj
+# the JSON text of a value of exactly one of these types, keyed by its type
+_LEAVES = {
+    str: _encode_str,
+    int: lambda v: _encode_str(str(v)),
+    Fraction: lambda v: _encode_str(str(v)),
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def render_json(obj) -> str:
+    """JSON text of obj with every number as a decimal string.
+
+    Ints and Fractions become quoted decimals, a CycNum its `to_json()`,
+    dict keys their `str()`, sorted; the layout is `json.dumps(indent=2,
+    sort_keys=True)`.  A dict, list, tuple or CycNum met more than once at
+    the same depth is rendered once and spliced in after.  A first walk
+    finds those blocks, so that only their texts are kept; it holds every
+    object it meets, so no id is reused while the text is written.
+    """
+    seen: dict[tuple[int, int], object] = {}
+    memo: dict[tuple[int, int], str | None] = {}  # shared blocks, with their texts once written
+    newlines = ["\n"]  # newline and indent of each depth
+    leaf_of = _LEAVES.get
+
+    def find_shared(obj, depth: int) -> None:
+        key = (id(obj), depth)
+        if key in seen:
+            memo[key] = None
+            return
+        seen[key] = obj
+        if isinstance(obj, dict):
+            children = obj.values()
+        elif isinstance(obj, (list, tuple)):
+            children = obj
+        else:
+            return
+        for v in children:
+            if type(v) not in _LEAVES:
+                find_shared(v, depth + 1)
+
+    def block(opening: str, parts: list[str], depth: int, closing: str) -> str:
+        if not parts:
+            return opening + closing
+        while len(newlines) <= depth + 1:
+            newlines.append(newlines[-1] + "  ")
+        sep = newlines[depth + 1]
+        return opening + sep + ("," + sep).join(parts) + newlines[depth] + closing
+
+    def render(obj, depth: int) -> str:
+        leaf = leaf_of(type(obj))
+        if leaf is not None:
+            return leaf(obj)
+        key = (id(obj), depth)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        inner = depth + 1
+        if isinstance(obj, dict):
+            # keys unique, so the sort never compares two values
+            items = sorted({str(k): v for k, v in obj.items()}.items())
+            parts = [_encode_str(k) + ": "
+                     + (leaf(v) if (leaf := leaf_of(type(v))) else render(v, inner))
+                     for k, v in items]
+            text = block("{", parts, depth, "}")
+        elif isinstance(obj, (list, tuple)):
+            parts = [leaf(v) if (leaf := leaf_of(type(v))) else render(v, inner) for v in obj]
+            text = block("[", parts, depth, "]")
+        elif isinstance(obj, CycNum):
+            text = render(obj.to_json(), depth)
+        elif isinstance(obj, (int, Fraction)):
+            return _encode_str(str(obj))
+        elif isinstance(obj, str):
+            return _encode_str(obj)
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if key in memo:
+            memo[key] = text
+        return text
+
+    find_shared(obj, 0)
+    return render(obj, 0)
 
 
 def _provenance(**overrides) -> dict:
@@ -117,16 +189,17 @@ def _provenance(**overrides) -> dict:
 
 def _emit(report: Report, args) -> bool:
     """Write the report; False, with stdout untouched, if --out cannot be written."""
-    if getattr(args, "out", None):
+    out, as_json = getattr(args, "out", None), getattr(args, "json", False)
+    text = report.payload() if out or as_json else None
+    if out:
         try:
-            with open(args.out, "w") as fh:
-                json.dump(report.payload(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
             return False
-    if getattr(args, "json", False):
-        print(json.dumps(report.payload(), indent=2, sort_keys=True))
+    if as_json:
+        print(text)
     else:
         for line in report.lines:
             print(line)
@@ -234,15 +307,15 @@ def _cmd_verlinde(args) -> Report:
     if args.verlinde_action == "simples":
         _check_simples_size(rs, args.l)
         simples = verlinde.simple_objects(rs, args.l)
-        # the weights of one key share one dimension object: render it once
-        rendered: dict[int, tuple[dict, str]] = {}
+        # the weights of one key share one dimension object: print it once
+        # (the JSON renderer encodes the shared object once too)
+        pretty: dict[int, str] = {}
         entries = []
         for s in simples:
-            forms = rendered.get(id(s.qdim))
-            if forms is None:
-                forms = rendered[id(s.qdim)] = (s.qdim.to_json(), str(s.qdim))
-            entries.append({"weight": list(s.weight), "qdim": forms[0], "pretty": forms[1],
-                            "norm": s.qdim_norm})
+            text = pretty.get(id(s.qdim))
+            if text is None:
+                text = pretty[id(s.qdim)] = str(s.qdim)
+            entries.append({"weight": list(s.weight), "qdim": s.qdim, "pretty": text, "norm": s.qdim_norm})
         result = {"type": rs.label, "l": args.l, "simples": entries}
         rows = [[str(s["weight"]), s["pretty"], str(s["norm"])] for s in result["simples"]]
         lines = [f"{rs.label}, l={args.l}: {len(simples)} simple objects"]
@@ -440,6 +513,8 @@ def _cmd_amplitude(args) -> Report:
     if args.quantum:
         if args.l is None:
             raise PreconditionError("--quantum needs --l")
+        if 2 * args.l > CONDUCTOR_LIMIT:
+            raise PreconditionError(f"--l {args.l} puts the conductor 2l above the limit {CONDUCTOR_LIMIT}")
         cert = amplitude.quantum_certificate(args.l, args.pmax)
         result = {
             "mode": "quantum",

@@ -450,11 +450,6 @@ class CycNum:
         return not any(self.coeffs)
 
     @property
-    def is_integral(self) -> bool:
-        """True iff the element is an algebraic integer."""
-        return self.den == 1
-
-    @property
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 

@@ -16,8 +16,8 @@ from fuscat.amplitude import (
     _dualized_product,
     _inv3,
     _scalar_of,
-    amplitude_T2,
-    amplitude_T4,
+    _square,
+    _theta,
     amplitude_T4_normalized,
     casimir_square_coefficient,
     quantum_T4,
@@ -26,6 +26,18 @@ from fuscat.amplitude import (
 )
 from fuscat.cyclotomic import CycNum, q_integer
 from fuscat.errors import PreconditionError
+
+
+def amplitude_T2(t: Tensor3) -> Fraction:
+    """Theta-graph amplitude Tr(m m*)."""
+    t.validate()
+    return _theta(t, _dualized_product(t))
+
+
+def amplitude_T4(t: Tensor3) -> Fraction:
+    """Square-with-diagonals amplitude Tr(m (1 x m) (m* x 1) m*), unnormalized."""
+    t.validate()
+    return _square(t, _dualized_product(t))
 
 
 def scaled(t, m_factor=1, gram_factor=1):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuscat import arith, cli, cyclotomic, finitegroup, verlinde
+from fuscat import amplitude, arith, cli, cyclotomic, finitegroup, verlinde
 from fuscat.arith import primes_upto
 from fuscat.cli import main
 from fuscat.rootsys import build_root_system, enumerate_alcove
@@ -142,6 +142,23 @@ def test_amplitude_cli(capsys):
     assert code == 0
     assert payload["result"]["square"] == "1/2"
     assert payload["result"]["denominator"] == "2"
+
+
+@pytest.mark.parametrize("l", ["451", "100001", str(10**30)])
+def test_quantum_amplitude_refuses_a_conductor_above_the_limit_at_once(capsys, monkeypatch, l):
+    monkeypatch.setattr(amplitude, "q_integer", lambda *a: pytest.fail("a q-integer was built"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "amplitude", "t4", "--quantum", "--l", l)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: --l {l} puts the conductor 2l above the limit 900\n"
+
+
+def test_quantum_amplitude_admits_the_largest_level(capsys):
+    assert 2 * 450 == cli.CONDUCTOR_LIMIT
+    code, out, err = run(capsys, "amplitude", "t4", "--quantum", "--l", "450")
+    assert code == 0 and err == ""
+    assert out.startswith("quantum square amplitude at l=450: ")
 
 
 def test_amplitude_classical_text(capsys):
