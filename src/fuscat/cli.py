@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Callable
 
 from . import amplitude, gtcat, verlinde
 from .arith import prime_factors, primes_upto, totient
@@ -78,7 +79,8 @@ class Report:
     params: dict
     result: dict
     provenance: dict = field(default_factory=dict)
-    lines: list[str] = field(default_factory=list)
+    # the table, or a function that builds it when it is printed (not for --json)
+    lines: list[str] | Callable[[], list[str]] = field(default_factory=list)
 
     def payload(self) -> str:
         """The JSON text of the report, without a trailing newline."""
@@ -201,7 +203,7 @@ def _emit(report: Report, args) -> bool:
     if as_json:
         print(text)
     else:
-        for line in report.lines:
+        for line in report.lines() if callable(report.lines) else report.lines:
             print(line)
     return True
 
@@ -317,9 +319,12 @@ def _cmd_verlinde(args) -> Report:
                 text = pretty[id(s.qdim)] = str(s.qdim)
             entries.append({"weight": list(s.weight), "qdim": s.qdim, "pretty": text, "norm": s.qdim_norm})
         result = {"type": rs.label, "l": args.l, "simples": entries}
-        rows = [[str(s["weight"]), s["pretty"], str(s["norm"])] for s in result["simples"]]
-        lines = [f"{rs.label}, l={args.l}: {len(simples)} simple objects"]
-        lines += _table(rows, ["weight", "qdim", "norm"])
+
+        def lines() -> list[str]:
+            rows = [[str(e["weight"]), e["pretty"], str(e["norm"])] for e in entries]
+            return [f"{rs.label}, l={args.l}: {len(entries)} simple objects",
+                    *_table(rows, ["weight", "qdim", "norm"])]
+
         return Report("verlinde simples", {"type": args.type, "l": args.l}, result, prov, lines)
     if args.verlinde_action == "classify":
         v = verlinde.classify_prime(rs, args.l, args.p)

@@ -6,22 +6,30 @@ is the unit q^(sum b - sum a) times the principal specialisation
 P(y) = prod (1 - y^a) / prod (1 - y^b), a = (lambda+rho, alpha) and
 b = (rho, alpha).  P is a polynomial with integer coefficients; `qdim`
 builds it with the binomial quotient of `cyclotomic` (the kernel that also
-gives Phi_n) and reduces once in Q(zeta_{2l}).
+gives Phi_n).  Modulo x^(2l) - 1 the dimension is x^e P(x^2) with
+e = sum b - sum a, so one scatter puts coefficient i of P at 2i + e and
+one reduction modulo Phi_{2l} gives the element: no unit is built and
+nothing is multiplied.
 
 Norms of the dimensions decide divisibility by a prime.  They come from
 the prime-power lemma, not from a product of Galois conjugates: with
 d = l/gcd(l, m), N(1 - zeta_l^m) = Phi_d(1)^(phi(2l)/phi(d)), which is
 p^(phi(2l)/phi(d)) when d = p^k and 1 when d has two or more prime
-factors; the unit and the N(1 - zeta_l) factors cancel.  `CycNum.norm`
-stays the generic route and the tests' oracle.
+factors; the unit and the N(1 - zeta_l) factors cancel.  The divisor
+ledger of a call factors l once (by `arith.factorize`, which refuses an l
+it cannot factor within its trial bound) and enters each pairing's
+(Phi_d(1), phi(2l)/phi(d)) when first met; a norm above NORM_BITS_LIMIT
+bits is refused before it is built.  `CycNum.norm` stays the generic
+route and the tests' oracle.
 
 One dimension per key.  At q = zeta_{2l} we have q^l = -1, so
 [a] = [l - a].  Every alcove pairing lies in 1..l-1 and the denominators
 (rho, alpha) do not depend on the weight, so a dimension and its norm
 depend only on the key of the weight: the sorted tuple of min(a, l - a)
 over the positive roots.  `simple_objects` and `alcove_norms` build each
-distinct value once per call, in a dict local to the call; an A4 alcove
-at l = 15 has 1001 weights and 106 keys.  Nothing is kept between calls.
+distinct value once per call, in a dict local to the call, with one
+divisor ledger; an A4 alcove at l = 15 has 1001 weights and 106 keys.
+Nothing is kept between calls.
 
 Pairing coordinates.  (lambda+rho, alpha) = sum_i c_i (w_i + 1) is linear
 in the weight, so the alcove routes carry the vector of pairings along the
@@ -44,17 +52,23 @@ divides the norm of some dimension) serves as an independent check.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import gcd, prod
 from typing import Callable, Iterator, TypeVar
 
-from .arith import is_prime, totient
-from .cyclotomic import CycNum, _principal_specialisation, _scatter, cyclotomic_at_one
+from .arith import factorize, is_prime
+from .cyclotomic import CycNum, _principal_specialisation, _scatter
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import ENUM_CAP_ENV, enum_cap
 from .rootsys import RootSystem, Weight, alcove_size, enumerate_alcove, pairing, rho_pairing
+
+
+# a dimension norm is refused above this many bits before it is built: at
+# the limit the power takes about 0.5 s (2-vCPU host), while the largest
+# norm of A1 at l = 2^14, an alcove under the default cap, has 16383 bits
+NORM_BITS_LIMIT = 1 << 22
 
 
 class Verdict(Enum):
@@ -119,22 +133,62 @@ def qdim_norm(rs: RootSystem, l: int, weight: Weight) -> int:
 
 
 def _qdim(l: int, nums: list[int], dens: list[int]) -> CycNum:
+    # q^e P(q^2) is x^e P(x^2) modulo x^(2l) - 1: one scatter, one reduction
     n = 2 * l
-    folded = _scatter(_principal_specialisation(nums, dens), 2, n)
-    return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
+    return CycNum(n, _scatter(_principal_specialisation(nums, dens), 2, n, sum(dens) - sum(nums)))
 
 
-def _qdim_norm(l: int, nums: list[int], dens: list[int]) -> int:
-    levels = Counter(l // gcd(l, a) for a in nums)
-    levels.subtract(l // gcd(l, b) for b in dens)
-    phi_n = totient(2 * l)
-    exponents: Counter[int] = Counter()
-    for d, k in levels.items():
-        p = cyclotomic_at_one(d)
-        if k and p > 1:
-            exponents[p] += k * (phi_n // totient(d))
+class _DivisorLedger(dict):
+    """The norm ledger of level l: pairing a -> (Phi_d(1), phi(2l)/phi(d))
+    with d = l/gcd(l, a), so that N(1 - zeta_l^a) = Phi_d(1)^(phi(2l)/phi(d));
+    Phi_d(1) is 1 when d is not a prime power.
+
+    l is factored once, at the first entry (so a ledger of an empty alcove
+    factors nothing), and phi(2l) and each phi(d) come from its primes.  A
+    pairing is entered when first met, so a level with many divisors costs
+    no more than its pairings ask for.  A ledger lives for one call.
+    """
+
+    def __init__(self, l: int):
+        super().__init__()
+        self.l = l
+
+    @cached_property
+    def primes(self) -> list[int]:
+        return list(factorize(self.l))
+
+    @cached_property
+    def phi_n(self) -> int:
+        return (2 if self.l % 2 == 0 else 1) * _totient(self.l, self.primes)
+
+    def __missing__(self, a: int) -> tuple[int, int]:
+        d = self.l // gcd(self.l, a)
+        ps = [p for p in self.primes if d % p == 0]
+        value = self[a] = (ps[0] if len(ps) == 1 else 1, self.phi_n // _totient(d, ps))
+        return value
+
+
+def _totient(n: int, primes: list[int]) -> int:
+    """phi(n) from the primes that divide n."""
+    return n // prod(primes) * prod(p - 1 for p in primes)
+
+
+def _qdim_norm(l: int, nums: list[int], dens: list[int], ledger: _DivisorLedger | None = None) -> int:
+    if ledger is None:
+        ledger = _DivisorLedger(l)
+    exponents: dict[int, int] = {}
+    for pairings, sign in ((nums, 1), (dens, -1)):
+        for a in pairings:
+            p, e = ledger[a]
+            if p > 1:
+                exponents[p] = exponents.get(p, 0) + sign * e
     if any(e < 0 for e in exponents.values()):
         raise InternalCheckError(f"dimension norm for pairings {nums} over {dens} is not an integer")
+    bits = sum(e * p.bit_length() for p, e in exponents.items())
+    if bits > NORM_BITS_LIMIT:
+        raise PreconditionError(
+            f"the dimension norm at l={l} would have up to {bits} bits, above the limit {NORM_BITS_LIMIT}"
+        )
     return prod(p**e for p, e in exponents.items())
 
 
@@ -173,12 +227,14 @@ def _alcove_pairings(rs: RootSystem, l: int) -> Iterator[tuple[Weight, list[int]
 
 
 def _per_key(rs: RootSystem, l: int,
-             build: Callable[[int, list[int], list[int]], T]) -> list[tuple[Weight, T]]:
-    """(weight, build(l, nums, dens)) over the level-l alcove, calling build
-    once per distinct dimension key.  The alcove is counted first and
-    refused above the enumeration cap."""
+             build: Callable[[int, list[int], list[int], _DivisorLedger], T]) -> list[tuple[Weight, T]]:
+    """(weight, build(l, nums, dens, ledger)) over the level-l alcove,
+    calling build once per distinct dimension key, with one divisor ledger
+    for the call.  The alcove is counted first and refused above the
+    enumeration cap."""
     check_alcove_size(rs, l, enum_cap(None))
     dens = [rho_pairing(a) for a in rs.positive_roots]
+    ledger = _DivisorLedger(l)
     fold = [min(a, l - a) for a in range(l)]
     values: dict[tuple[int, ...], T] = {}
     out = []
@@ -186,20 +242,31 @@ def _per_key(rs: RootSystem, l: int,
         key = tuple(sorted(map(fold.__getitem__, nums)))
         value = values.get(key)
         if value is None:
-            value = values[key] = build(l, nums, dens)
+            value = values[key] = build(l, nums, dens, ledger)
         out.append((w, value))
     return out
 
 
-def _dimension_and_norm(l: int, nums: list[int], dens: list[int]) -> tuple[CycNum, int]:
-    return _qdim(l, nums, dens), _qdim_norm(l, nums, dens)
+def _dimension_and_norm(l: int, nums: list[int], dens: list[int],
+                        ledger: _DivisorLedger) -> tuple[CycNum, int]:
+    return _qdim(l, nums, dens), _qdim_norm(l, nums, dens, ledger)
 
 
 def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
     """All alcove simples with their exact dimensions and dimension norms;
     weights with equal keys share one dimension, built once.  An alcove
-    above the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused."""
-    return [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm)]
+    above the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused.
+
+    Every quantum dimension is real ([m] is unchanged by q -> q^-1), so the
+    last weight's dimension is checked against its image under
+    z -> z^-1: a unit q^k that the scatter misplaced (k not a multiple of
+    l) would move it off the real line.
+    """
+    simples = [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm)]
+    last = simples[-1]
+    if last.qdim.galois(-1) != last.qdim:
+        raise InternalCheckError(f"the dimension {last.qdim} of {last.weight} at l={l} is not real")
+    return simples
 
 
 def alcove_norms(rs: RootSystem, l: int) -> list[tuple[Weight, int]]:

@@ -2,14 +2,15 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuscat import amplitude, arith, cli, cyclotomic, finitegroup, verlinde
@@ -925,3 +926,91 @@ def test_readme_cli_block_lines_run():
             code = main(argv[1:])
         assert code == 0 and out.getvalue(), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+HUGE_COMPOSITE_LEVELS = ["300000000000000000000000000003",
+                         "9000000000000000000000000000000000000000000000000000000000000003"]
+
+
+@pytest.mark.parametrize("l", HUGE_COMPOSITE_LEVELS)
+def test_classify_refuses_a_level_it_cannot_factor_at_once(capsys, l):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verlinde", "classify", "--type", "A1", "--l", l, "--p", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith(f"error: cannot factor {l}")
+
+
+def test_simples_build_the_table_only_when_it_is_printed(capsys, monkeypatch):
+    headers = []
+    table = cli._table
+
+    def spy(rows, header):
+        headers.append(header)
+        return table(rows, header)
+
+    monkeypatch.setattr(cli, "_table", spy)
+    code, payload = run_json(capsys, "verlinde", "simples", "--type", "A3", "--l", "15")
+    assert code == 0 and len(payload["result"]["simples"]) == 364 and headers == []
+    code, out, _ = run(capsys, "verlinde", "simples", "--type", "A3", "--l", "15")
+    assert code == 0 and headers == [["weight", "qdim", "norm"]]
+    lines = out.splitlines()
+    assert lines[0] == "A3, l=15: 364 simple objects" and len(lines) == 3 + 364
+
+
+class _Overran(Exception):
+    pass
+
+
+@contextmanager
+def _time_bound(seconds: float):
+    """Raise _Overran in the code under test once `seconds` of wall time pass."""
+    def overran(*_args):
+        raise _Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_LABELS = (st.sampled_from(["A1", "A2", "A4", "D4", "D6", "E6", "E7", "E8"])
+           | st.sampled_from(["A0", "A9", "D3", "E5", "F4", "", "a2", " E8 ", "A1x", "-A1"])
+           | st.text(max_size=4))
+# small draws reach every root system's first levels; the largest reach the
+# refusals.  A level p * m with p >= h and --p p reaches the classifier's witness
+_INTS = st.integers(-3, 40) | st.integers(-3, 10**60)
+_DIVISOR_PRIMES = st.sampled_from([2, 3, 5, 7, 13, 31, 1000003])
+
+
+@st.composite
+def _verlinde_argv(draw):
+    action = draw(st.sampled_from(["simples", "classify", "badprimes"]))
+    argv = ["verlinde", action, "--type", draw(_LABELS)]
+    if action == "classify" and draw(st.booleans()):
+        p = draw(_DIVISOR_PRIMES)
+        argv += ["--l", str(p * draw(_INTS)), "--p", str(p)]
+    else:
+        argv += ["--l", str(draw(_INTS))]
+        if action == "classify":
+            argv += ["--p", str(draw(_INTS))]
+    if action == "badprimes" and draw(st.booleans()):
+        argv += ["--pmax", str(draw(_INTS))]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_verlinde_argv())
+@example(argv=["verlinde", "classify", "--type", "A1", "--l", HUGE_COMPOSITE_LEVELS[0], "--p", "3"])
+@example(argv=["verlinde", "classify", "--type", "A1", "--l", HUGE_COMPOSITE_LEVELS[1], "--p", "3"])
+def test_verlinde_exits_zero_or_two_for_every_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), _time_bound(10):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""

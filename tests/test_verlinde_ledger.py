@@ -3,17 +3,22 @@
 `qdim` is the exact quotient q^(sum b - sum a) P(q^2) and `qdim_norm` the
 prime-power ledger.  The oracles here are the quantum Weyl product of
 `q_integer`s divided in Q(zeta_{2l}) through `CycNum.inverse`, and
-`CycNum.norm`.
+`CycNum.norm`.  The routes the dimension and the ledger replaced, the
+unit zeta_{2l}^e times P(zeta_{2l}^2) as a product of two elements and the
+norm tallied in Counters by divisor, are oracles too.
 """
 
 import inspect
 import json
 import time
+from collections import Counter
+from math import gcd, prod
 
 import pytest
 
 from fuscat import cli, verlinde
-from fuscat.cyclotomic import CycNum, q_integer
+from fuscat.arith import totient
+from fuscat.cyclotomic import CycNum, _principal_specialisation, _scatter, cyclotomic_at_one, q_integer
 from fuscat.errors import InternalCheckError, PreconditionError
 from fuscat.rootsys import build_root_system, enumerate_alcove, pairing, rho_pairing
 from fuscat.verlinde import (
@@ -43,6 +48,95 @@ def product_route(rs, l, weight):
         num = num * q_integer(pairing(weight, alpha), l)
         den = den * q_integer(rho_pairing(alpha), l)
     return num / den
+
+
+# the alcoves of the benchmark pool
+POOL_ALCOVES = [("A4", 15), ("D4", 15), ("A3", 15), ("A2", 21), ("A1", 45)]
+
+
+def zeta_product_qdim(l, nums, dens):
+    """The dimension as the unit zeta_{2l}^(sum b - sum a) times P(zeta_{2l}^2):
+    two elements, each reduced, multiplied and reduced again."""
+    n = 2 * l
+    folded = _scatter(_principal_specialisation(nums, dens), 2, n)
+    return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
+
+
+def counter_ledger_norm(l, nums, dens):
+    """The norm tallied by divisor, factoring 2l and every divisor met."""
+    levels = Counter(l // gcd(l, a) for a in nums)
+    levels.subtract(l // gcd(l, b) for b in dens)
+    phi_n = totient(2 * l)
+    exponents = Counter()
+    for d, k in levels.items():
+        p = cyclotomic_at_one(d)
+        if k and p > 1:
+            exponents[p] += k * (phi_n // totient(d))
+    assert all(e >= 0 for e in exponents.values())
+    return prod(p**e for p, e in exponents.items())
+
+
+@pytest.mark.parametrize("label,l", CASES + POOL_ALCOVES)
+def test_one_reduction_and_the_divisor_ledger_match_the_replaced_routes(label, l):
+    rs = build_root_system(label)
+    for s in simple_objects(rs, l):
+        nums, dens = verlinde._weyl_pairings(rs, l, s.weight)
+        ref = zeta_product_qdim(l, nums, dens)
+        assert (s.qdim.conductor, s.qdim.coeffs, s.qdim.den) == (ref.conductor, ref.coeffs, ref.den)
+        assert s.qdim_norm == counter_ledger_norm(l, nums, dens)
+
+
+def test_simples_multiply_no_elements(monkeypatch):
+    _forbid(monkeypatch, (CycNum, "__mul__"), (CycNum, "__rmul__"))
+    assert len(simple_objects(build_root_system("A3"), 15)) == 364
+
+
+def test_a_misplaced_unit_fails_the_reality_check(monkeypatch):
+    scatter = verlinde._scatter
+    monkeypatch.setattr(verlinde, "_scatter", lambda c, s, n, shift=0: scatter(c, s, n, shift + 1))
+    with pytest.raises(InternalCheckError, match="is not real"):
+        simple_objects(build_root_system("A2"), 9)
+
+
+def test_the_keyed_routes_factor_the_level_once(monkeypatch):
+    factored = []
+    factorize = verlinde.factorize
+
+    def spy(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(verlinde, "factorize", spy)
+    a4 = build_root_system("A4")
+    simple_objects(a4, 15)
+    alcove_norms(a4, 15)
+    assert factored == [15, 15]
+
+
+def test_a_level_with_many_divisors_enters_only_the_pairings_met(monkeypatch):
+    entered = []
+    enter = verlinde._DivisorLedger.__missing__
+
+    def spy(ledger, a):
+        entered.append(a)
+        return enter(ledger, a)
+
+    monkeypatch.setattr(verlinde._DivisorLedger, "__missing__", spy)
+    l = prod(p for p in range(3, 48) if all(p % q for q in range(2, p)))  # 14 odd primes, 16384 divisors
+    a2 = build_root_system("A2")
+    assert qdim_norm(a2, l, (0, 0)) == 1
+    assert entered == [1, 2]  # the pairings 1, 1, 2 over the heights 1, 1, 2
+    entered.clear()
+    assert qdim_norm(a2, 15, (2, 1)) == 5**2 * 3**4  # pairings 2, 3, 5: d = 15, 5, 3
+    assert sorted(entered) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("l,p", [(3 * 1000000000000000000000007, 3), (3**40, 3), (31 * 10**6 + 31 * 3, 31)])
+def test_norms_past_the_bit_limit_are_refused_before_they_are_built(l, p):
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="bits, above the limit"):
+        classify_prime(build_root_system("A1"), l, p)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("label,l", CASES)
