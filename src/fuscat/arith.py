@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import isqrt
 from typing import TypeVar
 
 from .errors import PreconditionError
@@ -70,28 +69,20 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    m = n
-    while m % 2 == 0:
-        out[2] = out.get(2, 0) + 1
-        m //= 2
-    start = 3
-    while True:
-        # a bare range loop finds the next factor; the bound moves only when one is found
-        for f in range(start, min(TRIAL_BOUND, isqrt(m)) + 1, 2):
-            if m % f == 0:
-                break
-        else:
+    m, f = n, 2
+    while f * f <= m:
+        if f > TRIAL_BOUND:
+            if not (m < _MR_LIMIT and is_prime(m)):
+                raise PreconditionError(
+                    f"cannot factor {n}: {m} has no prime factor up to {TRIAL_BOUND} and is not provably prime"
+                )
             break
         while m % f == 0:
             out[f] = out.get(f, 0) + 1
             m //= f
-        start = f + 2
+        f += 1 if f == 2 else 2
     if m > 1:
-        if isqrt(m) > TRIAL_BOUND and not (m < _MR_LIMIT and is_prime(m)):
-            raise PreconditionError(
-                f"cannot factor {n}: {m} has no prime factor up to {TRIAL_BOUND} and is not provably prime"
-            )
-        out[m] = 1
+        out[m] = out.get(m, 0) + 1
     return out
 
 

@@ -14,10 +14,9 @@ and a rational lifted to a larger conductor.
 Each coefficient operation has one kernel.  `_principal_specialisation`
 is the binomial quotient prod (1 - x^a) / prod (1 - x^b) in Z[x]; it gives
 Phi_n by Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, and the
-Verlinde quantum dimensions.  `_scatter` is the index map
-f(x) -> x^t f(x^s) modulo x^n - 1 behind Galois conjugation, lifts to a
-larger conductor, folding long coefficient lists and the Verlinde
-dimensions x^e P(x^2).  `_norm_and_cofactor` gives field norms and
+Verlinde quantum dimensions.  `_scatter` is the index map f(x) -> f(x^s)
+modulo x^n - 1 behind Galois conjugation, lifts to a larger conductor and
+folding long coefficient lists.  `_norm_and_cofactor` gives field norms and
 inverses by multi-modular evaluation (Cohen, A Course in Computational
 Algebraic Number Theory, sections 3.3 and 4.3).  It works in steps, each
 modulo a product M of up to eight split primes p = 1 (mod n); the CRT W of
@@ -153,12 +152,12 @@ def _cyclic_mul(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def _scatter(coeffs, s: int, n: int, shift: int = 0) -> list[int]:
-    """Coefficients of x^shift f(x^s) modulo x^n - 1, f given by its coefficients."""
+def _scatter(coeffs, s: int, n: int) -> list[int]:
+    """Coefficients of f(x^s) modulo x^n - 1, f given by its coefficients."""
     out = [0] * n
     for i, v in enumerate(coeffs):
         if v:
-            out[(i * s + shift) % n] += v
+            out[i * s % n] += v
     return out
 
 

@@ -130,11 +130,16 @@ def alcove_size(rs: RootSystem, l: int, limit: int | None = None) -> int:
     return count if limit is None else min(count, limit + 1)
 
 
-def enumerate_alcove(rs: RootSystem, l: int) -> list[Weight]:
-    """Dominant weights with (lambda + rho, theta) < l, in lexicographic order."""
+def check_level(rs: RootSystem, l: int) -> None:
+    """Refuse a level at or below the Coxeter number."""
     h = rs.coxeter_number
     if l <= h:
         raise PreconditionError(f"level l={l} must exceed the Coxeter number h={h}")
+
+
+def enumerate_alcove(rs: RootSystem, l: int) -> list[Weight]:
+    """Dominant weights with (lambda + rho, theta) < l, in lexicographic order."""
+    check_level(rs, l)
     marks = rs.highest_root
     budget = l - 1 - sum(marks)
     out: list[Weight] = []

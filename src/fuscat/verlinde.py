@@ -6,10 +6,8 @@ is the unit q^(sum b - sum a) times the principal specialisation
 P(y) = prod (1 - y^a) / prod (1 - y^b), a = (lambda+rho, alpha) and
 b = (rho, alpha).  P is a polynomial with integer coefficients; `qdim`
 builds it with the binomial quotient of `cyclotomic` (the kernel that also
-gives Phi_n).  Modulo x^(2l) - 1 the dimension is x^e P(x^2) with
-e = sum b - sum a, so one scatter puts coefficient i of P at 2i + e and
-one reduction modulo Phi_{2l} gives the element: no unit is built and
-nothing is multiplied.
+gives Phi_n), folds it to P(q^2) by one scatter and multiplies it by the
+unit q^(sum b - sum a) in Q(zeta_{2l}).
 
 Norms of the dimensions decide divisibility by a prime.  They come from
 the prime-power lemma, not from a product of Galois conjugates: with
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from math import gcd, prod
 from typing import Callable, Iterator, TypeVar
 
@@ -62,7 +59,7 @@ from .arith import factorize, is_prime
 from .cyclotomic import CycNum, _principal_specialisation, _scatter
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import ENUM_CAP_ENV, enum_cap
-from .rootsys import RootSystem, Weight, alcove_size, enumerate_alcove, pairing, rho_pairing
+from .rootsys import RootSystem, Weight, alcove_size, check_level, enumerate_alcove, pairing, rho_pairing
 
 
 # a dimension norm is refused above this many bits before it is built: at
@@ -129,13 +126,13 @@ def qdim_norm(rs: RootSystem, l: int, weight: Weight) -> int:
     N(1 - zeta_d) = Phi_d(1)^(phi(2l)/phi(d)); the N(1 - zeta_l) factors of
     numerator and denominator cancel, and so do the units.
     """
-    return _qdim_norm(l, *_weyl_pairings(rs, l, weight))
+    return _qdim_norm(l, *_weyl_pairings(rs, l, weight), _DivisorLedger(l))
 
 
 def _qdim(l: int, nums: list[int], dens: list[int]) -> CycNum:
-    # q^e P(q^2) is x^e P(x^2) modulo x^(2l) - 1: one scatter, one reduction
     n = 2 * l
-    return CycNum(n, _scatter(_principal_specialisation(nums, dens), 2, n, sum(dens) - sum(nums)))
+    folded = _scatter(_principal_specialisation(nums, dens), 2, n)
+    return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
 
 
 class _DivisorLedger(dict):
@@ -143,23 +140,16 @@ class _DivisorLedger(dict):
     with d = l/gcd(l, a), so that N(1 - zeta_l^a) = Phi_d(1)^(phi(2l)/phi(d));
     Phi_d(1) is 1 when d is not a prime power.
 
-    l is factored once, at the first entry (so a ledger of an empty alcove
-    factors nothing), and phi(2l) and each phi(d) come from its primes.  A
-    pairing is entered when first met, so a level with many divisors costs
-    no more than its pairings ask for.  A ledger lives for one call.
+    l is factored once, and phi(2l) and each phi(d) come from its primes.
+    A pairing is entered when first met, so a level with many divisors
+    costs no more than its pairings ask for.  A ledger lives for one call.
     """
 
     def __init__(self, l: int):
         super().__init__()
         self.l = l
-
-    @cached_property
-    def primes(self) -> list[int]:
-        return list(factorize(self.l))
-
-    @cached_property
-    def phi_n(self) -> int:
-        return (2 if self.l % 2 == 0 else 1) * _totient(self.l, self.primes)
+        self.primes = list(factorize(l))
+        self.phi_n = (2 if l % 2 == 0 else 1) * _totient(l, self.primes)
 
     def __missing__(self, a: int) -> tuple[int, int]:
         d = self.l // gcd(self.l, a)
@@ -173,9 +163,7 @@ def _totient(n: int, primes: list[int]) -> int:
     return n // prod(primes) * prod(p - 1 for p in primes)
 
 
-def _qdim_norm(l: int, nums: list[int], dens: list[int], ledger: _DivisorLedger | None = None) -> int:
-    if ledger is None:
-        ledger = _DivisorLedger(l)
+def _qdim_norm(l: int, nums: list[int], dens: list[int], ledger: _DivisorLedger) -> int:
     exponents: dict[int, int] = {}
     for pairings, sign in ((nums, 1), (dens, -1)):
         for a in pairings:
@@ -231,8 +219,9 @@ def _per_key(rs: RootSystem, l: int,
     """(weight, build(l, nums, dens, ledger)) over the level-l alcove,
     calling build once per distinct dimension key, with one divisor ledger
     for the call.  The alcove is counted first and refused above the
-    enumeration cap."""
+    enumeration cap, and the level is checked before l is factored."""
     check_alcove_size(rs, l, enum_cap(None))
+    check_level(rs, l)
     dens = [rho_pairing(a) for a in rs.positive_roots]
     ledger = _DivisorLedger(l)
     fold = [min(a, l - a) for a in range(l)]
@@ -255,18 +244,8 @@ def _dimension_and_norm(l: int, nums: list[int], dens: list[int],
 def simple_objects(rs: RootSystem, l: int) -> list[VerlindeSimple]:
     """All alcove simples with their exact dimensions and dimension norms;
     weights with equal keys share one dimension, built once.  An alcove
-    above the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused.
-
-    Every quantum dimension is real ([m] is unchanged by q -> q^-1), so the
-    last weight's dimension is checked against its image under
-    z -> z^-1: a unit q^k that the scatter misplaced (k not a multiple of
-    l) would move it off the real line.
-    """
-    simples = [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm)]
-    last = simples[-1]
-    if last.qdim.galois(-1) != last.qdim:
-        raise InternalCheckError(f"the dimension {last.qdim} of {last.weight} at l={l} is not real")
-    return simples
+    above the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused."""
+    return [VerlindeSimple(w, d, n) for w, (d, n) in _per_key(rs, l, _dimension_and_norm)]
 
 
 def alcove_norms(rs: RootSystem, l: int) -> list[tuple[Weight, int]]:

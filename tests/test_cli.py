@@ -1005,6 +1005,8 @@ def _verlinde_argv(draw):
 @given(argv=_verlinde_argv())
 @example(argv=["verlinde", "classify", "--type", "A1", "--l", HUGE_COMPOSITE_LEVELS[0], "--p", "3"])
 @example(argv=["verlinde", "classify", "--type", "A1", "--l", HUGE_COMPOSITE_LEVELS[1], "--p", "3"])
+@example(argv=["verlinde", "simples", "--type", "A1", "--l", "0"])
+@example(argv=["verlinde", "badprimes", "--type", "A2", "--l", "-3"])
 def test_verlinde_exits_zero_or_two_for_every_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), _time_bound(10):

@@ -3,9 +3,8 @@
 `qdim` is the exact quotient q^(sum b - sum a) P(q^2) and `qdim_norm` the
 prime-power ledger.  The oracles here are the quantum Weyl product of
 `q_integer`s divided in Q(zeta_{2l}) through `CycNum.inverse`, and
-`CycNum.norm`.  The routes the dimension and the ledger replaced, the
-unit zeta_{2l}^e times P(zeta_{2l}^2) as a product of two elements and the
-norm tallied in Counters by divisor, are oracles too.
+`CycNum.norm`.  The route the divisor ledger replaced, the norm tallied
+in Counters by divisor, is an oracle too.
 """
 
 import inspect
@@ -18,7 +17,7 @@ import pytest
 
 from fuscat import cli, verlinde
 from fuscat.arith import totient
-from fuscat.cyclotomic import CycNum, _principal_specialisation, _scatter, cyclotomic_at_one, q_integer
+from fuscat.cyclotomic import CycNum, cyclotomic_at_one, q_integer
 from fuscat.errors import InternalCheckError, PreconditionError
 from fuscat.rootsys import build_root_system, enumerate_alcove, pairing, rho_pairing
 from fuscat.verlinde import (
@@ -54,14 +53,6 @@ def product_route(rs, l, weight):
 POOL_ALCOVES = [("A4", 15), ("D4", 15), ("A3", 15), ("A2", 21), ("A1", 45)]
 
 
-def zeta_product_qdim(l, nums, dens):
-    """The dimension as the unit zeta_{2l}^(sum b - sum a) times P(zeta_{2l}^2):
-    two elements, each reduced, multiplied and reduced again."""
-    n = 2 * l
-    folded = _scatter(_principal_specialisation(nums, dens), 2, n)
-    return CycNum.zeta(n, sum(dens) - sum(nums)) * CycNum(n, folded)
-
-
 def counter_ledger_norm(l, nums, dens):
     """The norm tallied by divisor, factoring 2l and every divisor met."""
     levels = Counter(l // gcd(l, a) for a in nums)
@@ -77,25 +68,10 @@ def counter_ledger_norm(l, nums, dens):
 
 
 @pytest.mark.parametrize("label,l", CASES + POOL_ALCOVES)
-def test_one_reduction_and_the_divisor_ledger_match_the_replaced_routes(label, l):
+def test_the_divisor_ledger_matches_the_counter_ledger(label, l):
     rs = build_root_system(label)
-    for s in simple_objects(rs, l):
-        nums, dens = verlinde._weyl_pairings(rs, l, s.weight)
-        ref = zeta_product_qdim(l, nums, dens)
-        assert (s.qdim.conductor, s.qdim.coeffs, s.qdim.den) == (ref.conductor, ref.coeffs, ref.den)
-        assert s.qdim_norm == counter_ledger_norm(l, nums, dens)
-
-
-def test_simples_multiply_no_elements(monkeypatch):
-    _forbid(monkeypatch, (CycNum, "__mul__"), (CycNum, "__rmul__"))
-    assert len(simple_objects(build_root_system("A3"), 15)) == 364
-
-
-def test_a_misplaced_unit_fails_the_reality_check(monkeypatch):
-    scatter = verlinde._scatter
-    monkeypatch.setattr(verlinde, "_scatter", lambda c, s, n, shift=0: scatter(c, s, n, shift + 1))
-    with pytest.raises(InternalCheckError, match="is not real"):
-        simple_objects(build_root_system("A2"), 9)
+    for w, norm in alcove_norms(rs, l):
+        assert norm == counter_ledger_norm(l, *verlinde._weyl_pairings(rs, l, w))
 
 
 def test_the_keyed_routes_factor_the_level_once(monkeypatch):
@@ -111,6 +87,15 @@ def test_the_keyed_routes_factor_the_level_once(monkeypatch):
     simple_objects(a4, 15)
     alcove_norms(a4, 15)
     assert factored == [15, 15]
+
+
+@pytest.mark.parametrize("l", [-3, 0, 1, 3])
+def test_keyed_routes_refuse_a_level_at_or_below_h_before_factoring_it(monkeypatch, l):
+    monkeypatch.setattr(verlinde, "factorize", lambda n: pytest.fail(f"factored {n}"))
+    a2 = build_root_system("A2")
+    for route in (simple_objects, alcove_norms):
+        with pytest.raises(PreconditionError, match="must exceed the Coxeter number h=3"):
+            route(a2, l)
 
 
 def test_a_level_with_many_divisors_enters_only_the_pairings_met(monkeypatch):
