@@ -1,4 +1,4 @@
-"""Small integer helpers: primality, factorization, divisors, totient, Moebius."""
+"""Small integer helpers: primality, factorization, totient, prime witnesses."""
 
 from __future__ import annotations
 
@@ -100,24 +100,11 @@ def prime_witnesses(pairs: Iterable[tuple[int, T]]) -> dict[int, T]:
     return dict(sorted(out.items()))
 
 
-def divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def totient(n: int) -> int:
     t = n
     for p in factorize(n):
         t = t // p * (p - 1)
     return t
-
-
-def mobius(n: int) -> int:
-    """0 unless n is squarefree, else (-1) to the number of prime factors of n."""
-    fac = factorize(n)
-    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
 
 def p_part(n: int, p: int) -> int:

@@ -5,8 +5,8 @@ amplitude, crosscheck.  Output is a deterministic aligned table by default
 or a JSON report with --json / --out; all numbers in JSON are rendered as
 decimal strings so arbitrarily large values survive any JSON parser.  The
 JSON text is written by one recursive renderer, with sorted keys and a
-two-space indent; a block the report shares (a dict, list, tuple or CycNum
-reached again at the same depth) is encoded once and spliced in after.
+two-space indent; a CycNum the report shares (reached again at the same
+depth) is encoded once and spliced in after.
 
 Exit codes: 0 success, 2 violated precondition, bad usage or a report that
 cannot be written (an --out path, or a stdout whose reader has gone), 1
@@ -32,10 +32,10 @@ from .errors import InternalCheckError, PreconditionError
 from .finitegroup import (
     DEFAULT_ENUM_CAP,
     TABLE_FACTOR,
+    Perm,
     PermGroup,
     builtin_group,
     char_degrees,
-    double_cosets,
     enum_cap,
     ito_michler_verify,
     parse_gens,
@@ -109,31 +109,13 @@ def render_json(obj) -> str:
 
     Ints and Fractions become quoted decimals, a CycNum its `to_json()`,
     dict keys their `str()`, sorted; the layout is `json.dumps(indent=2,
-    sort_keys=True)`.  A dict, list, tuple or CycNum met more than once at
-    the same depth is rendered once and spliced in after.  A first walk
-    finds those blocks, so that only their texts are kept; it holds every
-    object it meets, so no id is reused while the text is written.
+    sort_keys=True)`.  A CycNum met again at the same depth (the weights of
+    one Verlinde key share their dimension) is encoded once; the report
+    holds every CycNum while the text is written, so no id is reused.
     """
-    seen: dict[tuple[int, int], object] = {}
-    memo: dict[tuple[int, int], str | None] = {}  # shared blocks, with their texts once written
+    memo: dict[tuple[int, int], str] = {}  # CycNum texts by (id, depth)
     newlines = ["\n"]  # newline and indent of each depth
     leaf_of = _LEAVES.get
-
-    def find_shared(obj, depth: int) -> None:
-        key = (id(obj), depth)
-        if key in seen:
-            memo[key] = None
-            return
-        seen[key] = obj
-        if isinstance(obj, dict):
-            children = obj.values()
-        elif isinstance(obj, (list, tuple)):
-            children = obj
-        else:
-            return
-        for v in children:
-            if type(v) not in _LEAVES:
-                find_shared(v, depth + 1)
 
     def block(opening: str, parts: list[str], depth: int, closing: str) -> str:
         if not parts:
@@ -147,10 +129,6 @@ def render_json(obj) -> str:
         leaf = leaf_of(type(obj))
         if leaf is not None:
             return leaf(obj)
-        key = (id(obj), depth)
-        text = memo.get(key)
-        if text is not None:
-            return text
         inner = depth + 1
         if isinstance(obj, dict):
             # keys unique, so the sort never compares two values
@@ -158,23 +136,22 @@ def render_json(obj) -> str:
             parts = [_encode_str(k) + ": "
                      + (leaf(v) if (leaf := leaf_of(type(v))) else render(v, inner))
                      for k, v in items]
-            text = block("{", parts, depth, "}")
-        elif isinstance(obj, (list, tuple)):
+            return block("{", parts, depth, "}")
+        if isinstance(obj, (list, tuple)):
             parts = [leaf(v) if (leaf := leaf_of(type(v))) else render(v, inner) for v in obj]
-            text = block("[", parts, depth, "]")
-        elif isinstance(obj, CycNum):
-            text = render(obj.to_json(), depth)
-        elif isinstance(obj, (int, Fraction)):
+            return block("[", parts, depth, "]")
+        if isinstance(obj, CycNum):
+            key = (id(obj), depth)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = render(obj.to_json(), depth)
+            return text
+        if isinstance(obj, (int, Fraction)):
             return _encode_str(str(obj))
-        elif isinstance(obj, str):
+        if isinstance(obj, str):
             return _encode_str(obj)
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        if key in memo:
-            memo[key] = text
-        return text
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    find_shared(obj, 0)
     return render(obj, 0)
 
 
@@ -387,20 +364,27 @@ def _load_group(args) -> tuple[PermGroup, int]:
     any permutation is built: the element table has at least that many points.
     """
     cap = enum_cap(args.cap)
-    degree = getattr(args, "degree", None)
+    degree = args.degree
     bound = f"{TABLE_FACTOR} x the enumeration cap {cap}"
     if degree is not None and not 1 <= degree <= TABLE_FACTOR * cap:
         raise PreconditionError(f"--degree {degree} is not positive" if degree < 1
                                 else f"--degree {degree} exceeds {bound}")
-    if getattr(args, "group", None):
+    if args.group:
         if degree is not None:
             raise PreconditionError("--degree applies only to --gens")
+        if args.gens:
+            raise PreconditionError("--gens and --group each name a group; give one")
         return builtin_group(args.group, cap=cap), cap
-    if getattr(args, "gens", None):
+    if args.gens:
         _check_points(args.gens, TABLE_FACTOR * cap, bound)
         gens = parse_gens(args.gens, degree)
         return PermGroup.from_generators(gens, cap=cap), cap
     raise PreconditionError("give a group via --group NAME or --gens CYCLES")
+
+
+def _group_params(args, **extra) -> dict:
+    """A report's params for the group the arguments name, with extra."""
+    return {"group": args.group, "gens": args.gens, "degree": args.degree, **extra}
 
 
 def _group_result(g: PermGroup) -> dict:
@@ -430,8 +414,7 @@ def _cmd_group(args) -> Report:
         f"{ {b['prime']: b['witness_degree'] for b in result['bad_primes']} }",
         f"good primes dividing |G|: {result['good_primes_dividing_order']}",
     ]
-    return Report("group", {"group": getattr(args, 'group', None), "gens": getattr(args, 'gens', None)},
-                  result, prov, lines)
+    return Report("group", _group_params(args), result, prov, lines)
 
 
 def _subgroup_of(g: PermGroup, args) -> PermGroup:
@@ -441,13 +424,18 @@ def _subgroup_of(g: PermGroup, args) -> PermGroup:
     return g.subgroup(parse_gens(args.subgroup_gens, g.degree))
 
 
+def _double_cosets(simples: list[gtcat.GTSimple], h: PermGroup) -> list[tuple[Perm, int]]:
+    """(rep, |HxH|) per double coset, read from the simples of (G, H) in their
+    order; |HxH| = |H|^2/|H^x| is checked by the orbit pass."""
+    return list(dict.fromkeys((s.coset_rep, h.order**2 // s.stabilizer_order) for s in simples))
+
+
 def _cmd_gtcat(args) -> Report:
     g, cap = _load_group(args)
     h = _subgroup_of(g, args)
     prov = _provenance(cocycle_restriction=gtcat.COCYCLE_RESTRICTION, enum_cap=cap)
     simples = gtcat.enumerate_simples(g, h)
-    # one entry per double coset; |HxH| = |H|^2/|H^x| is checked by the orbit pass
-    dcs = list(dict.fromkeys((s.coset_rep, h.order**2 // s.stabilizer_order) for s in simples))
+    dcs = _double_cosets(simples, h)
     cycles = {r: perm_to_cycles(r) for r, _ in dcs}  # each coset rep rendered once
     result = {
         "order": g.order,
@@ -480,9 +468,7 @@ def _cmd_gtcat(args) -> Report:
     if "bad_primes" in result:
         lines.append(f"bad primes: {[b['prime'] for b in result['bad_primes']]}")
     lines.append(f"note: {gtcat.COCYCLE_RESTRICTION}")
-    return Report(f"gtcat {args.gtcat_action}",
-                  {"group": getattr(args, 'group', None), "gens": getattr(args, 'gens', None),
-                   "subgroup_gens": args.subgroup_gens},
+    return Report(f"gtcat {args.gtcat_action}", _group_params(args, subgroup_gens=args.subgroup_gens),
                   result, prov, lines)
 
 
@@ -509,8 +495,7 @@ def _cmd_ito_michler(args) -> Report:
     else:
         lines = [f"p = {args.p}: NotApplicable ({rep.reason})"]
     prov = _provenance(enum_cap=cap)
-    return Report("ito-michler", {"group": getattr(args, 'group', None), "p": args.p},
-                  result, prov, lines)
+    return Report("ito-michler", _group_params(args, p=args.p), result, prov, lines)
 
 
 def _cmd_amplitude(args) -> Report:
@@ -542,6 +527,8 @@ def _cmd_amplitude(args) -> Report:
         ]
         prov = _provenance(q_convention=Q_CONVENTION)
         return Report("amplitude t4", {"mode": "quantum", "l": args.l}, result, prov, lines)
+    if args.l is not None:
+        raise PreconditionError("--l applies only to --quantum")
     t = amplitude.sl2_adjoint()
     val = amplitude.amplitude_T4_normalized(t)
     other = amplitude.casimir_square_coefficient(t)
@@ -575,8 +562,11 @@ def _cmd_crosscheck(args) -> Report:
     def add(name: str, ok: bool, note: str = "") -> None:
         checks.append((name, ok, note))
 
+    if args.all and args.group is not None:
+        raise PreconditionError("--group does not apply with --all")
+    group = "S3" if args.group is None else args.group
     cap = enum_cap(args.cap)
-    groups = CROSSCHECK_CORPUS if args.all else [args.group]
+    groups = CROSSCHECK_CORPUS if args.all else [group]
     for name in groups:
         g = builtin_group(name, cap=cap)
         degrees = char_degrees(g)
@@ -584,16 +574,18 @@ def _cmd_crosscheck(args) -> Report:
             sum(d * d for d in degrees) == g.order, f"degrees {list(degrees)}")
         add(f"{name}: #degrees = #classes", len(degrees) == len(g.conjugacy_classes()))
         rep_bad = set(rep_bad_primes(g))
-        gt_bad_full = set(gtcat.gt_bad_primes(g, g))
+        full = gtcat.enumerate_simples(g, g)
+        gt_bad_full = set(gtcat.gt_bad_primes(g, g, full))
         add(f"{name}: bimodule category over (G,G) matches the representation verdicts",
             rep_bad == gt_bad_full, f"bad primes {sorted(rep_bad)}")
         trivial = g.subgroup(parse_gens("e", g.degree))
+        pointed = gtcat.enumerate_simples(g, trivial)
         add(f"{name}: pointed category (H = e) has no bad primes",
-            gtcat.gt_bad_primes(g, trivial) == {})
-        dcs = double_cosets(g, trivial)
+            gtcat.gt_bad_primes(g, trivial, pointed) == {})
+        dcs = _double_cosets(pointed, trivial)
         add(f"{name}: double cosets of the trivial subgroup are singletons",
             len(dcs) == g.order and all(s == 1 for _, s in dcs))
-        for rep, size in double_cosets(g, g):
+        for rep, size in _double_cosets(full, g):
             add(f"{name}: single double coset for H = G", size == g.order)
         for p in prime_factors(g.order):
             ito_michler_verify(g, p)  # raises on any structural violation
@@ -629,7 +621,7 @@ def _cmd_crosscheck(args) -> Report:
     lines.append(f"crosscheck: {sum(c[1] for c in checks)}/{len(checks)} passed")
     result = {"checks": [{"name": c[0], "passed": c[1], "note": c[2] or None} for c in checks],
               "all_passed": ok}
-    report = Report("crosscheck", {"group": "corpus" if args.all else args.group}, result,
+    report = Report("crosscheck", {"group": "corpus" if args.all else group}, result,
                     _provenance(q_convention=Q_CONVENTION,
                                 cocycle_restriction=gtcat.COCYCLE_RESTRICTION,
                                 enum_cap=cap), lines)
@@ -729,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_amplitude)
 
     p = sub.add_parser("crosscheck", help="run the cross-module consistency harness")
-    p.add_argument("--group", default="S3")
+    p.add_argument("--group", help="builtin group to check (default S3)")
     p.add_argument("--all", action="store_true", help="run over the whole builtin corpus")
     p.add_argument("--cap", type=int)
     _add_output_flags(p)

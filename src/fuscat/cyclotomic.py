@@ -48,7 +48,7 @@ from itertools import accumulate, count
 from math import gcd, lcm, log2
 from operator import add, mul
 
-from .arith import divisors, factorize, is_prime, mobius, totient
+from .arith import factorize, is_prime, totient
 from .errors import InternalCheckError, PreconditionError
 
 
@@ -89,16 +89,14 @@ def _principal_specialisation(nums: list[int], dens: list[int]) -> list[int]:
 def cyclotomic_polynomial(n: int) -> CycPoly:
     """The n-th cyclotomic polynomial: x - 1 for n = 1, and for n > 1 the
     Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, the binomial quotient
-    prod_{d | n} (1 - x^d)^mu(n/d)."""
+    prod_{d | n} (1 - x^d)^mu(n/d), with the divisors split by `_slope_factors`."""
     if n < 1:
         raise PreconditionError("cyclotomic polynomial needs n >= 1")
     if n == 1:
         f = [-1, 1]
     else:
-        divs = divisors(n)
-        f = _principal_specialisation(
-            [d for d in divs if mobius(n // d) == 1], [d for d in divs if mobius(n // d) == -1]
-        )
+        over, under = _slope_factors(n)
+        f = _principal_specialisation([n, *under], over)
     if f[-1] != 1 or len(f) - 1 != totient(n):
         raise InternalCheckError(f"cyclotomic polynomial for n={n} is malformed")
     return CycPoly(tuple(f))

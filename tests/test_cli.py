@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -578,6 +579,29 @@ def test_degree_is_refused_beside_a_builtin(capsys, argv):
     assert code == 2 and out == "" and err == "error: --degree applies only to --gens\n"
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["group", "--gens", "(1 2 3)", "--degree", "5"], {"group": None, "gens": "(1 2 3)", "degree": "5"}),
+    (["gtcat", "simples", "--gens", "(1 2 3)", "--degree", "5"],
+     {"group": None, "gens": "(1 2 3)", "degree": "5", "subgroup_gens": None}),
+    (["ito-michler", "--gens", "(1 2 3)", "--p", "3"],
+     {"group": None, "gens": "(1 2 3)", "degree": None, "p": "3"}),
+    (["ito-michler", "--group", "A4", "--p", "2"], {"group": "A4", "gens": None, "degree": None, "p": "2"}),
+])
+def test_group_params_name_the_group(capsys, argv, params):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["params"] == params
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["amplitude", "t4", "--classical", "--l", "5"], "--l applies only to --quantum"),
+    (["crosscheck", "--all", "--group", "S5"], "--group does not apply with --all"),
+    (["group", "--group", "S3", "--gens", "(1 2)"], "--gens and --group each name a group; give one"),
+])
+def test_flags_that_do_not_apply_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_points_up_to_the_table_bound_still_answer(capsys):
     code, out, _ = run(capsys, "group", "--gens", "(1 2)", "--degree", "5000", "--cap", "100")
     assert code == 0 and out.startswith("|G| = 2 on 5000 points")
@@ -792,6 +816,8 @@ crosscheck: 12/12 passed
 def test_crosscheck_report_is_fixed(capsys, monkeypatch):
     monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
     assert run(capsys, "crosscheck", "--group", "S3") == (0, CROSSCHECK_S3, "")
+    assert run(capsys, "crosscheck") == (0, CROSSCHECK_S3, "")
+    assert run_json(capsys, "crosscheck")[1]["params"] == {"group": "S3"}
     # one cap governs the whole report: --cap bounds the A1, l=9 alcove too
     monkeypatch.setenv("FUSCAT_ENUM_CAP", "7")
     assert run(capsys, "crosscheck", "--group", "S3", "--cap", "100") == (0, CROSSCHECK_S3, "")
@@ -1010,6 +1036,84 @@ def _verlinde_argv(draw):
 def test_verlinde_exits_zero_or_two_for_every_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), _time_bound(10):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""
+
+
+# the gate for the other subcommands.  A --degree or a --gens point within the
+# table bound builds permutations on that many points before any group is
+# formed (0.65 s and 186 MB at 10^6), so those draws are small or above it
+_ABOVE_TABLE = st.integers(cli.TABLE_FACTOR * cli.DEFAULT_ENUM_CAP + 1, 10**60)
+_POINTS = st.integers(1, 12) | st.integers(0, 12) | _ABOVE_TABLE  # mostly valid points
+_DEGREES = st.integers(-3, 40) | _ABOVE_TABLE
+# a raised cap admits --gens points up to 100 x cap: --cap 10^15 with
+# --gens "(1 99999999999)" would build a permutation on 10^11 points, so no
+# --cap draw goes above the default (and FUSCAT_ENUM_CAP is cleared)
+_CAPS = st.integers(-3, 40) | st.integers(1, cli.DEFAULT_ENUM_CAP)
+_CYCLES = (st.lists(st.lists(_POINTS, max_size=4).map(lambda c: "(" + " ".join(map(str, c)) + ")"),
+                    max_size=3).map(", ".join)
+           | st.lists(st.sampled_from(["(", ")", " ", ",", "e", "-", "x"]) | _POINTS.map(str),
+                      max_size=8).map("".join))
+_NAMES = st.sampled_from(["S3", "S4", "A4", "A5", "D8", "D12", "C12", "Q8", "SL23", "S3xC4", "C1", "S7"])
+_GROUPS = (_NAMES | _NAMES  # mostly valid names
+           | st.sampled_from(["", "S", "S0", "A0", "D3", "Q9", "SL24", "s3", "-S3", "S3x", "xC4", "S3xxC2"])
+           | st.tuples(st.sampled_from("SACDQ"), _INTS).map(lambda t: f"{t[0]}{t[1]}")
+           | st.text(max_size=4))
+
+
+_SOMETIMES = st.sampled_from([True, False, False])
+
+
+def _flag(draw, name, values, given=st.booleans()):
+    return [name, str(draw(values))] if draw(given) else []
+
+
+def _group_flags(draw):
+    source = draw(st.sampled_from(["--group", "--gens", "--group", "--gens", "both", "neither"]))
+    argv = ["--group", draw(_GROUPS)] if source in ("--group", "both") else []
+    argv += ["--gens", draw(_CYCLES)] if source in ("--gens", "both") else []
+    return argv + _flag(draw, "--degree", _DEGREES, _SOMETIMES) + _flag(draw, "--cap", _CAPS, _SOMETIMES)
+
+
+@st.composite
+def _subcommand_argv(draw, command):
+    if command == "cyc":
+        argv = ["cyc", draw(_ELEMENTS), *_flag(draw, "--n", _INTS), *_flag(draw, "--galois", _INTS)]
+        argv += ["--norm"] if draw(st.booleans()) else []
+    elif command == "lemma-norm":
+        argv = ["lemma-norm", *_flag(draw, "--nmax", _INTS)]
+    elif command == "group":
+        argv = ["group", *_group_flags(draw)]
+    elif command == "gtcat":
+        argv = ["gtcat", draw(st.sampled_from(["simples", "badprimes"])), *_group_flags(draw)]
+        argv += _flag(draw, "--subgroup-gens", _CYCLES)
+    elif command == "ito-michler":
+        argv = ["ito-michler", *_group_flags(draw), "--p", str(draw(_INTS | st.sampled_from([2, 3, 5, 7])))]
+    elif command == "amplitude":
+        mode = draw(st.sampled_from(["--classical", "--quantum", "--classical", "--quantum", "", "both"]))
+        argv = ["amplitude", draw(st.sampled_from(["t4", "t4", "t4", "t3"]))]
+        argv += {"": [], "both": ["--classical", "--quantum"]}.get(mode, [mode])
+        argv += _flag(draw, "--l", _INTS, st.just(mode == "--quantum") | _SOMETIMES)
+        argv += _flag(draw, "--pmax", _INTS)
+    else:
+        argv = ["crosscheck", *_flag(draw, "--group", _GROUPS), *_flag(draw, "--cap", _CAPS, _SOMETIMES)]
+        argv += ["--all"] if draw(_SOMETIMES) else []
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@pytest.mark.parametrize("command", ["cyc", "lemma-norm", "group", "gtcat", "ito-michler", "amplitude",
+                                     "crosscheck"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_exits_zero_or_two_for_every_argv(command, data):
+    argv = data.draw(_subcommand_argv(command))
+    env = {k: v for k, v in os.environ.items() if k != "FUSCAT_ENUM_CAP"}
+    out, err = io.StringIO(), io.StringIO()
+    with patch.dict(os.environ, env, clear=True), redirect_stdout(out), redirect_stderr(err), _time_bound(10):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors

@@ -83,3 +83,20 @@ def test_one_orbit_pass_per_gtcat_request(monkeypatch, capsys, action):
     capsys.readouterr()
     assert code == 0
     assert calls == [(24, 4)]
+
+
+def test_two_orbit_passes_per_crosscheck_group(monkeypatch, capsys):
+    # one pass for H = G and one for H = e, shared by the verdicts and the double cosets
+    calls = []
+    orbits = finitegroup.double_coset_orbits
+
+    def counting(g, h):
+        calls.append((g.order, h.order))
+        return orbits(g, h)
+
+    monkeypatch.setattr(finitegroup, "double_coset_orbits", counting)
+    monkeypatch.setattr(gtcat, "double_coset_orbits", counting)
+    code = main(["crosscheck", "--group", "S4"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == [(24, 24), (24, 1)]

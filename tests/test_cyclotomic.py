@@ -22,7 +22,7 @@ from fuscat.cyclotomic import (
     parse_element,
     q_integer,
 )
-from fuscat.arith import factorize, is_prime, mobius, totient
+from fuscat.arith import factorize, is_prime, totient
 from fuscat.errors import InternalCheckError, PreconditionError
 
 from cyc_helpers import is_integral
@@ -122,11 +122,6 @@ def test_phi_against_sympy(n):
 def test_phi_degree_is_totient():
     for n in range(1, 80):
         assert len(cyclotomic_polynomial(n).coeffs) - 1 == totient(n)
-
-
-def test_mobius_against_sympy():
-    for n in range(1, 301):
-        assert mobius(n) == sympy.mobius(n)
 
 
 # --- field arithmetic examples
