@@ -357,8 +357,9 @@ def _check_points(cycles: str, limit: int, bound: str) -> None:
             raise PreconditionError(f"point {digits} exceeds {bound}")
 
 
-def _load_group(args) -> tuple[PermGroup, int]:
-    """The group the arguments name, and the enumeration cap in force.
+def _load_group(args) -> PermGroup:
+    """The group the arguments name, admitted under the enumeration cap in
+    force (its `cap`).
 
     A --degree or a --gens point above TABLE_FACTOR x cap is refused before
     any permutation is built: the element table has at least that many points.
@@ -374,11 +375,11 @@ def _load_group(args) -> tuple[PermGroup, int]:
             raise PreconditionError("--degree applies only to --gens")
         if args.gens:
             raise PreconditionError("--gens and --group each name a group; give one")
-        return builtin_group(args.group, cap=cap), cap
+        return builtin_group(args.group, cap=cap)
     if args.gens:
         _check_points(args.gens, TABLE_FACTOR * cap, bound)
         gens = parse_gens(args.gens, degree)
-        return PermGroup.from_generators(gens, cap=cap), cap
+        return PermGroup.from_generators(gens, cap)
     raise PreconditionError("give a group via --group NAME or --gens CYCLES")
 
 
@@ -403,9 +404,9 @@ def _group_result(g: PermGroup) -> dict:
 
 
 def _cmd_group(args) -> Report:
-    g, cap = _load_group(args)
+    g = _load_group(args)
     result = _group_result(g)
-    prov = _provenance(enum_cap=cap)
+    prov = _provenance(enum_cap=g.cap)
     lines = [
         f"|G| = {g.order} on {g.degree} points",
         f"conjugacy classes: {len(result['classes'])}",
@@ -431,9 +432,9 @@ def _double_cosets(simples: list[gtcat.GTSimple], h: PermGroup) -> list[tuple[Pe
 
 
 def _cmd_gtcat(args) -> Report:
-    g, cap = _load_group(args)
+    g = _load_group(args)
     h = _subgroup_of(g, args)
-    prov = _provenance(cocycle_restriction=gtcat.COCYCLE_RESTRICTION, enum_cap=cap)
+    prov = _provenance(cocycle_restriction=gtcat.COCYCLE_RESTRICTION, enum_cap=g.cap)
     simples = gtcat.enumerate_simples(g, h)
     dcs = _double_cosets(simples, h)
     cycles = {r: perm_to_cycles(r) for r, _ in dcs}  # each coset rep rendered once
@@ -473,7 +474,7 @@ def _cmd_gtcat(args) -> Report:
 
 
 def _cmd_ito_michler(args) -> Report:
-    g, cap = _load_group(args)
+    g = _load_group(args)
     rep = ito_michler_verify(g, args.p)
     result = {
         "prime": rep.prime,
@@ -494,7 +495,7 @@ def _cmd_ito_michler(args) -> Report:
         ]
     else:
         lines = [f"p = {args.p}: NotApplicable ({rep.reason})"]
-    prov = _provenance(enum_cap=cap)
+    prov = _provenance(enum_cap=g.cap)
     return Report("ito-michler", _group_params(args, p=args.p), result, prov, lines)
 
 

@@ -66,16 +66,17 @@ class CycPoly:
 def _principal_specialisation(nums: list[int], dens: list[int]) -> list[int]:
     """Coefficients of prod (1 - x^a) / prod (1 - x^b) in Z[x].
 
-    Factors common to both sides cancel first.  Multiplying by 1 - x^a and
-    dividing by 1 - x^b are O(degree) recurrences; every division must be
-    exact.
+    Factors common to both sides cancel first, and every product comes
+    before any division.  Multiplying by 1 - x^a and dividing by 1 - x^b
+    are O(degree) recurrences; every division must be exact.
     """
-    top, bottom = Counter(nums), Counter(dens)
+    net = Counter(nums)
+    net.subtract(dens)
     c = [1]
-    for a in (top - bottom).elements():
+    for a in net.elements():
         c += [0] * a
         c = c[:a] + [x - y for x, y in zip(c[a:], c)]
-    for b in (bottom - top).elements():
+    for b in (-net).elements():
         # quotient q_k = c_k + q_(k-b): a running sum along each residue class mod b
         for r in range(b):
             c[r::b] = accumulate(c[r::b])

@@ -3,7 +3,9 @@
 Groups are enumerated explicitly (orbit closure of the generators) up to a
 configurable cap on the order, which also bounds the element table at
 TABLE_FACTOR x cap points (order x degree); conjugacy classes are computed
-on the element table.
+on the element table.  A group records the cap it was admitted under, and
+its subgroups, double-coset stabilizers and A_n's table are enumerated
+under that cap: they lie inside the group, so they pass both bounds.
 Every product a*b is one C-level gather, `operator.itemgetter(*a)(b)`,
 and a loop that multiplies by a fixed operand builds its gather once.
 Double cosets and their stabilizers come from one pass over the H-orbits
@@ -50,10 +52,9 @@ import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import permutations
 from math import factorial, isqrt, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .arith import is_prime, p_part, prime_factors, prime_witnesses
 from .errors import InternalCheckError, PreconditionError
@@ -218,8 +219,11 @@ class PermGroup:
         elements: list[Perm] | None = None,
         factors: tuple[PermGroup, ...] = (),
         family: tuple[str, int] | None = None,
+        cap: int | None = None,
     ):
         self.degree = degree
+        # the enumeration cap the group was admitted under
+        self.cap = cap
         self.generators = [_pad(g, degree) for g in generators]
         # G1, ..., Gr when the group was built as their direct product
         self.factors = factors
@@ -239,24 +243,20 @@ class PermGroup:
         self._degrees: tuple[int, ...] | None = None
 
     @classmethod
-    def from_generators(
-        cls, generators: list[Perm], degree: int | None = None, cap: int | None = None,
-        *, table_check: bool = True,
-    ) -> "PermGroup":
+    def from_generators(cls, generators: list[Perm], cap: int | None = None) -> "PermGroup":
         """The group the generators generate, enumerated by orbit closure.
 
         Refused once it has more than `cap` elements, or more than
-        TABLE_FACTOR * cap table points (order x degree).  The table test is
-        off only for generators inside a group whose table already passed it.
+        TABLE_FACTOR * cap table points (order x degree).  The group records
+        the cap; closures inside it are enumerated under the same cap, which
+        they cannot trip.
         """
         if not generators:
             raise PreconditionError("need at least one generator")
         deg = max(len(g) for g in generators)
-        if degree:
-            deg = max(deg, degree)
         gens = [_pad(g, deg) for g in generators]
         cap = enum_cap(cap)
-        limit = min(cap, TABLE_FACTOR * cap // deg) if table_check else cap
+        limit = min(cap, TABLE_FACTOR * cap // deg)
         # closure under left multiplication u -> s*u: the same set as the
         # right closure, and the constructor sorts it
         left = [_gather(s) for s in gens]
@@ -273,7 +273,7 @@ class PermGroup:
                         if len(seen) > limit:
                             raise _cap_exceeded(cap) if len(seen) > cap else _table_exceeded(cap)
             frontier = nxt
-        return cls(deg, gens, list(seen))
+        return cls(deg, gens, list(seen), cap=cap)
 
     @property
     def order(self) -> int:
@@ -294,8 +294,7 @@ class PermGroup:
             elif _checked_family(self)[0] == "S":
                 elements = list(permutations(range(self.degree)))
             else:
-                elements = PermGroup.from_generators(self.generators, self.degree, cap=self.order,
-                                                     table_check=False).elements
+                elements = PermGroup.from_generators(self.generators, self.cap).elements
             self._elements = elements
         return self._elements
 
@@ -319,7 +318,7 @@ class PermGroup:
         for g in gens:
             if g not in self:
                 raise PreconditionError(f"{perm_to_cycles(g)} is not an element of the group")
-        return PermGroup.from_generators(gens, degree=self.degree, cap=self.order, table_check=False)
+        return PermGroup.from_generators(gens, self.cap)
 
     def is_subgroup(self, other: "PermGroup") -> bool:
         return other.degree == self.degree and all(g in self for g in other.generators)
@@ -523,7 +522,16 @@ def _hook_degrees(family: str, n: int) -> list[int]:
 
 
 def _mat_vec(m: list[list[int]], v: list[int], q: int) -> list[int]:
-    return [sum(mi[j] * v[j] for j in range(len(v)) if v[j]) % q for mi in m]
+    return [sum(map(mul, row, v)) % q for row in m]
+
+
+def _combination(coeffs: list[int], rows: list[list[int]], q: int) -> list[int]:
+    """sum_s coeffs[s] * rows[s] mod q."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return [x % q for x in out]
 
 
 def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> list[int]:
@@ -531,6 +539,8 @@ def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> list[int]:
     pivots: list[int] = []
     for c in range(ncols):
         rr = len(pivots)
+        if rr == len(rows):  # every row has its pivot
+            break
         piv = next((i for i in range(rr, len(rows)) if rows[i][c] % q), None)
         if piv is None:
             continue
@@ -543,18 +553,6 @@ def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> list[int]:
                 rows[i] = [(vi - t * vr) % q for vi, vr in zip(rows[i], rows[rr])]
         pivots.append(c)
     return pivots
-
-
-def _solve_columns(basis: list[list[int]], images: list[list[int]], q: int) -> list[list[int]]:
-    """Coordinates of each image vector in the span of the basis vectors."""
-    d, k = len(basis), len(basis[0])
-    rows = [[basis[s][r] for s in range(d)] + [img[r] for img in images] for r in range(k)]
-    if len(_row_reduce(rows, d, q)) != d:
-        raise InternalCheckError("subspace basis is rank-deficient")
-    if any(any(row[d:]) for row in rows[d:]):
-        raise InternalCheckError("subspace is not invariant under the class matrix")
-    # full rank: pivot i sits in column i, so row i holds the i-th coordinates
-    return [row[d:] for row in rows[:d]]
 
 
 def _kernel(m: list[list[int]], q: int) -> list[list[int]]:
@@ -713,24 +711,24 @@ def _split_degrees(g: PermGroup) -> list[int]:
             if len(w) == 1:
                 refined.append(w)
                 continue
+            # w is in reduced echelon form: a vector of its span has its
+            # coordinates at the pivots, each row's first nonzero entry, a 1
+            pivots = [v.index(1) for v in w]
             images = [_mat_vec(mat, v, q) for v in w]
             # matrix of the class operator restricted to span(w), in basis w
-            rt = _solve_columns(w, images, q)
+            rt = [[img[p] for img in images] for p in pivots]
+            if any(_combination([img[p] for p in pivots], w, q) != img for img in images):
+                raise InternalCheckError("subspace is not invariant under the class matrix")
             total = 0
             for lam in _poly_roots(_charpoly(rt, q), q):
                 shifted = [
                     [(rt[a][b] - (lam if a == b else 0)) % q for b in range(len(w))]
                     for a in range(len(w))
                 ]
-                eigenspace = []
-                for coords in _kernel(shifted, q):
-                    vec = [0] * k
-                    for s, c in enumerate(coords):
-                        if c:
-                            for r2 in range(k):
-                                vec[r2] = (vec[r2] + c * w[s][r2]) % q
-                    eigenspace.append(vec)
+                eigenspace = [_combination(coords, w, q) for coords in _kernel(shifted, q)]
                 if eigenspace:
+                    if len(_row_reduce(eigenspace, k, q)) != len(eigenspace):
+                        raise InternalCheckError("subspace basis is rank-deficient")
                     refined.append(eigenspace)
                     total += len(eigenspace)
             if total != len(w):
@@ -881,8 +879,7 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
         if len(orbit) == 1:  # Hx = Hxh for every h: the Schreier generators are h's own
             stab = h
         else:
-            stab = PermGroup.from_generators(sorted(schreier) or [identity], degree=g.degree,
-                                             cap=h.order, table_check=False)
+            stab = PermGroup.from_generators(sorted(schreier) or [identity], h.cap)
         if len(orbit) * stab.order != h.order:
             raise InternalCheckError("orbit length times stabilizer order is not |H|")
         out.append((x, len(orbit) * h.order, stab))
@@ -974,15 +971,15 @@ def _sl23() -> list[Perm]:
     return [act(((1, 1), (0, 1))), act(((0, 2), (1, 0)))]
 
 
-def _direct_product(gs: tuple[PermGroup, ...]) -> PermGroup:
+def _direct_product(gs: tuple[PermGroup, ...], cap: int) -> PermGroup:
     """G1 x ... x Gr on the disjoint union of the factors' points; nothing
     of the product is enumerated until something asks for it."""
-    return PermGroup(sum(g.degree for g in gs), _product_generators(gs), factors=gs)
+    return PermGroup(sum(g.degree for g in gs), _product_generators(gs), factors=gs, cap=cap)
 
 
 def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], PermGroup]]:
     """The order and degree of a named group that is not a product, read off
-    its name, and a function that builds the group."""
+    its name, and a function that builds the group under the cap."""
     m = re.fullmatch(r"([SACDsacd])0*(\d+)", name)
     if m:
         fam, digits = m.group(1).upper(), m.group(2)
@@ -1001,18 +998,15 @@ def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], PermGro
             if fam == "A" and n > 1:
                 order //= 2
             # answers from the partitions of n; no table until one is asked for
-            return order, n, lambda: PermGroup(n, _family_generators(fam, n), family=(fam, n))
+            return order, n, lambda: PermGroup(n, _family_generators(fam, n),
+                                               family=(fam, n), cap=cap)
         generators = {"C": _cyclic, "D": _dihedral}[fam]
-        return n, n // 2 if fam == "D" else n, partial(_enumerated, partial(generators, n), cap)
+        return n, n // 2 if fam == "D" else n, lambda: PermGroup.from_generators(generators(n), cap)
     if name.upper() == "Q8":
-        return 8, 8, partial(_enumerated, _quaternion8, cap)
+        return 8, 8, lambda: PermGroup.from_generators(_quaternion8(), cap)
     if name.upper() == "SL23":
-        return 24, 8, partial(_enumerated, _sl23, cap)
+        return 24, 8, lambda: PermGroup.from_generators(_sl23(), cap)
     raise PreconditionError(f"unknown builtin group {name!r}")
-
-
-def _enumerated(generators: Callable[[], list[Perm]], cap: int) -> PermGroup:
-    return PermGroup.from_generators(generators(), cap=cap)
 
 
 def builtin_group(name: str, cap: int | None = None) -> PermGroup:
@@ -1021,7 +1015,8 @@ def builtin_group(name: str, cap: int | None = None) -> PermGroup:
 
     The order and the element table's size (the product of the factors'
     orders times the sum of their degrees) are read off the name and
-    checked against the cap before any permutation is built.
+    checked against the cap before any permutation is built.  The group,
+    and each factor of a product, records the cap.
     """
     cap = enum_cap(cap)
     names = name.strip().split("x")
@@ -1034,4 +1029,4 @@ def builtin_group(name: str, cap: int | None = None) -> PermGroup:
     if order * sum(degree for _, degree, _ in parts) > TABLE_FACTOR * cap:
         raise _table_exceeded(cap)
     groups = tuple(build() for _, _, build in parts)
-    return groups[0] if len(groups) == 1 else _direct_product(groups)
+    return groups[0] if len(groups) == 1 else _direct_product(groups, cap)

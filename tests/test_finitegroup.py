@@ -181,9 +181,8 @@ def test_builtin_order_is_read_off_the_name(name):
 
 def test_table_bound_spares_groups_inside_an_admitted_group():
     """D800 and C400 act on 400 points and pass the table bound.  A subgroup
-    or a double-coset stabilizer is enumerated under a cap no larger than
-    its parent's order, and its table is part of the parent's: the table
-    bound must not refuse it."""
+    or a double-coset stabilizer is enumerated under its parent's cap, and
+    its table is part of the parent's: the table bound must not refuse it."""
     g = builtin_group("D800")
     assert g.subgroup(g.generators).order == 800
     rot, ref = g.generators
@@ -191,6 +190,37 @@ def test_table_bound_spares_groups_inside_an_admitted_group():
     assert h.order == 200
     assert sorted(k.order for _, _, k in double_coset_orbits(g, h)) == [100, 200, 200]
     assert ito_michler_verify(builtin_group("C400"), 2).sylow_order == 16
+
+
+def test_a_group_carries_its_admission_cap():
+    """A builtin, its factors, a subgroup and every double-coset stabilizer
+    record the cap the builtin was admitted under."""
+    g = builtin_group("S4xS4xS3", cap=30000)
+    assert g.cap == 30000
+    assert [f.cap for f in g.factors] == [30000] * 3
+    h = g.subgroup(g.generators[::2])
+    assert h.order == 8 and h.cap == 30000
+    stabilizers = [k for _, _, k in double_coset_orbits(g, h)]
+    assert any(k is not h for k in stabilizers)
+    assert {k.cap for k in stabilizers} == {30000}
+
+
+def test_alternating_table_is_enumerated_under_its_groups_cap(monkeypatch):
+    caps = []
+    from_generators = PermGroup.from_generators
+
+    def spy(generators, cap=None):
+        caps.append(cap)
+        return from_generators(generators, cap)
+
+    monkeypatch.setattr(PermGroup, "from_generators", spy)
+    a = builtin_group("A5", cap=12345)
+    assert a.cap == 12345 and caps == []
+    assert len(a.elements) == 60 and caps == [12345]
+    caps.clear()
+    g = builtin_group("A4xC3", cap=5000)
+    assert caps == [5000]  # C3 is enumerated when the product is built
+    assert len(g.elements) == 36 and caps == [5000, 5000]
 
 
 def test_enum_cap_env(monkeypatch):
@@ -237,7 +267,7 @@ def enumerated(name):
     """The product as a plain group on its generators: enumerated element
     table, conjugation-orbit classes, class-matrix degrees."""
     g = builtin_group(name)
-    return PermGroup.from_generators(g.generators, degree=g.degree, cap=g.order)
+    return PermGroup.from_generators(g.generators, cap=g.order)
 
 
 @pytest.mark.parametrize("name", PRODUCTS)
@@ -343,7 +373,7 @@ def table_route(name):
     """The named group as a plain group on its generators: closure table,
     conjugation-orbit classes, class-matrix degrees."""
     g = builtin_group(name, cap=40320)
-    return PermGroup.from_generators(g.generators, degree=g.degree, cap=g.order)
+    return PermGroup.from_generators(g.generators, cap=g.order)
 
 
 @pytest.mark.parametrize("name", NAMED)
@@ -367,7 +397,7 @@ def test_partition_route_against_the_table_route(name):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_symmetric_table_is_the_closure_table(n):
     g = builtin_group(f"S{n}")
-    assert g.elements == PermGroup.from_generators(g.generators, degree=n).elements
+    assert g.elements == PermGroup.from_generators(g.generators).elements
 
 
 @pytest.mark.parametrize("name", ["S5", "A5", "S4xA4"])

@@ -1,6 +1,7 @@
 """Every request of the benchmark pools, replayed in-process against its
 golden reply, the product requests of `group-catalog` checked to stay
-off the product's element table, and the `cyc` requests of
+off the product's element table, every `group-catalog` enumeration
+checked to take the request's cap, and the `cyc` requests of
 `cyclotomic-large` checked to draw no more split primes than the
 one-prime-at-a-time norm and inverse did."""
 
@@ -89,8 +90,8 @@ def test_product_requests_build_only_the_factor_tables(monkeypatch, argv):
         groups.append(builtin_group(name, cap=cap))
         return groups[-1]
 
-    def table_spy(generators, degree=None, cap=None, **kwargs):
-        tables.append(from_generators(generators, degree=degree, cap=cap, **kwargs))
+    def table_spy(generators, cap=None):
+        tables.append(from_generators(generators, cap))
         return tables[-1]
 
     monkeypatch.setattr(cli, "builtin_group", group_spy)
@@ -107,6 +108,28 @@ def test_product_requests_build_only_the_factor_tables(monkeypatch, argv):
     assert tables[:len(enumerated)] == enumerated
     assert all(t.degree < g.degree for t in tables)
     assert all(f._elements is None for f in g.factors if f.family)
+
+
+def test_catalog_enumerations_take_the_request_cap(monkeypatch):
+    """Every closure a `group-catalog` request enumerates, the named group's
+    own and those inside it (subgroups, stabilizers, An tables) alike, is
+    bounded by the request's cap."""
+    monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
+    caps = []
+    from_generators = finitegroup.PermGroup.from_generators
+
+    def cap_spy(generators, cap=None):
+        caps.append(cap)
+        return from_generators(generators, cap)
+
+    monkeypatch.setattr(finitegroup.PermGroup, "from_generators", cap_spy)
+    requests = WORKLOADS.GROUP_CATALOG.pool()
+    assert not any("--cap" in argv for argv in requests)
+    for argv in requests:
+        golden = GOLDENS[WORKLOADS.argv_key(argv)]
+        assert _reply(argv) == (golden["exit"], golden["sha256"]), argv
+    assert len(caps) > len(requests)
+    assert set(caps) == {finitegroup.DEFAULT_ENUM_CAP}
 
 
 # primes drawn from `_split_primes` per `cyc` request of the pool when the

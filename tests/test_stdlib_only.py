@@ -1,0 +1,32 @@
+"""The runtime stays stdlib-only: every absolute import in the package
+names a module of the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fuscat").glob("*.py"))
+
+
+def _absolute_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_the_package_has_sources():
+    assert len(SOURCES) > 1
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_absolute_import_is_stdlib(path):
+    outside = [name for name in _absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
