@@ -19,7 +19,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -43,7 +43,7 @@ from .finitegroup import (
     rep_bad_primes,
     rep_good_primes,
 )
-from .rootsys import alcove_size, build_root_system, enumerate_alcove
+from .rootsys import build_root_system, enumerate_alcove
 from .verlinde import Verdict
 
 # lemma-norm --nmax above this is refused: the norm table grows about as
@@ -253,14 +253,10 @@ def _check_pmax(pmax: int) -> None:
 
 
 def _check_simples_size(rs, l: int) -> None:
-    """Refuse a `verlinde simples` reply above SIMPLES_LIMIT coefficients.
-    An alcove above the enumeration cap is left to `simple_objects`, which
-    refuses it with the cap's own message."""
-    cap = enum_cap(None)
-    weights = alcove_size(rs, l, cap)
-    if not 0 < weights <= cap:
-        return
-    size = weights * totient(2 * l)
+    """Refuse a `verlinde simples` reply above the enumeration cap or above
+    SIMPLES_LIMIT coefficients."""
+    weights = verlinde.check_alcove_size(rs, l, enum_cap(None))
+    size = weights and weights * totient(2 * l)  # an empty alcove (l <= h) may have l <= 0
     if size > SIMPLES_LIMIT:
         raise PreconditionError(
             f"verlinde simples for {rs.label} at l={l} would print {weights} weights x "
@@ -269,13 +265,7 @@ def _check_simples_size(rs, l: int) -> None:
 
 
 def _verdict_dict(v: verlinde.PrimeVerdict) -> dict:
-    return {
-        "prime": v.prime,
-        "verdict": v.verdict.value,
-        "reason": v.reason,
-        "witness": list(v.witness) if v.witness is not None else None,
-        "detail": v.detail,
-    }
+    return {**asdict(v), "verdict": v.verdict.value}
 
 
 def _cmd_verlinde(args) -> Report:
@@ -476,16 +466,7 @@ def _cmd_gtcat(args) -> Report:
 def _cmd_ito_michler(args) -> Report:
     g = _load_group(args)
     rep = ito_michler_verify(g, args.p)
-    result = {
-        "prime": rep.prime,
-        "applicable": rep.applicable,
-        "offending_degree": rep.offending_degree,
-        "sylow_order": rep.sylow_order,
-        "complement_order": rep.complement_order,
-        "sylow_abelian": rep.sylow_abelian,
-        "sylow_normal": rep.sylow_normal,
-        "reason": rep.reason,
-    }
+    result = asdict(rep)
     if rep.applicable:
         lines = [
             f"p = {args.p}: applicable (p divides |G| = {g.order}, no degree)",

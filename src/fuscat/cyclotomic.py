@@ -6,19 +6,19 @@ unity), together with a positive integer denominator.  All arithmetic is
 exact; the canonical form divides out the gcd of the coefficients and the
 denominator, so an element is an algebraic integer iff its denominator
 is 1 (the power basis generates the full ring of integers of Q(zeta_n)).
-Only a vector longer than phi(n) is reduced modulo Phi_n; a result that is
-canonical by construction skips the reduction: a negation, a sum or a
-difference (its vector has phi(n) entries, so only the gcd is divided out)
-and a rational lifted to a larger conductor.
+Every element is built by the one constructor.  Only a vector longer than
+phi(n) is reduced modulo Phi_n; one no longer (a negation, a sum or a
+difference) is only padded and divided by its gcd, and a rational lifts to
+a larger conductor without reduction, as its one-entry vector.
 
 Each coefficient operation has one kernel.  `_principal_specialisation`
 is the binomial quotient prod (1 - x^a) / prod (1 - x^b) in Z[x]; it gives
 Phi_n by Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, and the
 Verlinde quantum dimensions.  `_scatter` is the index map f(x) -> f(x^s)
-modulo x^n - 1 behind Galois conjugation, lifts to a larger conductor and
-folding long coefficient lists.  `_norm_and_cofactor` gives field norms and
-inverses by multi-modular evaluation (Cohen, A Course in Computational
-Algebraic Number Theory, sections 3.3 and 4.3).  It works in steps, each
+modulo x^n - 1 behind Galois conjugation and lifts to a larger conductor.
+`_norm_and_cofactor` gives field norms and inverses by multi-modular
+evaluation (Cohen, A Course in Computational Algebraic Number Theory,
+sections 3.3 and 4.3).  It works in steps, each
 modulo a product M of up to eight split primes p = 1 (mod n); the CRT W of
 their roots of unity is a primitive n-th root modulo every p, so the
 conjugates of an element modulo M are its values at the powers W^s.  The
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 from math import gcd, lcm, log2
-from operator import add, mul
+from operator import add, index, mul
 
 from .arith import factorize, is_prime, totient
 from .errors import InternalCheckError, PreconditionError
@@ -384,31 +384,16 @@ class CycNum:
             raise PreconditionError("conductor must be a positive integer")
         if den == 0:
             raise PreconditionError("denominator must be nonzero")
-        c = [int(v) for v in coeffs]
-        if len(c) > conductor:
-            c = _scatter(c, 1, conductor)
-        vec = _reduce_mod_phi(c, conductor)
+        vec = _reduce_mod_phi(list(map(index, coeffs)), conductor)
+        g = gcd(*vec, den)  # |den| when vec is zero, so zero has den 1
         if den < 0:
-            den, vec = -den, [-v for v in vec]
-        g = gcd(*vec, den)
-        if g > 1:
+            g = -g
+        if g != 1:
             vec = [v // g for v in vec]
             den //= g
-        if not any(vec):
-            den = 1
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(vec))
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _canonical(cls, conductor: int, coeffs: tuple[int, ...], den: int) -> "CycNum":
-        """An element from a vector of length phi(n) and a denominator that
-        are already in canonical form, with no reduction and no gcd."""
-        a = object.__new__(cls)
-        object.__setattr__(a, "conductor", conductor)
-        object.__setattr__(a, "coeffs", coeffs)
-        object.__setattr__(a, "den", den)
-        return a
 
     def __setattr__(self, *_):
         raise AttributeError("CycNum is immutable")
@@ -417,12 +402,11 @@ class CycNum:
 
     @classmethod
     def from_int(cls, v: int) -> "CycNum":
-        return cls._canonical(1, (int(v),), 1)
+        return cls(1, [v])
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "CycNum":
-        f = Fraction(f)  # in lowest terms, with a positive denominator
-        return cls._canonical(1, (f.numerator,), f.denominator)
+        return cls(1, [f.numerator], f.denominator)
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
@@ -458,17 +442,15 @@ class CycNum:
         return Fraction(self.coeffs[0], self.den)
 
     def _lift(self, m: int) -> "CycNum":
-        """Embed into Q(zeta_m); requires conductor | m.  A rational stays
-        canonical: its vector is only padded."""
+        """Embed into Q(zeta_m); requires conductor | m.  A rational keeps
+        its one-entry vector, which the constructor only pads."""
         n = self.conductor
         if m == n:
             return self
         if m % n:
             raise InternalCheckError("lift target is not a multiple of the conductor")
-        if n == 1:
-            phi = len(cyclotomic_polynomial(m).coeffs) - 1
-            return CycNum._canonical(m, self.coeffs + (0,) * (phi - 1), self.den)
-        return CycNum(m, _scatter(self.coeffs, m // n, m), self.den)
+        coeffs = self.coeffs if n == 1 else _scatter(self.coeffs, m // n, m)
+        return CycNum(m, coeffs, self.den)
 
     @staticmethod
     def _pair(a: "CycNum", b: "CycNum") -> tuple["CycNum", "CycNum"]:
@@ -491,7 +473,8 @@ class CycNum:
     def _combine(a: "CycNum", b: "CycNum", sign: int) -> "CycNum":
         """a + sign * b; the vector comes out of length phi(n), so it is not reduced."""
         a, b = CycNum._pair(a, b)
-        vec = [x * b.den + sign * y * a.den for x, y in zip(a.coeffs, b.coeffs)]
+        ka, kb = b.den, sign * a.den
+        vec = [x * ka + y * kb for x, y in zip(a.coeffs, b.coeffs)]
         return CycNum(a.conductor, vec, a.den * b.den)
 
     def __add__(self, other) -> "CycNum":
@@ -503,7 +486,7 @@ class CycNum:
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum._canonical(self.conductor, tuple(-v for v in self.coeffs), self.den)
+        return CycNum(self.conductor, [-v for v in self.coeffs], self.den)
 
     def __sub__(self, other) -> "CycNum":
         other = self._coerce(other)

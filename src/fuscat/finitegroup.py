@@ -822,15 +822,9 @@ def _sylow_structure(g: PermGroup, p: int) -> tuple[bool, bool]:
     their class sizes: C_G(x) has p'-index exactly when it contains a
     Sylow p-subgroup, which is then P.
     """
-    sizes = [c.size for c in g.conjugacy_classes() if _is_p_power(perm_order(c.rep), p)]
+    sizes = [c.size for c in g.conjugacy_classes() if p_part(o := perm_order(c.rep), p) == o]
     normal = sum(sizes) == p_part(g.order, p)
     return normal, normal and all(size % p for size in sizes)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ is dominant and lies in the alcove stay on the public `qdim` and
 weights of the walk meet them by construction.  The walk is counted first
 (`rootsys.alcove_size`, which owns the alcove's shape) and an alcove above
 the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused by
-`check_alcove_size` before any weight is built.  The crosscheck harness
-bounds its own fixed alcoves by its --cap and checks them weight by weight
-through the public routes.
+`check_alcove_size`, which returns the count, before any weight is built.
+The crosscheck harness bounds its own fixed alcoves by its --cap and
+checks them weight by weight through the public routes.
 
 The classifier only answers inside its hypotheses (l odd, l > h, and for
 divisor primes p >= h); everything else is reported OutsideTheorem rather
@@ -183,14 +183,16 @@ def _qdim_norm(l: int, nums: list[int], dens: list[int], ledger: _DivisorLedger)
 T = TypeVar("T")
 
 
-def check_alcove_size(rs: RootSystem, l: int, cap: int) -> None:
-    """Refuse a level-l alcove with more weights than the enumeration cap,
-    before any weight is built."""
-    if alcove_size(rs, l, cap) > cap:
+def check_alcove_size(rs: RootSystem, l: int, cap: int) -> int:
+    """The number of weights of the level-l alcove, counted before any weight
+    is built; an alcove with more than the enumeration cap is refused."""
+    weights = alcove_size(rs, l, cap)
+    if weights > cap:
         raise PreconditionError(
             f"the level-{l} alcove of {rs.label} has more weights than the enumeration cap {cap}; "
             f"raise it via {ENUM_CAP_ENV} or the cap argument"
         )
+    return weights
 
 
 def _alcove_pairings(rs: RootSystem, l: int) -> Iterator[tuple[Weight, list[int]]]:

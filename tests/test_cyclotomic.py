@@ -194,6 +194,42 @@ def test_differences_do_not_depend_on_how_they_were_built(n):
         assert same_value(-a, fully_reduced(-a)) and -(-a) == a
 
 
+def assert_canonical(a):
+    b = fully_reduced(a)
+    assert (a.conductor, a.coeffs, a.den) == (b.conductor, b.coeffs, b.den)
+    assert all(type(c) is int for c in a.coeffs)
+    assert len(a.coeffs) == totient(a.conductor) and a.den > 0
+    assert gcd(*a.coeffs, a.den) == 1
+
+
+@st.composite
+def raw_elements(draw):
+    """An element from a raw vector of up to n + 3 entries and a signed denominator."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    coeffs = draw(st.lists(st.integers(-20, 20), max_size=n + 3))
+    return CycNum(n, coeffs, draw(st.integers(-12, 12).filter(bool)))
+
+
+@given(raw_elements(), raw_elements(), st.integers(-30, 30),
+       st.fractions(-10, 10, max_denominator=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_route_builds_the_canonical_form(a, b, k, f, data):
+    n = a.conductor
+    s = data.draw(st.sampled_from(_units(n)))
+    l = data.draw(st.integers(2, 12))
+    results = [
+        -a, CycNum.from_int(k), CycNum.from_fraction(f),
+        a + b, a - b, a * b,  # b has its own conductor: both are lifted
+        a + k, k - a, a * k, a + f, f - a, a * f, CycNum.from_fraction(f) * b,
+        a.galois(s), CycNum.zeta(n, k), q_integer(k, l),
+        parse_element(f"({a}) * ({a}) - {k}*z^{s} / (z + 2)", n),
+    ]
+    if a:
+        results += [a.inverse(), b / a, k / a]
+    for r in results:
+        assert_canonical(r)
+
+
 # --- Galois action and norms
 
 

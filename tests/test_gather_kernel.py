@@ -16,7 +16,6 @@ from fuscat.arith import p_part, prime_factors
 from fuscat.finitegroup import (
     PermGroup,
     _gather,
-    _is_p_power,
     _split_degrees,
     _sylow_structure,
     builtin_group,
@@ -154,7 +153,7 @@ def element_sylow_structure(g, p):
     form a normal Sylow p-subgroup exactly when there are |G|_p of them,
     closed under products and under conjugation by the generators; it is
     abelian when they commute pairwise."""
-    s = [x for x in g.elements if _is_p_power(perm_order(x), p)]
+    s = [x for x in g.elements if p_part(o := perm_order(x), p) == o]
     closed, abelian = pairwise_closed_and_abelian(s)
     sset = set(s)
     invariant = all(perm_mul(perm_mul(perm_inv(y), x), y) in sset for x in s for y in g.generators)
