@@ -19,7 +19,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -265,7 +265,7 @@ def _check_simples_size(rs, l: int) -> None:
 
 
 def _verdict_dict(v: verlinde.PrimeVerdict) -> dict:
-    return {**asdict(v), "verdict": v.verdict.value}
+    return {**vars(v), "verdict": v.verdict.value}
 
 
 def _cmd_verlinde(args) -> Report:
@@ -466,7 +466,7 @@ def _cmd_gtcat(args) -> Report:
 def _cmd_ito_michler(args) -> Report:
     g = _load_group(args)
     rep = ito_michler_verify(g, args.p)
-    result = asdict(rep)
+    result = dict(vars(rep))
     if rep.applicable:
         lines = [
             f"p = {args.p}: applicable (p divides |G| = {g.order}, no degree)",

@@ -11,7 +11,12 @@ phi(n) is reduced modulo Phi_n; one no longer (a negation, a sum or a
 difference) is only padded and divided by its gcd, and a rational lifts to
 a larger conductor without reduction, as its one-entry vector.
 
-Each coefficient operation has one kernel.  `_principal_specialisation`
+Each coefficient operation has one kernel, but for the product modulo
+x^n - 1, which has two: `_cyclic_mul` on the dense lists of `CycNum`, and
+`_ring_mul` on the sparse maps of `parse_element` (below).  Both stay:
+with one dict-valued kernel a `CycNum` product took 20-30% longer at
+n = 21, 120 and 240, for dense and for one-term operands (2-vCPU host,
+Python 3.11).  `_principal_specialisation`
 is the binomial quotient prod (1 - x^a) / prod (1 - x^b) in Z[x]; it gives
 Phi_n by Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, and the
 Verlinde quantum dimensions.  `_scatter` is the index map f(x) -> f(x^s)
@@ -417,10 +422,6 @@ class CycNum:
         vec = [0] * (e + 1)
         vec[e] = 1
         return cls(n, vec)
-
-    @classmethod
-    def zero(cls) -> "CycNum":
-        return cls(1, [0])
 
     @classmethod
     def one(cls) -> "CycNum":

@@ -1,4 +1,4 @@
-"""Simply-laced root systems (types A, D, E) and alcove weight enumeration.
+"""Simply-laced root systems (types A, D, E) and the walk of the alcove.
 
 Roots are stored in simple-root coordinates and weights in fundamental-weight
 coordinates; with the normalization (alpha, alpha) = 2 every pairing used
@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import InternalCheckError, PreconditionError
 
@@ -137,21 +138,33 @@ def check_level(rs: RootSystem, l: int) -> None:
         raise PreconditionError(f"level l={l} must exceed the Coxeter number h={h}")
 
 
-def enumerate_alcove(rs: RootSystem, l: int) -> list[Weight]:
-    """Dominant weights with (lambda + rho, theta) < l, in lexicographic order."""
+def alcove_walk(rs: RootSystem, l: int) -> Iterator[tuple[Weight, list[int]]]:
+    """(weight, [(lambda+rho, alpha) over the positive roots]) for every
+    dominant weight with (lambda + rho, theta) < l, in lexicographic order.
+
+    The level is checked at the call, before the first weight.  The pairing
+    is linear in the weight, so it is carried down the recursion from the
+    heights (rho, alpha) at the weight 0: raising coordinate i by one adds
+    root column i.  A yielded list is never changed afterwards.
+    """
     check_level(rs, l)
     marks = rs.highest_root
-    budget = l - 1 - sum(marks)
-    out: list[Weight] = []
+    columns = [[a[i] for a in rs.positive_roots] for i in range(rs.rank)]
 
-    def rec(prefix: list[int], remaining: int, idx: int) -> None:
+    def rec(prefix: Weight, remaining: int, nums: list[int]) -> Iterator[tuple[Weight, list[int]]]:
+        idx = len(prefix)
         if idx == rs.rank:
-            out.append(tuple(prefix))
+            yield prefix, nums
             return
-        for v in range(remaining // marks[idx] + 1):
-            prefix.append(v)
-            rec(prefix, remaining - v * marks[idx], idx + 1)
-            prefix.pop()
+        col, m = columns[idx], marks[idx]
+        for v in range(remaining // m + 1):
+            if v:
+                nums = [a + c for a, c in zip(nums, col)]
+            yield from rec(prefix + (v,), remaining - v * m, nums)
 
-    rec([], budget, 0)
-    return out
+    return rec((), l - 1 - sum(marks), [rho_pairing(a) for a in rs.positive_roots])
+
+
+def enumerate_alcove(rs: RootSystem, l: int) -> list[Weight]:
+    """Dominant weights with (lambda + rho, theta) < l, in lexicographic order."""
+    return [w for w, _ in alcove_walk(rs, l)]

@@ -30,15 +30,17 @@ divisor ledger; an A4 alcove at l = 15 has 1001 weights and 106 keys.
 Nothing is kept between calls.
 
 Pairing coordinates.  (lambda+rho, alpha) = sum_i c_i (w_i + 1) is linear
-in the weight, so the alcove routes carry the vector of pairings along the
-walk of `rootsys.enumerate_alcove`, adding d times root column i when w_i
-moves by d, and take each key in the same pass.  The checks that a weight
-is dominant and lies in the alcove stay on the public `qdim` and
-`qdim_norm` (and so on `classify_prime`), through `_weyl_pairings`; the
-weights of the walk meet them by construction.  The walk is counted first
-(`rootsys.alcove_size`, which owns the alcove's shape) and an alcove above
-the enumeration cap (FUSCAT_ENUM_CAP, else 20000) is refused by
-`check_alcove_size`, which returns the count, before any weight is built.
+in the weight, so `rootsys.alcove_walk`, the one walk of the alcove,
+yields every weight with its pairings, carried down the recursion by
+adding root column i when w_i is raised by one; the alcove routes take
+each key in the same pass.  The checks that a weight is dominant and lies
+in the alcove stay on the public `qdim` and `qdim_norm` (and so on
+`classify_prime`), through `_weyl_pairings`; the weights of the walk meet
+them by construction.  The alcove is counted first (`rootsys.alcove_size`,
+which owns the alcove's shape) and an alcove above the enumeration cap
+(FUSCAT_ENUM_CAP, else 20000) is refused by `check_alcove_size`, which
+returns the count, before any weight is built; the walk refuses a level
+l <= h when it is created, before l is factored.
 The crosscheck harness bounds its own fixed alcoves by its --cap and
 checks them weight by weight through the public routes.
 
@@ -53,13 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 from .arith import factorize, is_prime
 from .cyclotomic import CycNum, _principal_specialisation, _scatter
 from .errors import InternalCheckError, PreconditionError
 from .finitegroup import ENUM_CAP_ENV, enum_cap
-from .rootsys import RootSystem, Weight, alcove_size, check_level, enumerate_alcove, pairing, rho_pairing
+from .rootsys import RootSystem, Weight, alcove_size, alcove_walk, pairing, rho_pairing
 
 
 # a dimension norm is refused above this many bits before it is built: at
@@ -195,41 +197,20 @@ def check_alcove_size(rs: RootSystem, l: int, cap: int) -> int:
     return weights
 
 
-def _alcove_pairings(rs: RootSystem, l: int) -> Iterator[tuple[Weight, list[int]]]:
-    """(weight, [(lambda+rho, alpha) over the positive roots]) along the
-    level-l alcove walk.
-
-    The pairing is linear in the weight, so it is carried from one weight
-    to the next: a coordinate that moves by d adds d times its column of
-    root coefficients.  The walk starts at 0, where the pairings are the
-    heights (rho, alpha).  The lists are fresh for each weight that moves.
-    """
-    roots = rs.positive_roots
-    columns = [[a[i] for a in roots] for i in range(rs.rank)]
-    nums, prev = [rho_pairing(a) for a in roots], (0,) * rs.rank
-    for w in enumerate_alcove(rs, l):
-        for col, v, u in zip(columns, w, prev):
-            if v != u:
-                d = v - u
-                nums = [a + d * c for a, c in zip(nums, col)]
-        prev = w
-        yield w, nums
-
-
 def _per_key(rs: RootSystem, l: int,
              build: Callable[[int, list[int], list[int], _DivisorLedger], T]) -> list[tuple[Weight, T]]:
     """(weight, build(l, nums, dens, ledger)) over the level-l alcove,
     calling build once per distinct dimension key, with one divisor ledger
     for the call.  The alcove is counted first and refused above the
-    enumeration cap, and the level is checked before l is factored."""
+    enumeration cap, and the walk checks the level before l is factored."""
     check_alcove_size(rs, l, enum_cap(None))
-    check_level(rs, l)
+    walk = alcove_walk(rs, l)
     dens = [rho_pairing(a) for a in rs.positive_roots]
     ledger = _DivisorLedger(l)
     fold = [min(a, l - a) for a in range(l)]
     values: dict[tuple[int, ...], T] = {}
     out = []
-    for w, nums in _alcove_pairings(rs, l):
+    for w, nums in walk:
         key = tuple(sorted(map(fold.__getitem__, nums)))
         value = values.get(key)
         if value is None:

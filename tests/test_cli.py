@@ -903,7 +903,7 @@ def test_the_env_cap_bounds_the_alcove(capsys, monkeypatch):
         walked.append((rs.label, l))
         return []  # stands in for the 100000 weights
 
-    monkeypatch.setattr(cli.verlinde, "enumerate_alcove", walk_spy)
+    monkeypatch.setattr(cli.verlinde, "alcove_walk", walk_spy)
     a1 = ["verlinde", "simples", "--type", "A1", "--l", "100001"]
     monkeypatch.setenv("FUSCAT_ENUM_CAP", "99999")
     code, _, err = run(capsys, *a1)

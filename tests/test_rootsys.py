@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuscat.errors import PreconditionError
-from fuscat.rootsys import alcove_size, build_root_system, enumerate_alcove, pairing, rho_pairing
+from fuscat.rootsys import alcove_size, alcove_walk, build_root_system, enumerate_alcove, pairing, rho_pairing
 
 ALL_LABELS = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
 
@@ -109,6 +109,13 @@ def test_alcove_requires_l_above_h():
     with pytest.raises(PreconditionError):
         enumerate_alcove(rs, rs.coxeter_number)
 
+
+@pytest.mark.parametrize("label", ["A1", "A2", "D4", "E8"])
+def test_the_walk_refuses_a_level_at_or_below_h_when_it_is_created(label):
+    rs = build_root_system(label)
+    for l in (rs.coxeter_number, rs.coxeter_number - 1, 1, 0, -3):
+        with pytest.raises(PreconditionError, match=f"level l={l} must exceed the Coxeter number"):
+            alcove_walk(rs, l)  # the call refuses, before any weight is asked for
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8"])

@@ -148,7 +148,7 @@ def test_qdim_galois_twist_preserves_norms():
 
 def _twisted_q_integer(m, l, s):
     n = 2 * l
-    total = CycNum.zero()
+    total = CycNum.from_int(0)
     for k in range(m):
         total = total + CycNum.zeta(n, (s * (m - 1 - 2 * k)) % n)
     return total

@@ -19,7 +19,7 @@ from fuscat import cli, verlinde
 from fuscat.arith import totient
 from fuscat.cyclotomic import CycNum, cyclotomic_at_one, q_integer
 from fuscat.errors import InternalCheckError, PreconditionError
-from fuscat.rootsys import build_root_system, enumerate_alcove, pairing, rho_pairing
+from fuscat.rootsys import alcove_walk, build_root_system, enumerate_alcove, pairing, rho_pairing
 from fuscat.verlinde import (
     Verdict,
     alcove_norms,
@@ -222,7 +222,16 @@ KEYED_CASES = [("A1", 8), ("A1", 21), ("A2", 10), ("A2", 15), ("A3", 15), ("A4",
 @pytest.mark.parametrize("label,l", KEYED_CASES)
 def test_carried_pairings_match_the_checked_pairings(label, l):
     rs = build_root_system(label)
-    walked = [(w, list(nums)) for w, nums in verlinde._alcove_pairings(rs, l)]
+    walked = [(w, list(nums)) for w, nums in verlinde.alcove_walk(rs, l)]
+    assert [w for w, _ in walked] == enumerate_alcove(rs, l)
+    for w, nums in walked:
+        assert nums == verlinde._weyl_pairings(rs, l, w)[0]
+
+
+@pytest.mark.parametrize("label,l", KEYED_CASES)
+def test_the_walk_never_changes_a_list_it_has_yielded(label, l):
+    rs = build_root_system(label)
+    walked = list(alcove_walk(rs, l))  # each list as yielded, compared only after the walk ends
     assert [w for w, _ in walked] == enumerate_alcove(rs, l)
     for w, nums in walked:
         assert nums == verlinde._weyl_pairings(rs, l, w)[0]
@@ -230,7 +239,7 @@ def test_carried_pairings_match_the_checked_pairings(label, l):
 
 def test_the_keyed_routes_walk_once_and_check_no_weight(monkeypatch):
     walks, checked = [], []
-    walk, check = verlinde.enumerate_alcove, verlinde._weyl_pairings
+    walk, check = verlinde.alcove_walk, verlinde._weyl_pairings
 
     def walk_spy(rs, l):
         walks.append((rs.label, l))
@@ -240,7 +249,7 @@ def test_the_keyed_routes_walk_once_and_check_no_weight(monkeypatch):
         checked.append(args)
         return check(*args)
 
-    monkeypatch.setattr(verlinde, "enumerate_alcove", walk_spy)
+    monkeypatch.setattr(verlinde, "alcove_walk", walk_spy)
     monkeypatch.setattr(verlinde, "_weyl_pairings", check_spy)
     a4 = build_root_system("A4")
     assert len(simple_objects(a4, 15)) == 1001
@@ -284,7 +293,7 @@ def test_alcoves_above_the_cap_are_refused_before_any_weight(monkeypatch, label,
         raise AssertionError("the alcove was enumerated")
 
     monkeypatch.delenv("FUSCAT_ENUM_CAP", raising=False)
-    monkeypatch.setattr(verlinde, "enumerate_alcove", no_walk)
+    monkeypatch.setattr(verlinde, "alcove_walk", no_walk)
     rs = build_root_system(label)
     for route in (simple_objects, alcove_norms, lambda rs, l: scan_dimension_witnesses(rs, l, 3)):
         with pytest.raises(PreconditionError, match="has more weights than the enumeration cap 20000"):
