@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Survey good/bad prime verdicts across root-system types and levels.
 
-For each (type, odd level) pair, classifies every prime up to --pmax and
-counts the alcove weights whose dimension norm each divisor prime divides.
-Cells: G = good, B = bad (certified witness), o = outside the classifier's
-hypotheses (divisor prime below the Coxeter number), . = prime above pmax.
+For each (type, odd level l > h) pair, reads every prime up to --pmax from
+`verlinde.prime_table` and counts the alcove weights whose dimension norm
+is not a unit.  Cells: G = good, B = bad (certified witness), o = outside
+the classifier's hypotheses (divisor prime below the Coxeter number).
 """
 
 import argparse
 import sys
 
 from fuscat.arith import primes_upto
-from fuscat.errors import PreconditionError
 from fuscat.rootsys import build_root_system
-from fuscat.verlinde import Verdict, alcove_norms, classify_prime
+from fuscat.verlinde import Verdict, alcove_norms, prime_table
+
+CELLS = {Verdict.GOOD: "G", Verdict.BAD: "B", Verdict.OUTSIDE_THEOREM: "o"}
 
 
 def main() -> int:
@@ -30,16 +31,8 @@ def main() -> int:
         print(f"\n{rs.label} (Coxeter number {h}); columns: p = {primes}")
         start = h + 1 if (h + 1) % 2 else h + 2
         for l in range(start, args.lmax + 1, 2):
-            cells = []
-            for p in primes:
-                try:
-                    v = classify_prime(rs, l, p)
-                except PreconditionError:
-                    cells.append("?")
-                    continue
-                cells.append({Verdict.GOOD: "G", Verdict.BAD: "B",
-                              Verdict.OUTSIDE_THEOREM: "o"}[v.verdict])
             norms = alcove_norms(rs, l)
+            cells = [CELLS[v.verdict] for v, _ in prime_table(rs, l, primes, norms)]
             nonunit = sum(1 for _, v in norms if abs(v) != 1)
             print(f"  l={l:<3d} {' '.join(cells)}   "
                   f"({len(norms)} simples, {nonunit} with non-unit norm)")

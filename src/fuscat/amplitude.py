@@ -43,10 +43,13 @@ Mat3 = tuple[tuple[Fraction, ...], ...]
 @dataclass(frozen=True)
 class Tensor3:
     """Structure constants m[i][j][k] (coefficient of e_k in m(e_i, e_j))
-    and the Gram matrix gram[i][j] = b(e_i, e_j)."""
+    and the Gram matrix gram[i][j] = b(e_i, e_j), validated when built."""
 
     m: tuple[tuple[tuple[Fraction, ...], ...], ...]
     gram: Mat3
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for i, j in product(range(3), repeat=2):
@@ -175,9 +178,7 @@ def sl2_adjoint() -> Tensor3:
     set_bracket(0, 2, (0, 1, 0))   # [e, f] = h
     set_bracket(1, 2, (0, 0, -2))  # [h, f] = -2f
     gram = _contract("ilk,jkl->ij", m, m)  # Tr(ad e_i ad e_j), (ad e_i)[k][l] = m[i][l][k]
-    t = Tensor3(m=tuple(tuple(tuple(r) for r in row) for row in m), gram=gram)
-    t.validate()
-    return t
+    return Tensor3(m=tuple(tuple(tuple(r) for r in row) for row in m), gram=gram)
 
 
 def _theta(t: Tensor3, mstar) -> Fraction:
@@ -194,10 +195,8 @@ def amplitude_T4_normalized(t: Tensor3) -> Fraction:
     The vertex is rescaled so that the open two-vertex bubble equals the
     identity on an edge, which makes the square graph evaluate to
     dim^2 A(T4)/A(T2)^2; the double ratio is invariant under rescaling
-    either the product or the pairing.  The tensor is validated and m* built
-    once for both graphs.
+    either the product or the pairing.  m* is built once for both graphs.
     """
-    t.validate()
     mstar = _dualized_product(t)
     a2 = _theta(t, mstar)
     if a2 == 0:
@@ -215,7 +214,6 @@ def casimir_square_coefficient(t: Tensor3) -> Fraction:
     (ad y_a)[r][s] = m[a][s][r] and y^a = sum_b ginv[a][b] y_b, both are
     exact 3x3 matrices.
     """
-    t.validate()
     ginv = _inv3(t.gram)
     casimir = _contract("asr,ab,bts->rt", t.m, ginv, t.m)
     lhs = _contract("asr,bts,ax,xut,by,ycu->rc", t.m, t.m, ginv, t.m, ginv, t.m)

@@ -304,33 +304,19 @@ def _cmd_verlinde(args) -> Report:
         return Report("verlinde classify", {"type": args.type, "l": args.l, "p": args.p},
                       result, prov, lines)
     _check_pmax(args.pmax)
-    # badprimes: compute the alcove dimension norms once, then filter per prime.
-    # A norm's prime factors are Phi_d(1) with d | l, so only the primes
-    # dividing l can have scan hits.
-    norms = verlinde.alcove_norms(rs, args.l)
-    verdicts = []
-    scan: dict[int, list] = {}
-    for p in primes_upto(args.pmax):
-        try:
-            v = verlinde.classify_prime(rs, args.l, p)
-        except PreconditionError as exc:
-            v = verlinde.PrimeVerdict(p, Verdict.OUTSIDE_THEOREM,
-                                      verlinde.REASON_HYPOTHESIS_FAILURE, detail=str(exc))
-        verdicts.append(v)
-        witnesses = [w for w, n in norms if n % p == 0] if args.l % p == 0 else []
-        if witnesses:
-            scan[p] = [list(w) for w in witnesses]
+    # badprimes: the alcove dimension norms once, then one table row per prime
+    table = verlinde.prime_table(rs, args.l, primes_upto(args.pmax), verlinde.alcove_norms(rs, args.l))
     result = {
         "type": rs.label,
         "l": args.l,
-        "verdicts": [_verdict_dict(v) for v in verdicts],
-        "dimension_scan_witnesses": scan,
+        "verdicts": [_verdict_dict(v) for v, _ in table],
+        "dimension_scan_witnesses": {v.prime: [list(w) for w in hits] for v, hits in table if hits},
     }
     rows = [
         [str(v.prime), v.verdict.value, v.reason,
          str(list(v.witness)) if v.witness is not None else "-",
-         str(len(scan.get(v.prime, [])))]
-        for v in verdicts
+         str(len(hits))]
+        for v, hits in table
     ]
     lines = [f"{rs.label}, l={args.l}, primes up to {args.pmax}"]
     lines += _table(rows, ["p", "verdict", "reason", "witness", "scan hits"])

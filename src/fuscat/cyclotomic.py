@@ -423,10 +423,6 @@ class CycNum:
         vec[e] = 1
         return cls(n, vec)
 
-    @classmethod
-    def one(cls) -> "CycNum":
-        return cls(1, [1])
-
     # -- structure
 
     @property
@@ -541,7 +537,7 @@ class CycNum:
             return NotImplemented
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        acc = CycNum.one()
+        acc = CycNum.from_int(1)
         while k:
             if k & 1:
                 acc = acc * base

@@ -31,12 +31,13 @@ when something asks for it, for Sn as `itertools.permutations`, already
 sorted; `class_of` is then the conjugation orbits on it, checked against
 the partition classes.  A group with as many classes as elements is
 abelian and has all degrees 1.  Every other group takes the
-class-multiplication-coefficient method:
-the integer class matrices commute and split into common one-dimensional
-eigenspaces over a prime field F_q chosen with q = 1 mod exp(G) and
-q > 2*sqrt(|G|); each common eigenvector is a central character, and the
-squared degree is recovered from the orthogonality sum and lifted to the
-unique integer square root in (0, sqrt(|G|)].  Only degrees are computed;
+class-multiplication-coefficient method: the integer class matrices
+(sparse, as each column of M_i has at most |C_i| nonzeros) commute and
+split into common one-dimensional eigenspaces over a prime field F_q
+chosen with q = 1 mod exp(G) and q > 2*sqrt(|G|); each common eigenvector
+is a central character, and the squared degree is recovered from the
+orthogonality sum and lifted to the unique integer square root in
+(0, sqrt(|G|)].  Only degrees are computed;
 character values are never needed downstream.
 
 The Ito-Michler theorem (p divides no irreducible degree exactly when the
@@ -54,7 +55,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, isqrt, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .arith import is_prime, p_part, prime_factors, prime_witnesses
 from .errors import InternalCheckError, PreconditionError
@@ -521,8 +522,8 @@ def _hook_degrees(family: str, n: int) -> list[int]:
 # linear algebra over a prime field (lists of ints mod q)
 
 
-def _mat_vec(m: list[list[int]], v: list[int], q: int) -> list[int]:
-    return [sum(map(mul, row, v)) % q for row in m]
+def _mat_vec(m: list[dict[int, int]], v: list[int], q: int) -> list[int]:
+    return [sum(c * v[k] for k, c in row.items()) % q for row in m]
 
 
 def _combination(coeffs: list[int], rows: list[list[int]], q: int) -> list[int]:
@@ -644,20 +645,18 @@ def _splitting_prime(order: int, exponent: int) -> int:
     raise InternalCheckError("no splitting prime found below the search bound")
 
 
-def _class_matrix(g: PermGroup, i: int) -> list[list[int]]:
+def _class_matrix(g: PermGroup, i: int) -> list[dict[int, int]]:
     """M_i[j][k] = number of ways a fixed element of class k splits as x*y
-    with x in class i and y in class j."""
+    with x in class i and y in class j; row j is a dict of its nonzero entries."""
     classes = g.conjugacy_classes()
     class_of = g.class_of()
-    k = len(classes)
     elements, index = g.elements, g.index
-    mat = [[0] * k for _ in range(k)]
+    mat: list[dict[int, int]] = [{} for _ in classes]
     xs = [_gather(perm_inv(elements[idx])) for idx in g.class_members()[i]]
-    for kk in range(k):
-        z = classes[kk].rep
+    for kk, c in enumerate(classes):
         for xinv in xs:
-            j = class_of[index[xinv(z)]]
-            mat[j][kk] += 1
+            row = mat[class_of[index[xinv(c.rep)]]]
+            row[kk] = row.get(kk, 0) + 1
     return mat
 
 

@@ -131,23 +131,18 @@ def alcove_size(rs: RootSystem, l: int, limit: int | None = None) -> int:
     return count if limit is None else min(count, limit + 1)
 
 
-def check_level(rs: RootSystem, l: int) -> None:
-    """Refuse a level at or below the Coxeter number."""
-    h = rs.coxeter_number
-    if l <= h:
-        raise PreconditionError(f"level l={l} must exceed the Coxeter number h={h}")
-
-
 def alcove_walk(rs: RootSystem, l: int) -> Iterator[tuple[Weight, list[int]]]:
     """(weight, [(lambda+rho, alpha) over the positive roots]) for every
     dominant weight with (lambda + rho, theta) < l, in lexicographic order.
 
-    The level is checked at the call, before the first weight.  The pairing
-    is linear in the weight, so it is carried down the recursion from the
-    heights (rho, alpha) at the weight 0: raising coordinate i by one adds
-    root column i.  A yielded list is never changed afterwards.
+    A level l <= h is refused at the call, before the first weight.  The
+    pairing is linear in the weight, so it is carried down the recursion
+    from the heights (rho, alpha) at the weight 0: raising coordinate i by
+    one adds root column i.  A yielded list is never changed afterwards.
     """
-    check_level(rs, l)
+    h = rs.coxeter_number
+    if l <= h:
+        raise PreconditionError(f"level l={l} must exceed the Coxeter number h={h}")
     marks = rs.highest_root
     columns = [[a[i] for a in rs.positive_roots] for i in range(rs.rank)]
 

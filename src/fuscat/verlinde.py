@@ -48,6 +48,7 @@ The classifier only answers inside its hypotheses (l odd, l > h, and for
 divisor primes p >= h); everything else is reported OutsideTheorem rather
 than guessed.  An exhaustive alcove scan of the necessary condition (p
 divides the norm of some dimension) serves as an independent check.
+`prime_table` is the one per-prime route: each verdict with its scan hits.
 """
 
 from __future__ import annotations
@@ -279,6 +280,27 @@ def classify_prime(rs: RootSystem, l: int, p: int) -> PrimeVerdict:
     return PrimeVerdict(p, Verdict.BAD, REASON_LEVEL_DIVISOR_WITNESS, witness=witness)
 
 
+def prime_table(rs: RootSystem, l: int, primes: list[int],
+                norms: list[tuple[Weight, int]]) -> list[tuple[PrimeVerdict, list[Weight]]]:
+    """Each prime's verdict with the weights of norms = alcove_norms(rs, l)
+    whose norm it divides.  Failed classifier hypotheses (an even l) give
+    every prime an OutsideTheorem row; other refusals propagate."""
+    try:
+        _check_theorem_hypotheses(rs, l)
+    except PreconditionError as exc:
+        verdicts = [PrimeVerdict(p, Verdict.OUTSIDE_THEOREM, REASON_HYPOTHESIS_FAILURE, detail=str(exc))
+                    for p in primes]
+    else:
+        verdicts = [classify_prime(rs, l, p) for p in primes]
+    return [(v, _scan(norms, l, v.prime)) for v in verdicts]
+
+
+def _scan(norms: list[tuple[Weight, int]], l: int, p: int) -> list[Weight]:
+    """The weights whose norm p divides.  A norm's prime factors are the
+    values Phi_d(1) with d | l, so a prime not dividing l has none."""
+    return [w for w, n in norms if n % p == 0] if l % p == 0 else []
+
+
 def scan_dimension_witnesses(rs: RootSystem, l: int, p: int) -> list[Weight]:
     """All alcove weights whose dimension norm p divides (necessary condition).
 
@@ -287,4 +309,4 @@ def scan_dimension_witnesses(rs: RootSystem, l: int, p: int) -> list[Weight]:
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    return [w for w, n in alcove_norms(rs, l) if n % p == 0]
+    return _scan(alcove_norms(rs, l), l, p)

@@ -72,8 +72,8 @@ def test_zero_product_cannot_normalize():
 
 def test_degenerate_pairing_rejected():
     t = sl2_adjoint()
-    bad = Tensor3(m=t.m, gram=tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3)))
     with pytest.raises(PreconditionError):
+        bad = Tensor3(m=t.m, gram=tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3)))
         amplitude_T2(bad)
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fuscat import amplitude, arith, cli, cyclotomic, finitegroup, verlinde
 from fuscat.arith import primes_upto
 from fuscat.cli import main
+from fuscat.errors import PreconditionError
 from fuscat.rootsys import build_root_system, enumerate_alcove
 from fuscat.verlinde import qdim_norm
 
@@ -93,6 +94,18 @@ def test_badprimes_scans_only_the_primes_dividing_l(capsys, label, l):
     code, out, _ = run(capsys, "verlinde", "badprimes", "--type", label, "--l", str(l), "--pmax", "50")
     rows = [line.split() for line in out.splitlines()[3:]]
     assert [(int(r[0]), int(r[-1])) for r in rows] == [(p, len(every_prime.get(p, []))) for p in primes_upto(50)]
+
+
+def test_badprimes_refuses_a_classifier_refusal_that_is_no_failed_hypothesis(capsys, monkeypatch):
+    # only a failed classifier hypothesis becomes a hypothesis-failure row;
+    # any other refusal inside classify_prime exits 2
+    def refuse(rs, l, weight):
+        raise PreconditionError("the witness norm is refused")
+
+    monkeypatch.setattr(verlinde, "qdim_norm", refuse)
+    code, out, err = run(capsys, "verlinde", "badprimes", "--type", "A1", "--l", "15", "--pmax", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: the witness norm is refused\n"
 
 
 def test_group_report(capsys):

@@ -363,6 +363,40 @@ def test_product_class_matrices_are_never_built(monkeypatch):
         assert {id(f) for f in built} == {id(f) for f in g.factors if f.family is None}, name
 
 
+def dense_class_matrices(g):
+    """Every M_i as a dense k x k matrix, counted from the definition over
+    all pairs (x, y) with x in class i: M_i[j][k] is the number of them
+    with y in class j and x*y the representative of class k."""
+    classes, class_of, index = g.conjugacy_classes(), g.class_of(), g.index
+    k = len(classes)
+    rep_class = {c.rep: kk for kk, c in enumerate(classes)}
+    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for x in g.elements:
+        mat = mats[class_of[index[x]]]
+        for y in g.elements:
+            kk = rep_class.get(perm_mul(x, y))
+            if kk is not None:
+                mat[class_of[index[y]]][kk] += 1
+    return mats
+
+
+@pytest.mark.parametrize("name", ["D12xD12", "S4xA4", "Q8xD8xC3"])
+def test_sparse_class_matrices_against_the_dense_product(name):
+    g = PermGroup.from_generators(builtin_group(name).generators, cap=builtin_group(name).order)
+    assert not g.factors and g.family is None
+    k = len(g.conjugacy_classes())
+    q = finitegroup._splitting_prime(g.order, g.exponent())
+    rng = random.Random(name)
+    vectors = [[rng.randrange(q) for _ in range(k)] for _ in range(3)]
+    for i, dense in enumerate(dense_class_matrices(g)):
+        sparse = finitegroup._class_matrix(g, i)
+        assert all(sparse[j].get(kk, 0) == dense[j][kk] for j in range(k) for kk in range(k))
+        for v in vectors:
+            assert finitegroup._mat_vec(sparse, v, q) == [sum(a * b for a, b in zip(row, v)) % q
+                                                          for row in dense]
+    assert char_degrees(g) == char_degrees(builtin_group(name))
+
+
 # --- S_n and A_n from the partitions of n
 
 NAMED = [f"{fam}{n}" for fam in "SA" for n in range(1, 9)]

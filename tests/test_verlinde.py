@@ -3,12 +3,17 @@ from math import gcd
 import pytest
 import sympy
 
+from fuscat.arith import primes_upto
 from fuscat.cyclotomic import CycNum, q_integer
 from fuscat.errors import PreconditionError
 from fuscat.rootsys import build_root_system, enumerate_alcove, pairing, rho_pairing
 from fuscat.verlinde import (
+    REASON_HYPOTHESIS_FAILURE,
+    PrimeVerdict,
     Verdict,
+    alcove_norms,
     classify_prime,
+    prime_table,
     qdim,
     qdim_norm,
     scan_dimension_witnesses,
@@ -16,6 +21,7 @@ from fuscat.verlinde import (
 )
 
 from cyc_helpers import is_integral
+from test_pool_replay import WORKLOADS
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -126,6 +132,40 @@ def test_scan_runs_for_even_level():
     assert scan_dimension_witnesses(A1, 8, 3) == []
 
 
+# (type, l) of every alcove the alcove-sweep benchmark pool asks for
+POOL_ALCOVES = sorted({(argv[3], int(argv[5])) for argv in WORKLOADS.WORKLOADS["alcove-sweep"].pool()})
+
+
+def brute_force_scans(rs, l, primes):
+    """Per prime, the alcove weights whose norm it divides, each norm from
+    the public qdim_norm."""
+    norms = [(w, qdim_norm(rs, l, w)) for w in enumerate_alcove(rs, l)]
+    return [[w for w, n in norms if n % p == 0] for p in primes]
+
+
+@pytest.mark.parametrize("label, l", POOL_ALCOVES)
+def test_prime_table_is_classify_prime_and_a_brute_force_scan(label, l):
+    rs = build_root_system(label)
+    primes = primes_upto(50)
+    table = prime_table(rs, l, primes, alcove_norms(rs, l))
+    assert [v for v, _ in table] == [classify_prime(rs, l, p) for p in primes]
+    assert [hits for _, hits in table] == brute_force_scans(rs, l, primes)
+
+
+def test_prime_table_reports_an_even_level_outside_the_theorem():
+    with pytest.raises(PreconditionError, match="^classifier requires odd l, got l=10$"):
+        classify_prime(A1, 10, 2)
+    primes = primes_upto(50)
+    table = prime_table(A1, 10, primes, alcove_norms(A1, 10))
+    assert [v for v, _ in table] == [
+        PrimeVerdict(p, Verdict.OUTSIDE_THEOREM, REASON_HYPOTHESIS_FAILURE,
+                     detail="classifier requires odd l, got l=10")
+        for p in primes
+    ]
+    assert [hits for _, hits in table] == brute_force_scans(A1, 10, primes)
+    assert [p for p, (_, hits) in zip(primes, table) if hits] == [2, 5]
+
+
 def test_qdim_galois_twist_preserves_norms():
     # evaluating the dimension formula at q = zeta_{2l}^s gives a Galois
     # conjugate, so norms must agree
@@ -136,8 +176,8 @@ def test_qdim_galois_twist_preserves_norms():
                 continue
             for w in enumerate_alcove(rs, l)[:6]:
                 base = qdim(rs, l, w)
-                num = CycNum.one()
-                den = CycNum.one()
+                num = CycNum.from_int(1)
+                den = CycNum.from_int(1)
                 for alpha in rs.positive_roots:
                     num = num * _twisted_q_integer(pairing(w, alpha), l, s)
                     den = den * _twisted_q_integer(rho_pairing(alpha), l, s)

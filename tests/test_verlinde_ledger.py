@@ -41,8 +41,8 @@ CASES = (
 
 def product_route(rs, l, weight):
     """prod [(lambda+rho, alpha)] / prod [(rho, alpha)] in Q(zeta_{2l})."""
-    num = CycNum.one()
-    den = CycNum.one()
+    num = CycNum.from_int(1)
+    den = CycNum.from_int(1)
     for alpha in rs.positive_roots:
         num = num * q_integer(pairing(weight, alpha), l)
         den = den * q_integer(rho_pairing(alpha), l)
