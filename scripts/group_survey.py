@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from fuscat.arith import prime_factors
+from fuscat.errors import PreconditionError
 from fuscat.finitegroup import (
     builtin_group,
     char_degrees,
@@ -46,4 +47,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from fuscat.arith import primes_upto
+from fuscat.errors import PreconditionError
 from fuscat.rootsys import build_root_system
 from fuscat.verlinde import Verdict, alcove_norms, prime_table
 
@@ -40,4 +41,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -29,13 +29,17 @@ their roots of unity is a primitive n-th root modulo every p, so the
 conjugates of an element modulo M are its values at the powers W^s.  The
 cofactor N/f takes at each root the product of the other values, from
 prefix and suffix products, and is interpolated on the roots of Phi_n with
-one batch inverse per step (Montgomery's trick); norm and cofactor are
-combined by CRT over the steps under a certified bound and an exact check.
+one batch inverse per step (Montgomery's trick).  The residues of the norm
+and of the cofactor's coefficients go through one CRT per step until the
+modulus passes one certified bound, the larger of the two when a cofactor is
+asked for; the cofactor then meets one exact check, and its failure is an
+internal error.
 The setup that depends only on the conductor is taken once per conductor
 (the units mod n, the low terms of Phi_n, the divisors behind Phi_n'), and
 a step's powers of W once per conductor and step; the primes are still
 drawn from `_split_primes` on every call.  An inverse is refused before
-any work when phi(n) log2 ||f||_1 passes `INVERSE_BITS_LIMIT`.
+any work when phi(n) log2 ||f||_1 passes `INVERSE_BITS_LIMIT`, and a norm
+when its steps times its nonzero terms times phi(n) pass `NORM_WORK_LIMIT`.
 
 `parse_element` evaluates the CLI grammar in Z[x]/(x^n - 1), as sparse
 coefficient maps over one denominator, and reduces modulo Phi_n once.
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from math import gcd, lcm, log2
+from math import ceil, gcd, lcm, log2
 from operator import add, index, mul
 
 from .arith import factorize, is_prime, totient
@@ -234,38 +238,33 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     """The norm N of f = sum c_i z^i in Z[zeta_n] and, if asked (f nonzero),
     its cofactor C = N / f in the power basis.
 
-    The work goes in steps, each modulo the product M of the next split
-    primes p: up to `_STEP_PRIMES` of them, and no more than the bounds
-    below still need.  W, the CRT of their roots w, is a primitive n-th root
-    of unity modulo every p, so the conjugates of f modulo M are its values
-    at a_s = W^s for the units s mod n, and N is their product.
+    Every conjugate of f has absolute value at most ||f||_1, so 2 ||f||_1^phi(n)
+    bounds 2 |N|, and 2 ||f||_1^(phi(n)-1) times the reduction height of Phi_n
+    bounds twice each coefficient of C.  The bound B is the first, or the
+    larger of the two when C is asked for.
 
-    N is combined by CRT over the steps until the modulus passes
-    2 ||f||_1^phi(n), which bounds 2 |N| because every conjugate has
-    absolute value at most ||f||_1.  C, whose value at a_s is the product
-    of the other values, taken from prefix and suffix products (see
-    `_cofactor_residues`), is combined over the steps until the last prime
-    of one leaves it unchanged (its symmetric residues are those modulo the
-    primes before) or its modulus passes 2 ||f||_1^(phi(n)-1) times the
-    reduction height of Phi_n, which bounds twice its coefficients.  Once N
-    is certified, C is returned only if f * C == N holds exactly modulo
-    Phi_n.  A check that fails is followed by more steps of C, and one still
-    failing past that bound is an internal error.
+    The work goes in steps, each modulo the product M of the next split
+    primes p: up to `_STEP_PRIMES` of them, and no more than B still needs.
+    W, the CRT of their roots w, is a primitive n-th root of unity modulo
+    every p, so the conjugates of f modulo M are its values at a_s = W^s for
+    the units s mod n, and N is their product; C takes at a_s the product
+    of the other values (see `_cofactor_residues`).  The residues of N and
+    of C's coefficients are combined by one CRT per step until the modulus
+    passes B.  C is then returned only if f * C == N holds exactly modulo
+    Phi_n; a failed check is an internal error.
     """
     units = _units(n)
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
     if not terms:
         return 0, None
     l1 = sum(abs(c) for _, c in terms)
-    norm_bound = 2 * l1 ** len(units)
-    norm, norm_mod = [0], 1
-    cofactor, cof_mod = [0] * len(units), 1
-    cof_bound = 2 * l1 ** (len(units) - 1) * _reduction_height(n) if with_cofactor else 0
+    bound = 2 * l1 ** len(units)
+    if with_cofactor:
+        bound = max(bound, 2 * l1 ** (len(units) - 1) * _reduction_height(n))
+    residues, mod = [0] * (len(units) + 1 if with_cofactor else 1), 1  # N, then C's coefficients
     primes = _split_primes(n)
-    settled = not with_cofactor  # C is not asked for, or a step left it unchanged
-    while True:
-        need = max(norm_bound // norm_mod if norm_mod <= norm_bound else 0,
-                   0 if settled else cof_bound // cof_mod)
+    while mod <= bound:
+        need = bound // mod
         step, m = [], 1
         for k, (p, w) in enumerate(primes, 1):
             step.append((p, w))
@@ -276,27 +275,19 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
         mod_terms = [(i, c if -m < c < m else c % m) for i, c in terms]
         columns = [[c * powers[i * s % n] for s in units] for i, c in mod_terms]
         values = [v % m for v in map(sum, zip(*columns))]
-        if norm_mod <= norm_bound:
-            norm_m = 1
-            for v in values:
-                norm_m = norm_m * v % m
-            norm, norm_mod = _crt(norm, norm_mod, [norm_m], m)
-        if not settled:
-            residues = _cofactor_residues(values, powers, units, n, m)
-            cofactor, cof_mod = _crt(cofactor, cof_mod, residues, m)
-            certified = cof_mod > cof_bound
-            # unchanged by the step's last prime p: C has the same symmetric residues mod cof_mod / p
-            below = cof_mod // p
-            settled = certified or all(-below < 2 * y <= below for y in cofactor)
-        if norm_mod <= norm_bound or not settled:
-            continue
-        if not with_cofactor:
-            return norm[0], None
-        if _is_cofactor(coeffs, cofactor, norm[0], n):
-            return norm[0], cofactor
-        if certified:
-            raise InternalCheckError("the multi-modular cofactor fails the exact check")
-        settled = False
+        norm_m = 1
+        for v in values:
+            norm_m = norm_m * v % m
+        step_residues = [norm_m]
+        if with_cofactor:
+            step_residues += _cofactor_residues(values, powers, units, n, m)
+        residues, mod = _crt(residues, mod, step_residues, m)
+    norm, cofactor = residues[0], residues[1:]
+    if not with_cofactor:
+        return norm, None
+    if not _is_cofactor(coeffs, cofactor, norm, n):
+        raise InternalCheckError("the multi-modular cofactor fails the exact check")
+    return norm, cofactor
 
 
 # (conductor, step) pairs whose powers of W are kept; a step's powers take at
@@ -377,6 +368,16 @@ def _cofactor_residues(values: list[int], powers, units, n: int, m: int) -> list
 # 1/(23+z) (4062 bits) about 4.4 s; 1/(99+98z+97z^2) (7265 bits) took 10 s
 # (2-vCPU host, interpreter start included)
 INVERSE_BITS_LIMIT = 4096
+
+# a norm is refused, before any work, when its steps times its numerator's
+# nonzero terms times phi(n) pass this many multiplications: a step of
+# primes (about 490 bits) takes a value at each of the phi(n) conjugates
+# from every term, and phi(n) log2 ||f||_1 bounds the bits the steps cover.
+# At n = 887, norms of 600 and 700 one-digit terms (11.7M and 13.6M) took
+# 2.7-2.9 s and 3.2-3.6 s, and 886 terms (18M) 5.4 s, against 4.0-4.4 s for
+# 1/(23+z); at n = 240, 64 terms of 60 digits (0.11M) take 0.24 s (2-vCPU
+# host, interpreter start included)
+NORM_WORK_LIMIT = 12_000_000
 
 
 class CycNum:
@@ -566,6 +567,15 @@ class CycNum:
 
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all Galois conjugates."""
+        if not self.is_zero:
+            phi = len(self.coeffs)
+            bits = phi * log2(sum(map(abs, self.coeffs)))
+            work = ceil(bits / 490) * (phi - self.coeffs.count(0)) * phi
+            if work > NORM_WORK_LIMIT:
+                raise PreconditionError(
+                    f"norm in Q(zeta_{self.conductor}) of an element with phi(n) * log2 ||f||_1 = "
+                    f"{bits:.0f} would take {work} multiplications, above the limit {NORM_WORK_LIMIT}"
+                )
         norm, _ = _norm_and_cofactor(self.coeffs, self.conductor, with_cofactor=False)
         return Fraction(norm, self.den ** len(self.coeffs))
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import shlex
 import signal
 import subprocess
@@ -344,6 +345,16 @@ def test_cyc_refuses_an_inverse_above_the_bit_limit_at_once(capsys):
     # a negative power inverts its base through the same check
     code, _, err = run(capsys, "cyc", "(99+98*z+97*z^2)^-1", "--n", "887")
     assert code == 2 and "exceeds the limit 4096" in err
+
+
+def test_cyc_refuses_a_norm_above_the_work_limit_at_once(capsys):
+    rng = random.Random(887)
+    expr = "+".join(f"{rng.randint(10**39, 10**40)}*z^{i}" for i in range(880))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cyc", expr, "--n", "887", "--norm")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: norm in Q(zeta_887) ") and "above the limit 12000000" in err
 
 
 def test_cyc_admits_the_largest_prime_conductor_inverse(capsys):

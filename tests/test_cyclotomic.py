@@ -346,7 +346,9 @@ def _primes_drawn(monkeypatch):
     return calls
 
 
-def test_bounds_past_one_step_against_the_conjugate_product(monkeypatch):
+def _past_one_step():
+    """Two elements whose bounds need more than one step of primes: 16
+    coefficients of 40 digits at n = 60, and a 1-norm near 1000 at n = 240."""
     rng = random.Random(1040)
     huge = CycNum(60, [rng.randint(-10**40, 10**40) for _ in range(16)])
     vec = [0] * 64  # below phi(240), so the power basis keeps the 1-norm
@@ -354,14 +356,51 @@ def test_bounds_past_one_step_against_the_conjugate_product(monkeypatch):
         vec[d] = rng.choice((-1, 1)) * rng.randint(30, 50)
     wide = CycNum(240, vec)
     assert 900 < sum(map(abs, wide.coeffs)) < 1500
+    return huge, wide
+
+
+def test_bounds_past_one_step_against_the_conjugate_product(monkeypatch):
     calls = _primes_drawn(monkeypatch)
-    for a in (huge, wide):
+    for a in _past_one_step():
         calls.clear()
         assert a.norm() == oracle_norm(a)
         assert calls[0] > cyclotomic._STEP_PRIMES
         calls.clear()
         assert a.inverse() == oracle_inverse(a)
         assert calls[0] > cyclotomic._STEP_PRIMES
+
+
+def _fewest_primes(a, with_cofactor):
+    """The fewest split primes whose product passes the bound B: 2 ||f||_1^phi(n),
+    raised to 2 ||f||_1^(phi(n)-1) times the reduction height of Phi_n when the
+    cofactor is asked for."""
+    n, phi, l1 = a.conductor, len(a.coeffs), sum(map(abs, a.coeffs))
+    bound = 2 * l1**phi
+    if with_cofactor:
+        bound = max(bound, 2 * l1 ** (phi - 1) * cyclotomic._reduction_height(n))
+    m = 1
+    for k, (p, _) in enumerate(_split_primes(n), 1):
+        m *= p
+        if m > bound:
+            return k
+
+
+def _stopping_cases():
+    rng = random.Random(595)
+    cases = {f"dense-{n}": dense(rng, n, 24) for n in (60, 105, 210, 240)}
+    cases["unit-105"] = CycNum.zeta(105, 31)
+    cases["2+z-595"] = CycNum(595, [2, 1])  # ||f||_1 = 3, below 4, the reduction height of Phi_595
+    cases["huge-60"], cases["wide-240"] = _past_one_step()
+    return [pytest.param(a, id=name) for name, a in cases.items()]
+
+
+@pytest.mark.parametrize("a", _stopping_cases())
+def test_norm_and_inverse_draw_the_fewest_primes_past_the_bound(monkeypatch, a):
+    want_norm, want_inverse = _fewest_primes(a, False), _fewest_primes(a, True)
+    calls = _primes_drawn(monkeypatch)
+    a.norm()
+    a.inverse()
+    assert calls == [want_norm, want_inverse]
 
 
 @pytest.mark.parametrize("n", [5, 12, 60, 105])
@@ -387,27 +426,18 @@ def test_split_primes_are_primes_with_primitive_roots():
             assert all(pow(w, n // q, p) != 1 for q in factorize(n))
 
 
-def test_failed_exact_check_adds_primes(monkeypatch):
-    # at the certified coefficient bound a failed check is an internal error;
-    # a looser bound leaves room to fail the check before it
+def test_a_failed_exact_check_is_an_internal_error_with_no_prime_added(monkeypatch):
     a = dense(random.Random(7), 60, 12)
-    checks, primes = [], []
-    check, split_primes = cyclotomic._is_cofactor, cyclotomic._split_primes
+    calls, drawn_at_check = _primes_drawn(monkeypatch), []
 
-    def fail_first(coeffs, cofactor, norm, n):
-        checks.append(len(primes))
-        return len(checks) > 1 and check(coeffs, cofactor, norm, n)
+    def fail(coeffs, cofactor, norm, n):
+        drawn_at_check.append(calls[-1])
+        return False
 
-    def counted(n):
-        for pair in split_primes(n):
-            primes.append(pair)
-            yield pair
-
-    monkeypatch.setattr(cyclotomic, "_is_cofactor", fail_first)
-    monkeypatch.setattr(cyclotomic, "_split_primes", counted)
-    monkeypatch.setattr(cyclotomic, "_reduction_height", lambda n: 2**1000)
-    assert a.inverse() == oracle_inverse(a)
-    assert len(checks) == 2 and checks[1] > checks[0]
+    monkeypatch.setattr(cyclotomic, "_is_cofactor", fail)
+    with pytest.raises(InternalCheckError, match="fails the exact check"):
+        a.inverse()
+    assert drawn_at_check == calls == [_fewest_primes(a, True)]
 
 
 def test_inverse_refuses_above_the_bit_limit_before_any_work(monkeypatch):
@@ -418,6 +448,17 @@ def test_inverse_refuses_above_the_bit_limit_before_any_work(monkeypatch):
             invert(a)
     with pytest.raises(PreconditionError, match="exceeds the limit"):
         parse_element("1/(99+98*z+97*z^2)", 887)
+
+
+def test_norm_refuses_above_the_work_limit_before_any_work(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_norm_and_cofactor", lambda *a, **k: (1, None))
+    assert cyclotomic.NORM_WORK_LIMIT == 12_000_000
+    # 886 * log2(600) is about 8177 bits, 17 steps: 17 * 600 * 886 = 9037200
+    assert CycNum(887, [1] * 600).norm() == 1
+    # 886 * log2(800) is about 8545 bits, 18 steps: 18 * 800 * 886 = 12758400
+    monkeypatch.setattr(cyclotomic, "_norm_and_cofactor", lambda *a, **k: pytest.fail("normed"))
+    with pytest.raises(PreconditionError, match="^norm in Q.* 12758400 multiplications, above the limit"):
+        CycNum(887, [1] * 800).norm()
 
 
 def test_cofactor_is_never_returned_unchecked(monkeypatch):
