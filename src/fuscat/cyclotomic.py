@@ -37,9 +37,9 @@ internal error.
 The setup that depends only on the conductor is taken once per conductor
 (the units mod n, the low terms of Phi_n, the divisors behind Phi_n'), and
 a step's powers of W once per conductor and step; the primes are still
-drawn from `_split_primes` on every call.  An inverse is refused before
-any work when phi(n) log2 ||f||_1 passes `INVERSE_BITS_LIMIT`, and a norm
-when its steps times its nonzero terms times phi(n) pass `NORM_WORK_LIMIT`.
+drawn from `_split_primes` on every call.  A norm or an inverse is refused
+before the first prime is drawn when its count of multiplications passes
+`WORK_LIMIT`.
 
 `parse_element` evaluates the CLI grammar in Z[x]/(x^n - 1), as sparse
 coefficient maps over one denominator, and reduces modulo Phi_n once.
@@ -186,6 +186,15 @@ _SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
 # nearly flat up to a few hundred bits, while its long division is quadratic
 _STEP_PRIMES = 8
 
+# a norm or an inverse is refused, before the first prime is drawn, when the
+# multiplications its steps would take (counted in `_norm_and_cofactor`)
+# pass this.  At n = 887, 1/(2+z+z^3) (4.7M) takes 2.1-2.2 s, 1/(23+z) and
+# 1/(9+8z+7z^2) (10.6M each) 4.7-7.1 s, and norms of 600 and 700 one-digit
+# terms (9.0M and 11.2M) 2.4-3.5 s; 1/(99+98z+97z^2) (17.7M) is refused in
+# 0.1 s, and 1/(10^1300+z) at n = 3 (198) answers in 0.2 s (2-vCPU host,
+# interpreter start included)
+WORK_LIMIT = 12_000_000
+
 
 def _split_primes(n: int):
     """Primes p = 1 (mod n) below 2^61, largest first, each with a primitive
@@ -252,16 +261,33 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     of C's coefficients are combined by one CRT per step until the modulus
     passes B.  C is then returned only if f * C == N holds exactly modulo
     Phi_n; a failed check is an internal error.
+
+    Before the first prime is drawn, the work is counted and refused above
+    `WORK_LIMIT`: ceil(phi(n) log2 ||f||_1 / 490) steps, each taking the
+    phi(n) values from every nonzero term of f and, for C, the phi(n)^2
+    terms of the power sums and sum i over the nonzero phi_i (i >= 1) of
+    Phi_n for the interpolation.
     """
     units = _units(n)
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
     if not terms:
         return 0, None
-    l1 = sum(abs(c) for _, c in terms)
-    bound = 2 * l1 ** len(units)
+    phi, l1 = len(units), sum(abs(c) for _, c in terms)
+    bits = phi * log2(l1)
+    step_work = len(terms) * phi
     if with_cofactor:
-        bound = max(bound, 2 * l1 ** (len(units) - 1) * _reduction_height(n))
-    residues, mod = [0] * (len(units) + 1 if with_cofactor else 1), 1  # N, then C's coefficients
+        step_work += phi * phi + phi + sum(j for j, _ in _low_terms(n))
+    work = ceil(bits / 490) * step_work
+    if work > WORK_LIMIT:
+        what = "inverse" if with_cofactor else "norm"
+        raise PreconditionError(
+            f"{what} in Q(zeta_{n}) of an element with phi(n) * log2 ||f||_1 = {bits:.0f} "
+            f"would take {work} multiplications, above the limit {WORK_LIMIT}"
+        )
+    bound = 2 * l1 ** phi
+    if with_cofactor:
+        bound = max(bound, 2 * l1 ** (phi - 1) * _reduction_height(n))
+    residues, mod = [0] * (phi + 1 if with_cofactor else 1), 1  # N, then C's coefficients
     primes = _split_primes(n)
     while mod <= bound:
         need = bound // mod
@@ -360,24 +386,6 @@ def _cofactor_residues(values: list[int], powers, units, n: int, m: int) -> list
 
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
-
-# an inverse is refused, before any work, when phi(n) * log2 ||f||_1 of its
-# numerator f passes this many bits: that bounds the cofactor's size and so
-# the number of its multi-modular steps, each of about phi(n)^2
-# multiplications.  At n = 887, 1/(2+z+z^3) (1772 bits) takes about 1.7 s and
-# 1/(23+z) (4062 bits) about 4.4 s; 1/(99+98z+97z^2) (7265 bits) took 10 s
-# (2-vCPU host, interpreter start included)
-INVERSE_BITS_LIMIT = 4096
-
-# a norm is refused, before any work, when its steps times its numerator's
-# nonzero terms times phi(n) pass this many multiplications: a step of
-# primes (about 490 bits) takes a value at each of the phi(n) conjugates
-# from every term, and phi(n) log2 ||f||_1 bounds the bits the steps cover.
-# At n = 887, norms of 600 and 700 one-digit terms (11.7M and 13.6M) took
-# 2.7-2.9 s and 3.2-3.6 s, and 886 terms (18M) 5.4 s, against 4.0-4.4 s for
-# 1/(23+z); at n = 240, 64 terms of 60 digits (0.11M) take 0.24 s (2-vCPU
-# host, interpreter start included)
-NORM_WORK_LIMIT = 12_000_000
 
 
 class CycNum:
@@ -515,12 +523,6 @@ class CycNum:
         if self.is_zero:
             raise PreconditionError("division by zero")
         n = self.conductor
-        bits = len(self.coeffs) * log2(sum(map(abs, self.coeffs)))
-        if bits > INVERSE_BITS_LIMIT:
-            raise PreconditionError(
-                f"inverse in Q(zeta_{n}) of an element with phi(n) * log2 ||f||_1 = {bits:.0f} "
-                f"exceeds the limit {INVERSE_BITS_LIMIT}"
-            )
         norm, cofactor = _norm_and_cofactor(self.coeffs, n, with_cofactor=True)
         return CycNum(n, [self.den * v for v in cofactor], norm)
 
@@ -567,15 +569,6 @@ class CycNum:
 
     def norm(self) -> Fraction:
         """Field norm to Q: the product of all Galois conjugates."""
-        if not self.is_zero:
-            phi = len(self.coeffs)
-            bits = phi * log2(sum(map(abs, self.coeffs)))
-            work = ceil(bits / 490) * (phi - self.coeffs.count(0)) * phi
-            if work > NORM_WORK_LIMIT:
-                raise PreconditionError(
-                    f"norm in Q(zeta_{self.conductor}) of an element with phi(n) * log2 ||f||_1 = "
-                    f"{bits:.0f} would take {work} multiplications, above the limit {NORM_WORK_LIMIT}"
-                )
         norm, _ = _norm_and_cofactor(self.coeffs, self.conductor, with_cofactor=False)
         return Fraction(norm, self.den ** len(self.coeffs))
 

@@ -1,7 +1,9 @@
+import importlib
 import io
 import json
 import os
 import random
+import re
 import shlex
 import signal
 import subprocess
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from fuscat import amplitude, arith, cli, cyclotomic, finitegroup, verlinde
 from fuscat.arith import primes_upto
 from fuscat.cli import main
+from fuscat.cyclotomic import CycNum
 from fuscat.errors import PreconditionError
 from fuscat.rootsys import build_root_system, enumerate_alcove
 from fuscat.verlinde import qdim_norm
@@ -335,16 +338,27 @@ def test_cyc_admits_conductors_up_to_the_limit(capsys):
     assert code == 0 and out.splitlines()[-1].startswith("norm = ")
 
 
-def test_cyc_refuses_an_inverse_above_the_bit_limit_at_once(capsys):
-    assert cyclotomic.INVERSE_BITS_LIMIT == 4096
+def test_cyc_refuses_an_inverse_above_the_work_limit_at_once(capsys):
+    assert cyclotomic.WORK_LIMIT == 12_000_000
     start = time.perf_counter()
     code, out, err = run(capsys, "cyc", "1/(99+98*z+97*z^2)", "--n", "887")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and "Traceback" not in err
-    assert "exceeds the limit 4096" in err
+    assert "above the limit 12000000" in err
     # a negative power inverts its base through the same check
     code, _, err = run(capsys, "cyc", "(99+98*z+97*z^2)^-1", "--n", "887")
-    assert code == 2 and "exceeds the limit 4096" in err
+    assert code == 2 and "above the limit 12000000" in err
+
+
+def test_cyc_admits_a_cheap_inverse_of_many_bits_at_a_small_conductor(capsys):
+    # phi(3) * log2 ||f||_1 is about 8637 bits, but 18 steps of 11 multiplications
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "cyc", "1/(10^1300+z)", "--n", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    value = payload["result"]["value"]
+    inverse = CycNum(3, [int(v) for v in value["numerator"]], int(value["denominator"]))
+    assert inverse * CycNum(3, [10**1300, 1]) == 1
 
 
 def test_cyc_refuses_a_norm_above_the_work_limit_at_once(capsys):
@@ -965,6 +979,14 @@ def _readme_cli_lines():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("fuscat ")]
+
+
+def test_readme_names_only_module_constants_that_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", readme)
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"fuscat.{module}"), name), f"{module}.{name}"
 
 
 def test_readme_cli_block_lines_run():

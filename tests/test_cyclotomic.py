@@ -440,38 +440,58 @@ def test_a_failed_exact_check_is_an_internal_error_with_no_prime_added(monkeypat
     assert drawn_at_check == calls == [_fewest_primes(a, True)]
 
 
-def test_inverse_refuses_above_the_bit_limit_before_any_work(monkeypatch):
-    monkeypatch.setattr(cyclotomic, "_norm_and_cofactor", lambda *a, **k: pytest.fail("inverted"))
-    a = CycNum(887, [99, 98, 97])  # 886 * log2(294) is about 7265 bits
+class _PrimeDrawn(Exception):
+    """Raised in place of the first split prime: the work check has passed."""
+
+
+def _draw_no_prime(monkeypatch, admitted):
+    """Patch `_split_primes`: an admitted request raises `_PrimeDrawn` at its
+    first prime, a refused one must draw none."""
+
+    def draw(n):
+        if not admitted:
+            pytest.fail("a prime was drawn")
+        raise _PrimeDrawn
+
+    monkeypatch.setattr(cyclotomic, "_split_primes", draw)
+
+
+def test_inverse_refuses_above_the_work_limit_before_any_work(monkeypatch):
+    _draw_no_prime(monkeypatch, admitted=False)
+    # 886 * log2(294) is about 7265 bits, 15 steps, each of 3 * 886 values,
+    # 886^2 power sums and 886 * 887 / 2 interpolation terms (Phi_887 has no
+    # zero coefficient): 17708925 multiplications
+    a = CycNum(887, [99, 98, 97])
+    refusal = "^inverse in Q.* 17708925 multiplications, above the limit 12000000"
     for invert in (CycNum.inverse, lambda x: 1 / x, lambda x: x**-2):
-        with pytest.raises(PreconditionError, match="exceeds the limit 4096"):
+        with pytest.raises(PreconditionError, match=refusal):
             invert(a)
-    with pytest.raises(PreconditionError, match="exceeds the limit"):
+    with pytest.raises(PreconditionError, match="above the limit 12000000"):
         parse_element("1/(99+98*z+97*z^2)", 887)
 
 
 def test_norm_refuses_above_the_work_limit_before_any_work(monkeypatch):
-    monkeypatch.setattr(cyclotomic, "_norm_and_cofactor", lambda *a, **k: (1, None))
-    assert cyclotomic.NORM_WORK_LIMIT == 12_000_000
+    _draw_no_prime(monkeypatch, admitted=True)
+    assert cyclotomic.WORK_LIMIT == 12_000_000
     # 886 * log2(600) is about 8177 bits, 17 steps: 17 * 600 * 886 = 9037200
-    assert CycNum(887, [1] * 600).norm() == 1
+    with pytest.raises(_PrimeDrawn):
+        CycNum(887, [1] * 600).norm()
     # 886 * log2(800) is about 8545 bits, 18 steps: 18 * 800 * 886 = 12758400
-    monkeypatch.setattr(cyclotomic, "_norm_and_cofactor", lambda *a, **k: pytest.fail("normed"))
+    _draw_no_prime(monkeypatch, admitted=False)
     with pytest.raises(PreconditionError, match="^norm in Q.* 12758400 multiplications, above the limit"):
         CycNum(887, [1] * 800).norm()
 
 
-def test_cofactor_is_never_returned_unchecked(monkeypatch):
-    seen = []
-
-    def never(coeffs, cofactor, norm, n):
-        seen.append(1)
-        return False
-
-    monkeypatch.setattr(cyclotomic, "_is_cofactor", never)
-    with pytest.raises(InternalCheckError):
-        dense(random.Random(7), 60, 12).inverse()
-    assert seen
+@pytest.mark.parametrize("n", [883, 887, 899])
+def test_the_largest_inverses_the_bit_limit_admitted_stay_admitted(monkeypatch, n):
+    # every inverse with phi(n) * log2 ||f||_1 <= 4096 stays admitted; at a
+    # large conductor the one with most work has floor(2^(4096/phi)) unit terms
+    phi = totient(n)
+    terms = int(2 ** (4096 / phi))
+    assert phi * log2(terms) <= 4096 < phi * log2(terms + 1)
+    _draw_no_prime(monkeypatch, admitted=True)
+    with pytest.raises(_PrimeDrawn):
+        CycNum(n, [1] * terms).inverse()
 
 
 def is_p_unit(a, p):
