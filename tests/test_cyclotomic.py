@@ -482,6 +482,19 @@ def test_norm_refuses_above_the_work_limit_before_any_work(monkeypatch):
         CycNum(887, [1] * 800).norm()
 
 
+def test_cofactor_is_never_returned_unchecked(monkeypatch):
+    seen = []
+
+    def never(coeffs, cofactor, norm, n):
+        seen.append(1)
+        return False
+
+    monkeypatch.setattr(cyclotomic, "_is_cofactor", never)
+    with pytest.raises(InternalCheckError):
+        dense(random.Random(7), 60, 12).inverse()
+    assert seen
+
+
 @pytest.mark.parametrize("n", [883, 887, 899])
 def test_the_largest_inverses_the_bit_limit_admitted_stay_admitted(monkeypatch, n):
     # every inverse with phi(n) * log2 ||f||_1 <= 4096 stays admitted; at a
