@@ -50,18 +50,12 @@ from .verlinde import Verdict
 # nmax^2 (--nmax 500 takes about 1 s, --nmax 1000 about 5 s on a 2-vCPU host)
 NMAX_LIMIT = 500
 
-# cyc --n above this is refused before the expression is parsed.  The work
-# count in `cyclotomic` bounds the steps of a norm or an inverse, not what
-# comes with the conductor itself: building Phi_n (a list of n integers; 5.8 s
-# and 113 MB at n = 510510), the per-conductor work the count leaves out (the
-# n powers of the primes' root that each step takes, and the split primes
-# p = 1 (mod n) themselves: `cyc 2+z+3*z^7 --norm` counts 6.4M multiplications
-# and takes 10 s at n = 20011, 4 s of it in the powers, against 0.14 s at
-# n = 887), and the printed size (`cyc "1/(2+z+z^3)"`
-# prints phi(n) coefficients, 215 kB at n = 887 and 277 kB at n = 1009).
-# `amplitude t4 --quantum` works at the conductor 2l and is refused above the
-# same limit (--l 450 takes 0.3 s, --l 1000 3 s; 2-vCPU host, interpreter
-# start included, measured with the limit lifted)
+# cyc --n above this is refused before the expression is parsed.  It guards
+# what the work count in `cyclotomic` leaves out: building Phi_n (5.8 s and
+# 113 MB at n = 510510), the n powers of W and the product of the phi(n) values
+# each step takes (`cyc 2+z+3*z^7 --norm` counts 7.3M and takes 9.2 s at
+# n = 20011, 0.13 s at 887), and the printed size (215 kB for 1/(2+z+z^3) at
+# 887).  `amplitude t4 --quantum` (conductor 2l) is refused above it too
 CONDUCTOR_LIMIT = 900
 
 # --pmax above this is refused before the primes are sieved: `verlinde

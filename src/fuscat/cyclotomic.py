@@ -186,13 +186,15 @@ _SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
 # nearly flat up to a few hundred bits, while its long division is quadratic
 _STEP_PRIMES = 8
 
-# a norm or an inverse is refused, before the first prime is drawn, when the
-# multiplications its steps would take (counted in `_norm_and_cofactor`)
-# pass this.  At n = 887, 1/(2+z+z^3) (4.7M) takes 2.1-2.2 s, 1/(23+z) and
-# 1/(9+8z+7z^2) (10.6M each) 4.7-7.1 s, and norms of 600 and 700 one-digit
-# terms (9.0M and 11.2M) 2.4-3.5 s; 1/(99+98z+97z^2) (17.7M) is refused in
-# 0.1 s, and 1/(10^1300+z) at n = 3 (198) answers in 0.2 s (2-vCPU host,
-# interpreter start included)
+# finding a split prime takes about as long as this many multiplications
+# (0.46-0.67 ms, against 0.47 us each in 1/(23+z) at n = 887; 2-vCPU host)
+_PRIME_WORK = 1000
+
+# a norm or an inverse whose count of multiplications (in `_norm_and_cofactor`)
+# passes this is refused before the first prime is drawn.  At n = 887 1/(23+z)
+# (10.8M) takes 4.4-5.2 s and a norm of 700 one-digit terms (11.3M) 3.0-3.1 s
+# from the CLI; at n = 3 the largest admitted inverse and norm take 5.5-6.3 s
+# in-process (2-vCPU host)
 WORK_LIMIT = 12_000_000
 
 
@@ -264,9 +266,11 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
 
     Before the first prime is drawn, the work is counted and refused above
     `WORK_LIMIT`: ceil(phi(n) log2 ||f||_1 / 490) steps, each taking the
-    phi(n) values from every nonzero term of f and, for C, the phi(n)^2
-    terms of the power sums and sum i over the nonzero phi_i (i >= 1) of
-    Phi_n for the interpolation.
+    phi(n) values of every nonzero term of f; for C, phi(n)^2 for the power
+    sums and sum i over the nonzero phi_i (i >= 1) of Phi_n; `_PRIME_WORK`
+    for each prime; and (residues + 4) * steps for the CRT against a growing
+    modulus, the 4 for the inverse of the modulus, the next quotient of the
+    bound and f's coefficients modulo M (at most steps multiplications).
     """
     units = _units(n)
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
@@ -274,10 +278,11 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
         return 0, None
     phi, l1 = len(units), sum(abs(c) for _, c in terms)
     bits = phi * log2(l1)
-    step_work = len(terms) * phi
+    width = phi + 1 if with_cofactor else 1  # the residues: N, then C's coefficients
+    steps, step_work = ceil(bits / 490), len(terms) * phi
     if with_cofactor:
         step_work += phi * phi + phi + sum(j for j, _ in _low_terms(n))
-    work = ceil(bits / 490) * step_work
+    work = steps * (step_work + _PRIME_WORK * _STEP_PRIMES + (width + 4) * steps)
     if work > WORK_LIMIT:
         what = "inverse" if with_cofactor else "norm"
         raise PreconditionError(
@@ -287,10 +292,9 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     bound = 2 * l1 ** phi
     if with_cofactor:
         bound = max(bound, 2 * l1 ** (phi - 1) * _reduction_height(n))
-    residues, mod = [0] * (phi + 1 if with_cofactor else 1), 1  # N, then C's coefficients
+    residues, mod, need = [0] * width, 1, bound  # need = bound // mod, one short division a step
     primes = _split_primes(n)
-    while mod <= bound:
-        need = bound // mod
+    while need:
         step, m = [], 1
         for k, (p, w) in enumerate(primes, 1):
             step.append((p, w))
@@ -308,6 +312,7 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
         if with_cofactor:
             step_residues += _cofactor_residues(values, powers, units, n, m)
         residues, mod = _crt(residues, mod, step_residues, m)
+        need //= m
     norm, cofactor = residues[0], residues[1:]
     if not with_cofactor:
         return norm, None

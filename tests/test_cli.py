@@ -351,7 +351,8 @@ def test_cyc_refuses_an_inverse_above_the_work_limit_at_once(capsys):
 
 
 def test_cyc_admits_a_cheap_inverse_of_many_bits_at_a_small_conductor(capsys):
-    # phi(3) * log2 ||f||_1 is about 8637 bits, but 18 steps of 11 multiplications
+    # phi(3) * log2 ||f||_1 is about 8637 bits, but 18 steps of 11 multiplications,
+    # 8 * 1000 for the primes and (3 + 4) * 18 for the CRT: 146466
     start = time.perf_counter()
     code, payload = run_json(capsys, "cyc", "1/(10^1300+z)", "--n", "3")
     assert time.perf_counter() - start < 1
@@ -359,6 +360,20 @@ def test_cyc_admits_a_cheap_inverse_of_many_bits_at_a_small_conductor(capsys):
     value = payload["result"]["value"]
     inverse = CycNum(3, [int(v) for v in value["numerator"]], int(value["denominator"]))
     assert inverse * CycNum(3, [10**1300, 1]) == 1
+
+
+def test_cyc_refuses_a_product_chain_divisor_at_a_small_conductor_at_once(capsys, monkeypatch):
+    # 100 factors of 10^4000 make a divisor of about 2.66M bits at n = 3: 5424
+    # steps of 11 multiplications, but each draws 8 primes (8 * 1000) and its
+    # CRT works against a modulus that grows to 2.66M bits ((3 + 4) * 5424):
+    # 249390096 in all
+    monkeypatch.setattr(cyclotomic, "_split_primes", lambda n: pytest.fail("a prime was drawn"))
+    chain = "*".join(["10^4000"] * 100)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cyc", f"1/({chain}+z)", "--n", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "error: inverse in Q(zeta_3) " in err and "249390096 multiplications, above the limit 12000000" in err
 
 
 def test_cyc_refuses_a_norm_above_the_work_limit_at_once(capsys):

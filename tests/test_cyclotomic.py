@@ -459,10 +459,11 @@ def _draw_no_prime(monkeypatch, admitted):
 def test_inverse_refuses_above_the_work_limit_before_any_work(monkeypatch):
     _draw_no_prime(monkeypatch, admitted=False)
     # 886 * log2(294) is about 7265 bits, 15 steps, each of 3 * 886 values,
-    # 886^2 power sums and 886 * 887 / 2 interpolation terms (Phi_887 has no
-    # zero coefficient): 17708925 multiplications
+    # 886^2 power sums, 886 * 887 / 2 interpolation terms (Phi_887 has no
+    # zero coefficient), 8 * 1000 for its primes and (887 + 4) * 15 for the
+    # CRT: 15 * 1201960 = 18029400 multiplications
     a = CycNum(887, [99, 98, 97])
-    refusal = "^inverse in Q.* 17708925 multiplications, above the limit 12000000"
+    refusal = "^inverse in Q.* 18029400 multiplications, above the limit 12000000"
     for invert in (CycNum.inverse, lambda x: 1 / x, lambda x: x**-2):
         with pytest.raises(PreconditionError, match=refusal):
             invert(a)
@@ -473,13 +474,19 @@ def test_inverse_refuses_above_the_work_limit_before_any_work(monkeypatch):
 def test_norm_refuses_above_the_work_limit_before_any_work(monkeypatch):
     _draw_no_prime(monkeypatch, admitted=True)
     assert cyclotomic.WORK_LIMIT == 12_000_000
-    # 886 * log2(600) is about 8177 bits, 17 steps: 17 * 600 * 886 = 9037200
+    # 886 * log2(600) is about 8177 bits, 17 steps, each of 600 * 886 values,
+    # 8 * 1000 for its primes and (1 + 4) * 17 for the CRT: 9174645
     with pytest.raises(_PrimeDrawn):
         CycNum(887, [1] * 600).norm()
-    # 886 * log2(800) is about 8545 bits, 18 steps: 18 * 800 * 886 = 12758400
+    # 886 * log2(800) is about 8545 bits, 18 steps: 18 * (800 * 886 + 8000 + 90) = 12904020
     _draw_no_prime(monkeypatch, admitted=False)
-    with pytest.raises(PreconditionError, match="^norm in Q.* 12758400 multiplications, above the limit"):
+    with pytest.raises(PreconditionError, match="^norm in Q.* 12904020 multiplications, above the limit"):
         CycNum(887, [1] * 800).norm()
+    # 2 * 10^6 bits at n = 3, 4082 steps of 2 * 2 values: 8 * 1000 for the
+    # primes and (1 + 4) * 4082 for the CRT against a modulus that grows to
+    # 2 * 10^6 bits give 4082 * 28414 = 115985948; the values alone count 16328
+    with pytest.raises(PreconditionError, match="^norm in Q.* 115985948 multiplications, above the limit"):
+        CycNum(3, [2**1_000_000, 1]).norm()
 
 
 def test_cofactor_is_never_returned_unchecked(monkeypatch):
