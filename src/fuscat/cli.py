@@ -219,10 +219,11 @@ def _cmd_cyc(args) -> Report:
 
 
 def _root_of_unity_norms(nmax: int) -> list[dict]:
-    """N(1 - zeta_n) against the prime-power rule Phi_n(1), for n = 2..nmax."""
+    """N(1 - zeta_n) against the prime-power rule Phi_n(1), for n = 2..nmax;
+    each 1 - zeta_n is built by the one constructor, from the vector (1, -1)."""
     rows = []
     for n in range(2, nmax + 1):
-        nrm = (1 - CycNum.zeta(n)).norm()
+        nrm = CycNum(n, [1, -1]).norm()
         rule = cyclotomic_at_one(n)
         rows.append({"n": n, "norm": nrm, "rule": rule, "match": nrm == rule})
     return rows

@@ -4,8 +4,8 @@ Groups are enumerated explicitly (orbit closure of the generators) up to a
 configurable cap on the order, which also bounds the element table at
 TABLE_FACTOR x cap points (order x degree); conjugacy classes are computed
 on the element table.  A group records the cap it was admitted under, and
-its subgroups, double-coset stabilizers and A_n's table are enumerated
-under that cap: they lie inside the group, so they pass both bounds.
+its subgroups, double-coset stabilizers and the tables of A_n and D_n are
+enumerated under that cap: they lie inside the group, so they pass both bounds.
 Every product a*b is one C-level gather, `operator.itemgetter(*a)(b)`,
 and a loop that multiplies by a fixed operand builds its gather once.
 Double cosets and their stabilizers come from one pass over the H-orbits
@@ -29,7 +29,11 @@ from the hook-length formula (for An, one per pair of conjugate partitions
 and two halves for a self-conjugate one).  Its element table is built only
 when something asks for it, for Sn as `itertools.permutations`, already
 sorted; `class_of` is then the conjugation orbits on it, checked against
-the partition classes.  A group with as many classes as elements is
+the partition classes.  A builtin Dn (order n = 2m, on m points) answers
+the same way from its rotations and reflections: the classes {r^k, r^-k}
+and one or two classes of reflections, and the degrees 1 and 2 in closed
+form; its table is the closure of its generators, built only when asked
+for.  A group with as many classes as elements is
 abelian and has all degrees 1.  Every other group takes the
 class-multiplication-coefficient method: the integer class matrices
 (sparse, as each column of M_i has at most |C_i| nonzeros) commute and
@@ -211,7 +215,7 @@ class PermGroup:
     """A finite permutation group.  `from_generators` enumerates its sorted
     element table at once; a direct product of recorded factors joins the
     table and `index` from the factors' tables on first need, and a named
-    S_n or A_n builds it only then."""
+    S_n, A_n or D_n builds it only then."""
 
     def __init__(
         self,
@@ -228,13 +232,15 @@ class PermGroup:
         self.generators = [_pad(g, degree) for g in generators]
         # G1, ..., Gr when the group was built as their direct product
         self.factors = factors
-        # ("S", n) or ("A", n) when the group was built as the builtin Sn or An
+        # ("S", n), ("A", n) or ("D", n) when the group was built as the
+        # builtin Sn, An or Dn (for Dn, n is the order)
         self.family = family
         self._elements = None if elements is None else sorted(elements)
         if elements is not None:
             self._order = len(self._elements)
         elif family:
-            self._order = factorial(family[1]) // (2 if family[0] == "A" and family[1] > 1 else 1)
+            fam, n = family
+            self._order = n if fam == "D" else factorial(n) // (2 if fam == "A" and n > 1 else 1)
         else:
             self._order = prod(f.order for f in factors)
         self._index: dict[Perm, int] | None = None
@@ -285,7 +291,7 @@ class PermGroup:
         """The sorted element table; for a product, the factors' tables
         joined in order, which is already sorted; for S_n, every
         permutation of its points in the lex order `itertools` yields them;
-        for A_n, the closure of its generators."""
+        for A_n and D_n, the closure of its generators."""
         if self._elements is None:
             if self.factors:
                 elements: list[Perm] = [()]
@@ -334,7 +340,8 @@ class PermGroup:
         """Classes ordered by their least element.  For a product these are
         the Cartesian products of the factors' classes: lex order on the
         joined reps is lex order on the tuples of factor reps.  For a named
-        S_n or A_n they come from the partitions of n."""
+        S_n or A_n they come from the partitions of n, for a named D_n from
+        its rotations and reflections."""
         if self._classes is None:
             if self.factors:
                 reps_sizes: list[tuple[Perm, int]] = [((), 1)]
@@ -342,7 +349,8 @@ class PermGroup:
                     part = [(_shift(c.rep, offset), c.size) for c in f.conjugacy_classes()]
                     reps_sizes = [(r + s, m * n) for r, m in reps_sizes for s, n in part]
             elif self.family:
-                reps_sizes = _partition_classes(*_checked_family(self))
+                fam, n = _checked_family(self)
+                reps_sizes = _dihedral_classes(n) if fam == "D" else _partition_classes(fam, n)
             else:
                 reps_sizes = self._enumerate_classes()
             if sum(size for _, size in reps_sizes) != self.order:
@@ -356,9 +364,10 @@ class PermGroup:
         """Element index -> conjugacy class index."""
         classes = self.conjugacy_classes()  # fills class_of unless self is a product or named
         # the orbits on a product's or a named group's table must be the
-        # classes its factors or the partitions gave
+        # classes its factors, the partitions or the dihedral rule gave
         if self._class_of is None and self._enumerate_classes() != [(c.rep, c.size) for c in classes]:
-            whose = "the factors'" if self.factors else "the partition"
+            whose = ("the factors'" if self.factors
+                     else "the dihedral" if self.family[0] == "D" else "the partition")
             raise InternalCheckError(f"conjugation orbits do not match {whose} classes")
         return self._class_of
 
@@ -438,8 +447,8 @@ def _checked_factors(g: PermGroup) -> tuple[PermGroup, ...]:
 
 def _checked_family(g: PermGroup) -> tuple[str, int]:
     """The recorded family and n, once the group's generators are exactly
-    the builtin Sn's or An's: the tie between the partition routes and the
-    group the generators define."""
+    the builtin Sn's, An's or Dn's: the tie between the closed-form routes
+    and the group the generators define."""
     if not g.family or _family_generators(*g.family) != g.generators:
         raise InternalCheckError("the recorded family does not generate the group")
     return g.family
@@ -516,6 +525,35 @@ def _hook_degrees(family: str, n: int) -> list[int]:
         elif parts > conj:
             out.append(f)
     return out
+
+
+# ---------------------------------------------------------------------------
+# D_n, of order n = 2m, on the m vertices of a polygon
+
+
+def _dihedral_classes(n: int) -> list[tuple[Perm, int]]:
+    """(least element, size) per class of D_n, ordered by element.
+
+    With r: i -> i + 1 and s_k: i -> k - i (mod m), the classes are
+    {r^k, r^-k} for 0 <= k <= m/2, led by r^k, and the reflections: one
+    class of m for m odd; for m even, the s_k with k even and those with k
+    odd, m/2 each, led by s_0 and s_1 (r^j s_k r^-j = s_(k+2j) and
+    s_j s_k s_j = s_(2j-k)).
+    """
+    m = n // 2
+    rotations = [(tuple(range(k, m)) + tuple(range(k)), 1 if 2 * k in (0, m) else 2)
+                 for k in range(m // 2 + 1)]
+    parities = 1 if m % 2 else 2
+    reflections = [(tuple((k - i) % m for i in range(m)), m // parities) for k in range(parities)]
+    return sorted(rotations + reflections)
+
+
+def _dihedral_degrees(n: int) -> list[int]:
+    """Irreducible degrees of D_n, n = 2m: 2 linear characters and (m-1)/2
+    of degree 2 for m odd, 4 linear and (m-2)/2 of degree 2 for m even."""
+    m = n // 2
+    linear = 2 if m % 2 else 4
+    return [1] * linear + [2] * ((m - linear // 2) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +701,17 @@ def _class_matrix(g: PermGroup, i: int) -> list[dict[int, int]]:
 def char_degrees(g: PermGroup) -> tuple[int, ...]:
     """Sorted multiset of irreducible character degrees: the products of the
     factors' degrees for a recorded direct product, the hook-length degrees
-    for a named S_n or A_n, all ones for an abelian group, else class-matrix
-    eigensplitting.  Every route must give one degree per conjugacy class
-    of g with squares summing to |g|."""
+    for a named S_n or A_n, the closed-form ones and twos for a named D_n,
+    all ones for an abelian group, else class-matrix eigensplitting.  Every
+    route must give one degree per conjugacy class of g with squares
+    summing to |g|."""
     if g._degrees is not None:
         return g._degrees
     if g.factors:
         degrees = sorted(_product_degrees(g))
     elif g.family:
-        degrees = sorted(_hook_degrees(*_checked_family(g)))
+        fam, n = _checked_family(g)
+        degrees = sorted(_dihedral_degrees(n) if fam == "D" else _hook_degrees(fam, n))
     elif len(g.conjugacy_classes()) == g.order:  # abelian: every irreducible is linear
         degrees = [1] * g.order
     else:
@@ -836,6 +876,12 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
     Returns (x, |HxH|, K) per double coset, ordered by x, the
     lexicographically minimal element of HxH; K = H n x^-1 H x is the
     stabilizer of the coset Hx, generated by the orbit's Schreier generators.
+    Within one call every distinct stabilizer subgroup is one `PermGroup`,
+    so its classes and degrees are computed once: H itself for an orbit of
+    length 1, the group already built for a Schreier generator set already
+    seen (every free orbit shares one trivial group), and an earlier
+    stabilizer for a new closure with the same element table.  Nothing is
+    kept between calls.
     """
     if not g.is_subgroup(h):
         raise PreconditionError("H is not a subgroup of G")
@@ -847,6 +893,8 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
             for a in h_gathers:
                 coset_of[index[a(x)]] = i
     identity = perm_identity(g.degree)
+    by_schreier: dict[frozenset[Perm], PermGroup] = {}
+    by_table: dict[tuple[Perm, ...], PermGroup] = {}
     done: set[int] = set()
     out = []
     # the first element whose coset is not done is the minimum of its double coset
@@ -872,7 +920,11 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
         if len(orbit) == 1:  # Hx = Hxh for every h: the Schreier generators are h's own
             stab = h
         else:
-            stab = PermGroup.from_generators(sorted(schreier) or [identity], h.cap)
+            key = frozenset(schreier)
+            stab = by_schreier.get(key)
+            if stab is None:
+                stab = PermGroup.from_generators(sorted(schreier) or [identity], h.cap)
+                stab = by_schreier[key] = by_table.setdefault(tuple(stab.elements), stab)
         if len(orbit) * stab.order != h.order:
             raise InternalCheckError("orbit length times stabilizer order is not |H|")
         out.append((x, len(orbit) * h.order, stab))
@@ -930,7 +982,7 @@ def _alternating(n: int) -> list[Perm]:
 
 
 def _family_generators(family: str, n: int) -> list[Perm]:
-    return _symmetric(n) if family == "S" else _alternating(n)
+    return {"S": _symmetric, "A": _alternating, "D": _dihedral}[family](n)
 
 
 def _cyclic(n: int) -> list[Perm]:
@@ -993,8 +1045,10 @@ def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], PermGro
             # answers from the partitions of n; no table until one is asked for
             return order, n, lambda: PermGroup(n, _family_generators(fam, n),
                                                family=(fam, n), cap=cap)
-        generators = {"C": _cyclic, "D": _dihedral}[fam]
-        return n, n // 2 if fam == "D" else n, lambda: PermGroup.from_generators(generators(n), cap)
+        if fam == "D":
+            # answers from its rotations and reflections; no table until one is asked for
+            return n, n // 2, lambda: PermGroup(n // 2, _dihedral(n), family=("D", n), cap=cap)
+        return n, n, lambda: PermGroup.from_generators(_cyclic(n), cap)
     if name.upper() == "Q8":
         return 8, 8, lambda: PermGroup.from_generators(_quaternion8(), cap)
     if name.upper() == "SL23":

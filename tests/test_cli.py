@@ -53,6 +53,11 @@ def test_lemma_norm_json_round_trip(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_lemma_norm_rows_against_the_generic_difference():
+    rows = cli._root_of_unity_norms(60)
+    assert [r["norm"] for r in rows] == [(1 - CycNum.zeta(n)).norm() for n in range(2, 61)]
+
+
 def test_cyc_command(capsys):
     code, payload = run_json(capsys, "cyc", "(1+z)*(1-z)", "--n", "8", "--norm")
     assert code == 0
@@ -285,6 +290,29 @@ def test_named_symmetric_group_builds_no_table(capsys, monkeypatch):
     (g,) = groups
     assert g.family == ("S", 7) and built == []
     assert g._elements is None and g._index is None and g._class_of is None
+
+
+@pytest.mark.parametrize("argv, head", [
+    (("group", "--group", "D2000"), "|G| = 2000 on 1000 points\nconjugacy classes: 503\n"),
+    (("ito-michler", "--group", "D2000", "--p", "2"), "p = 2: NotApplicable"),
+    (("ito-michler", "--group", "D12xD12", "--p", "3"), "p = 3: applicable"),
+])
+def test_named_dihedral_group_builds_no_table(capsys, monkeypatch, argv, head):
+    groups, built = [], []
+    builtin_group = cli.builtin_group
+
+    def group_spy(name, cap=None):
+        groups.append(builtin_group(name, cap=cap))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "builtin_group", group_spy)
+    monkeypatch.setattr(cli.PermGroup, "from_generators", staticmethod(lambda *a, **k: built.append(a)))
+    monkeypatch.setattr(finitegroup, "_class_matrix", lambda g, i: built.append(g))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith(head) and built == []
+    (g,) = groups
+    for d in g.factors or (g,):
+        assert d.family[0] == "D" and d._elements is None and d._index is None and d._class_of is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -1181,3 +1209,15 @@ def test_every_subcommand_exits_zero_or_two_for_every_argv(command, data):
             code = exc.code
     assert code in (0, 2) and "Traceback" not in err.getvalue()
     assert code == 0 or out.getvalue() == ""
+
+
+@pytest.mark.parametrize("name", ["D248", "D480", "D1000", "D2000"])
+@pytest.mark.parametrize("command", [("crosscheck",), ("group",), ("gtcat", "simples"), ("ito-michler", "--p", "2")],
+                         ids=" ".join)
+def test_large_dihedral_requests_answer_within_the_gate_bound(command, name):
+    """The gate above draws Dn names at random; these answer from the
+    dihedral classes and degrees well inside its 10 s bound."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), _time_bound(10):
+        code = main([*command, "--group", name])
+    assert code == 0 and err.getvalue() == ""

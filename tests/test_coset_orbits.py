@@ -10,6 +10,7 @@ import fuscat.finitegroup as finitegroup
 import fuscat.gtcat as gtcat
 from fuscat.cli import main
 from fuscat.finitegroup import (
+    PermGroup,
     builtin_group,
     char_degrees,
     double_coset_orbits,
@@ -62,6 +63,31 @@ def test_orbit_route_matches_the_definitions(name):
             conjugate = stabilizer_intersection(g, h, x)
             assert stab.order == conjugate.order
             assert char_degrees(stab) == char_degrees(conjugate)
+
+
+def test_one_stabilizer_object_per_distinct_subgroup():
+    g = builtin_group("S7")
+    orbits = double_coset_orbits(g, g.subgroup(parse_gens("(1 2 3 4),(1 2)", 7)))
+    assert len(orbits) == 34
+    assert len({id(k) for _, _, k in orbits}) == len({tuple(k.elements) for _, _, k in orbits}) == 4
+
+
+def test_free_orbits_share_one_trivial_stabilizer(monkeypatch):
+    g = builtin_group("S7")
+    h = g.subgroup(parse_gens("(1 2 3 4 5)", 7))
+    closures = []
+    from_generators = PermGroup.from_generators
+
+    def spy(generators, cap=None):
+        closures.append(generators)
+        return from_generators(generators, cap)
+
+    monkeypatch.setattr(PermGroup, "from_generators", spy)
+    orbits = double_coset_orbits(g, h)
+    free = [k for _, size, k in orbits if size == h.order**2]
+    assert len(orbits) == 208 and len(free) == 200
+    assert len({id(k) for k in free}) == 1 and free[0].order == 1
+    assert len(closures) <= 2
 
 
 @pytest.mark.parametrize("action", ["simples", "badprimes"])

@@ -180,6 +180,11 @@ def test_one_minus_zeta_does_not_depend_on_how_it_was_built():
             assert same_value(r._lift(n), fully_reduced(CycNum(n, [r.coeffs[0]], r.den)))
 
 
+def test_one_minus_zeta_from_one_constructor_call():
+    # the vector (1, -1) reduced modulo Phi_n, as `lemma-norm` builds it
+    assert all(CycNum(n, [1, -1]) == 1 - CycNum.zeta(n) for n in range(1, 201))
+
+
 @pytest.mark.parametrize("n", [12, 60, 105])
 def test_differences_do_not_depend_on_how_they_were_built(n):
     rng = random.Random(n)

@@ -456,6 +456,51 @@ def test_named_orbits_must_match_the_partition_classes():
         g.class_of()
 
 
+# --- D_n from its rotations and reflections
+
+
+@pytest.mark.parametrize("n", range(6, 200, 2))
+def test_dihedral_route_against_the_closure(n):
+    g = builtin_group(f"D{n}")
+    oracle = PermGroup.from_generators(g.generators, cap=g.order)
+    assert g.family == ("D", n) and oracle.family is None
+    assert (g.order, g.degree, g.generators) == (oracle.order, oracle.degree, oracle.generators)
+    assert [(c.rep, c.size) for c in g.conjugacy_classes()] == [
+        (c.rep, c.size) for c in oracle.conjugacy_classes()
+    ]
+    assert g.exponent() == oracle.exponent()
+    # the classes with no element table; `class_of` then checks the orbits
+    assert g._elements is None and g._index is None and g._class_of is None
+    assert g.class_of() == oracle.class_of()
+    assert g.elements == oracle.elements
+
+
+@pytest.mark.parametrize("n", range(6, 122, 2))
+def test_dihedral_degrees_against_the_class_matrix_route(n):
+    g = builtin_group(f"D{n}")
+    oracle = PermGroup.from_generators(g.generators, cap=g.order)
+    assert char_degrees(g) == tuple(sorted(finitegroup._split_degrees(oracle)))
+    for p in prime_factors(n):
+        assert ito_michler_verify(g, p) == ito_michler_verify(oracle, p), p
+    assert g._elements is None
+
+
+def test_changed_generators_stop_the_dihedral_route():
+    g = builtin_group("D12")
+    g.generators = [parse_perm("(1 2)", 6), parse_perm("(1 2 3 4 5 6)", 6)]
+    for route in (PermGroup.conjugacy_classes, char_degrees, lambda g: ito_michler_verify(g, 2)):
+        with pytest.raises(InternalCheckError, match="recorded family does not generate the group"):
+            route(g)
+
+
+def test_dihedral_orbits_must_match_the_dihedral_classes():
+    g = builtin_group("D12")
+    classes = g.conjugacy_classes()
+    classes[1], classes[2] = classes[2], classes[1]  # a class list out of order
+    with pytest.raises(InternalCheckError, match="do not match the dihedral classes"):
+        g.class_of()
+
+
 @pytest.mark.parametrize("name, wrong", [
     ("S3xC4", "S4"),   # |S4| = |G| = 24, but 5 degrees for 12 classes
     ("D8xC2", "C10"),  # 10 degrees for 10 classes, but their squares sum to 10, not 16

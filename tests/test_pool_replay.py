@@ -1,7 +1,9 @@
 """Every request of the benchmark pools, replayed in-process against its
 golden reply, the product requests of `group-catalog` checked to stay
 off the product's element table, every `group-catalog` enumeration
-checked to take the request's cap, and the `cyc` requests of
+checked to take the request's cap, the double-coset stabilizers of every
+`gtcat` request checked to be one object per distinct subgroup, each the
+definitional intersection, and the `cyc` requests of
 `cyclotomic-large` checked to draw no more split primes than the
 one-prime-at-a-time norm and inverse did."""
 
@@ -130,6 +132,25 @@ def test_catalog_enumerations_take_the_request_cap(monkeypatch):
         assert _reply(argv) == (golden["exit"], golden["sha256"]), argv
     assert len(caps) > len(requests)
     assert set(caps) == {finitegroup.DEFAULT_ENUM_CAP}
+
+
+GTCAT_REQUESTS = list(dict.fromkeys(
+    (argv[argv.index("--group") + 1], argv[argv.index("--subgroup-gens") + 1])
+    for argv in WORKLOADS.GROUP_CATALOG.pool() if argv[0] == "gtcat"
+))
+
+
+@pytest.mark.parametrize("pair", GTCAT_REQUESTS, ids=" > ".join)
+def test_gtcat_requests_build_each_stabilizer_once(pair):
+    group, subgroup = pair
+    g = finitegroup.builtin_group(group)
+    h = g.subgroup(finitegroup.parse_gens(subgroup, g.degree))
+    orbits = finitegroup.double_coset_orbits(g, h)
+    stabilizers = {id(k): k for _, _, k in orbits}.values()
+    assert len(stabilizers) == len({tuple(k.elements) for k in stabilizers})
+    for x, _, k in orbits:
+        # stabilizer_intersection(g, h, y) is H n yHy^-1; the stabilizer of Hx is H n x^-1Hx
+        assert k.elements == finitegroup.stabilizer_intersection(g, h, finitegroup.perm_inv(x)).elements, x
 
 
 # primes drawn from `_split_primes` per `cyc` request of the pool when the
