@@ -9,8 +9,13 @@ enumerated under that cap: they lie inside the group, so they pass both bounds.
 Every product a*b is one C-level gather, `operator.itemgetter(*a)(b)`,
 and a loop that multiplies by a fixed operand builds its gather once.
 Double cosets and their stabilizers come from one pass over the H-orbits
-on the right cosets G/H; `stabilizer_intersection` is the definitional
-reference that the tests check this route against.
+on the right cosets H\\G, and the cosets are an orbit themselves: that of
+H under right multiplication by G's generators, each coset Hy named by
+its least element, found greedily down a stabilizer chain of H read off
+H's table.  Nothing of G is enumerated for it.  The stabilizer of the
+coset Hx is H n x^-1 H x; `stabilizer_intersection(g, h, y)` builds
+H n yHy^-1 from the definition, so the tests check the route against it
+at y = x^-1.
 
 An `x`-joined builtin G1 x ... x Gr answers from its factors: its order is
 the product of theirs, its classes are the products of their classes, its
@@ -29,12 +34,14 @@ from the hook-length formula (for An, one per pair of conjugate partitions
 and two halves for a self-conjugate one).  Its element table is built only
 when something asks for it, for Sn as `itertools.permutations`, already
 sorted; `class_of` is then the conjugation orbits on it, checked against
-the partition classes.  A builtin Dn (order n = 2m, on m points) answers
-the same way from its rotations and reflections: the classes {r^k, r^-k}
-and one or two classes of reflections, and the degrees 1 and 2 in closed
-form; its table is the closure of its generators, built only when asked
-for.  A group with as many classes as elements is
-abelian and has all degrees 1.  Every other group takes the
+the partition classes.  Membership needs no table: Sn holds every
+permutation of its points, An the even ones, and a product tests each
+factor's block of points in that factor.  A builtin Dn (order n = 2m, on
+m points) answers the same way from its rotations and reflections: the
+classes {r^k, r^-k} and one or two classes of reflections, and the
+degrees 1 and 2 in closed form; its table is the closure of its
+generators, built only when asked for.  A group with as many classes as
+elements is abelian and has all degrees 1.  Every other group takes the
 class-multiplication-coefficient method: the integer class matrices
 (sparse, as each column of M_i has at most |C_i| nonzeros) commute and
 split into common one-dimensional eigenspaces over a prime field F_q
@@ -146,6 +153,11 @@ def _cycles(a: Perm) -> list[list[int]]:
     return out
 
 
+def _parity(a: Perm) -> int:
+    """0 for an even permutation, 1 for an odd one."""
+    return sum(len(c) - 1 for c in _cycles(a)) % 2
+
+
 def perm_to_cycles(a: Perm) -> str:
     """Cycle notation, 1-indexed; 'e' for the identity."""
     cycs = _cycles(a)
@@ -245,6 +257,7 @@ class PermGroup:
             self._order = prod(f.order for f in factors)
         self._index: dict[Perm, int] | None = None
         self._classes: list[ConjugacyClass] | None = None
+        self._class_orders: list[int] | None = None
         self._class_of: list[int] | None = None
         self._members: list[tuple[int, ...]] | None = None
         self._degrees: tuple[int, ...] | None = None
@@ -315,6 +328,19 @@ class PermGroup:
     identity_index = 0
 
     def __contains__(self, p: Perm) -> bool:
+        """A named Sn holds every permutation of its points, a named An the
+        even ones; a product holds p when each factor's block of points,
+        shifted to the factor's own, is an element of that factor (so no
+        point leaves its block).  Any other group, a named Dn included,
+        looks p up in its `index`."""
+        if self.factors:
+            return len(p) == self.degree and all(
+                _shift(p[offset:offset + f.degree], -offset) in f
+                for f, offset in _offsets(_checked_factors(self))
+            )
+        if self.family and self.family[0] != "D":
+            fam, n = _checked_family(self)
+            return sorted(p) == list(range(n)) and (fam == "S" or _parity(p) == 0)
         return p in self.index
 
     def __len__(self) -> int:
@@ -331,8 +357,7 @@ class PermGroup:
         return other.degree == self.degree and all(g in self for g in other.generators)
 
     def exponent(self) -> int:
-        # conjugate elements have equal order: one cycle walk per class
-        return lcm(*(perm_order(c.rep) for c in self.conjugacy_classes()))
+        return lcm(*self.class_orders())
 
     # -- conjugacy classes
 
@@ -359,6 +384,13 @@ class PermGroup:
                 raise InternalCheckError("conjugacy class size does not divide the order")
             self._classes = [ConjugacyClass(rep, size) for rep, size in reps_sizes]
         return self._classes
+
+    def class_orders(self) -> list[int]:
+        """Per class, the order of its elements: conjugate elements have
+        equal order, so one cycle walk of each representative, once per group."""
+        if self._class_orders is None:
+            self._class_orders = [perm_order(c.rep) for c in self.conjugacy_classes()]
+        return self._class_orders
 
     def class_of(self) -> list[int]:
         """Element index -> conjugacy class index."""
@@ -861,7 +893,7 @@ def _sylow_structure(g: PermGroup, p: int) -> tuple[bool, bool]:
     their class sizes: C_G(x) has p'-index exactly when it contains a
     Sylow p-subgroup, which is then P.
     """
-    sizes = [c.size for c in g.conjugacy_classes() if p_part(o := perm_order(c.rep), p) == o]
+    sizes = [c.size for c, o in zip(g.conjugacy_classes(), g.class_orders()) if p_part(o, p) == o]
     normal = sum(sizes) == p_part(g.order, p)
     return normal, normal and all(size % p for size in sizes)
 
@@ -870,12 +902,51 @@ def _sylow_structure(g: PermGroup, p: int) -> tuple[bool, bool]:
 # double cosets and stabilizers
 
 
-def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, PermGroup]]:
-    """Double cosets HxH as the H-orbits on the right cosets G/H, one pass.
+# per level of a stabilizer chain: the gather of the orbit's points, and a gather per point
+_Chain = list[tuple[Callable[[Perm], Perm], list[Callable[[Perm], Perm] | None]]]
 
-    Returns (x, |HxH|, K) per double coset, ordered by x, the
-    lexicographically minimal element of HxH; K = H n x^-1 H x is the
-    stabilizer of the coset Hx, generated by the orbit's Schreier generators.
+
+def _coset_chain(h: PermGroup) -> _Chain:
+    """H's stabilizer chain on the base points 0, 1, 2, ..., read off its
+    sorted table.  Level k holds the elements of H that fix 0, ..., k-1, and
+    an element that moves k first lies there.  Per level: a gather y ->
+    (y[k], y[b], ...) of the orbit of k, k first, and for each point b of
+    it one element t with t[k] = b, as the gather y -> t*y (none for k).
+    Levels whose orbit is {k} alone are left out."""
+    levels: dict[int, dict[int, Callable[[Perm], Perm] | None]] = {}
+    for a in h.elements:
+        k = next((i for i, v in enumerate(a) if v != i), None)
+        if k is not None:
+            moves = levels.setdefault(k, {k: None})
+            if a[k] not in moves:
+                moves[a[k]] = _gather(a)
+    return [(itemgetter(*moves), list(moves.values())) for _, moves in sorted(levels.items())]
+
+
+def _least_in_coset(chain: _Chain, y: Perm) -> Perm:
+    """min{h*y : h in H}, the least element of the coset Hy, greedily down
+    H's chain: the elements of level k leave the entries before k alone,
+    and t*y has y[t[k]] at k, so the least y[b] over the orbit of k fixes
+    entry k."""
+    for orbit_values, moves in chain:
+        values = orbit_values(y)
+        i = values.index(min(values))
+        if i:
+            y = moves[i](y)
+    return y
+
+
+def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, PermGroup]]:
+    """Double cosets HxH as the H-orbits on the right cosets H\\G, one pass.
+
+    Each coset Hy is named by its least element, found greedily down H's
+    chain (`_least_in_coset`).  The cosets are the orbit of H under right
+    multiplication by G's generators, |G|/|H| of them; nothing of G is
+    enumerated.  Returns (x, |HxH|, K) per double coset, ordered by x, the
+    lexicographically minimal element of HxH and so the least name in its
+    orbit; K = H n x^-1 H x is the stabilizer of the coset Hx, generated
+    by the orbit's Schreier generators.  H = G is one double coset, led by
+    the identity, with stabilizer H.
     Within one call every distinct stabilizer subgroup is one `PermGroup`,
     so its classes and degrees are computed once: H itself for an orbit of
     length 1, the group already built for a Schreier generator set already
@@ -885,38 +956,47 @@ def double_coset_orbits(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int, Per
     """
     if not g.is_subgroup(h):
         raise PreconditionError("H is not a subgroup of G")
-    elements, index = g.elements, g.index
-    coset_of = [-1] * g.order  # element index -> index of the least element of its coset
-    h_gathers = [_gather(a) for a in h.elements]
-    for i, x in enumerate(elements):
-        if coset_of[i] < 0:
-            for a in h_gathers:
-                coset_of[index[a(x)]] = i
     identity = perm_identity(g.degree)
+    if h.order == g.order:
+        return [(identity, g.order, h)]
+    chain = _coset_chain(h)
+    count = g.order // h.order
+    cosets = {identity}
+    found = [identity]  # walked as it grows
+    for y in found:
+        gy = _gather(y)
+        for s in g.generators:
+            c = _least_in_coset(chain, gy(s))
+            if c not in cosets:
+                cosets.add(c)
+                found.append(c)
+                if len(found) > count:
+                    raise InternalCheckError("more right cosets of H than |G|/|H|")
+    if len(found) * h.order != g.order:
+        raise InternalCheckError("the number of cosets times |H| is not |G|")
     by_schreier: dict[frozenset[Perm], PermGroup] = {}
     by_table: dict[tuple[Perm, ...], PermGroup] = {}
-    done: set[int] = set()
+    done: set[Perm] = set()
     out = []
-    # the first element whose coset is not done is the minimum of its double coset
-    for x, start in zip(elements, coset_of):
-        if start in done:
+    # the least name whose coset is not done is the minimum of its double coset
+    for x in sorted(cosets):
+        if x in done:
             continue
-        transversal = {start: identity}  # coset c -> t in H with (Hx)t = c
-        orbit = [start]
+        transversal = {x: identity}  # coset c -> t in H with (Hx)t = c
+        orbit = [x]
         schreier = set()
         gx = _gather(x)
         for c in orbit:
             gt = _gather(transversal[c])
             for s in h.generators:
                 ts = gt(s)
-                d = coset_of[index[gx(ts)]]
-                if d in transversal:
-                    schreier.add(perm_mul(ts, perm_inv(transversal[d])))
-                else:
+                d = _least_in_coset(chain, gx(ts))
+                if d not in transversal:
                     transversal[d] = ts
                     orbit.append(d)
+                elif ts != transversal[d]:  # else the Schreier generator is the identity
+                    schreier.add(perm_mul(ts, perm_inv(transversal[d])))
         done.update(orbit)
-        schreier.discard(identity)
         if len(orbit) == 1:  # Hx = Hxh for every h: the Schreier generators are h's own
             stab = h
         else:
@@ -940,8 +1020,10 @@ def double_cosets(g: PermGroup, h: PermGroup) -> list[tuple[Perm, int]]:
 
 
 def stabilizer_intersection(g: PermGroup, h: PermGroup, x: Perm) -> PermGroup:
-    """The subgroup H n xHx^-1 of G, built from the definition; the tests
-    check the stabilizers of `double_coset_orbits` against it."""
+    """The subgroup H n xHx^-1 of G, built from the definition.  This is
+    the stabilizer of the coset Hx^-1, not of Hx: the stabilizer of Hx that
+    `double_coset_orbits` gives is H n x^-1 H x, this group at x^-1, and
+    the tests check it so."""
     if not g.is_subgroup(h):
         raise PreconditionError("H is not a subgroup of G")
     x = _pad(x, g.degree)

@@ -1,25 +1,32 @@
 """The coset-orbit route for double cosets and stabilizers, checked against
-the definitions: each HxH built as a set of |H|^2 products, and H n xHx^-1
-built by `stabilizer_intersection`."""
+the definitions (each HxH built as a set of |H|^2 products, and H n xHx^-1
+built by `stabilizer_intersection`) and against the element-table pass
+that labelled every element of G with its coset."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 import fuscat.finitegroup as finitegroup
 import fuscat.gtcat as gtcat
-from fuscat.cli import main
+from fuscat.cli import CROSSCHECK_CORPUS, main
+from fuscat.errors import InternalCheckError
 from fuscat.finitegroup import (
     PermGroup,
+    _gather,
     builtin_group,
     char_degrees,
     double_coset_orbits,
     double_cosets,
     parse_gens,
+    perm_identity,
     perm_inv,
     perm_mul,
     stabilizer_intersection,
 )
+
+from test_pool_replay import GTCAT_REQUESTS
 
 
 def set_built_double_cosets(g, h):
@@ -60,7 +67,9 @@ def test_orbit_route_matches_the_definitions(name):
             xinv = perm_inv(x)
             expected = [y for y in h.elements if perm_mul(perm_mul(x, y), xinv) in h]
             assert stab.elements == expected
-            conjugate = stabilizer_intersection(g, h, x)
+            # stabilizer_intersection(g, h, y) is H n yHy^-1, the stabilizer of Hy^-1
+            conjugate = stabilizer_intersection(g, h, perm_inv(x))
+            assert stab.elements == conjugate.elements
             assert stab.order == conjugate.order
             assert char_degrees(stab) == char_degrees(conjugate)
 
@@ -126,3 +135,182 @@ def test_two_orbit_passes_per_crosscheck_group(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert calls == [(24, 24), (24, 1)]
+
+
+# --- the element-table pass as the oracle
+
+
+def table_double_coset_orbits(g, h):
+    """The double cosets by the element-table pass: every element of G
+    labelled with the least element of its coset Hy, then the same H-orbit
+    pass, Schreier generators and stabilizer sharing as the route."""
+    elements, index = g.elements, g.index
+    coset_of = [-1] * g.order  # element index -> index of the least element of its coset
+    h_gathers = [_gather(a) for a in h.elements]
+    for i, x in enumerate(elements):
+        if coset_of[i] < 0:
+            for a in h_gathers:
+                coset_of[index[a(x)]] = i
+    identity = perm_identity(g.degree)
+    by_schreier, by_table = {}, {}
+    done = set()
+    out = []
+    for x, start in zip(elements, coset_of):
+        if start in done:
+            continue
+        transversal = {start: identity}
+        orbit = [start]
+        schreier = set()
+        gx = _gather(x)
+        for c in orbit:
+            gt = _gather(transversal[c])
+            for s in h.generators:
+                ts = gt(s)
+                d = coset_of[index[gx(ts)]]
+                if d in transversal:
+                    schreier.add(perm_mul(ts, perm_inv(transversal[d])))
+                else:
+                    transversal[d] = ts
+                    orbit.append(d)
+        done.update(orbit)
+        schreier.discard(identity)
+        if len(orbit) == 1:
+            stab = h
+        else:
+            key = frozenset(schreier)
+            stab = by_schreier.get(key)
+            if stab is None:
+                stab = PermGroup.from_generators(sorted(schreier) or [identity], h.cap)
+                stab = by_schreier[key] = by_table.setdefault(tuple(stab.elements), stab)
+        assert len(orbit) * stab.order == h.order
+        out.append((x, len(orbit) * h.order, stab))
+    assert sum(size for _, size, _ in out) == g.order
+    return out
+
+
+def sharing(orbits, h):
+    """Per double coset, the first double coset with the same stabilizer
+    object, or None where the stabilizer is H itself."""
+    first = {}
+    return [None if k is h else first.setdefault(id(k), i) for i, (_, _, k) in enumerate(orbits)]
+
+
+def assert_matches_the_table_pass(g, h):
+    orbits = double_coset_orbits(g, h)
+    reference = table_double_coset_orbits(g, h)
+    assert [(x, size, k.elements) for x, size, k in orbits] == [
+        (x, size, k.elements) for x, size, k in reference
+    ]
+    assert sharing(orbits, h) == sharing(reference, h)
+
+
+def label_free(g, h):
+    """What the double cosets say that no labelling of the points changes."""
+    return sorted((size, k.order, char_degrees(k)) for _, size, k in double_coset_orbits(g, h))
+
+
+@pytest.mark.parametrize("pair", GTCAT_REQUESTS, ids=" > ".join)
+def test_orbit_route_matches_the_table_pass_on_the_gtcat_pool(pair):
+    group, subgroup = pair
+    g = builtin_group(group)
+    assert_matches_the_table_pass(g, g.subgroup(parse_gens(subgroup, g.degree)))
+
+
+@pytest.mark.parametrize("name", CROSSCHECK_CORPUS)
+def test_orbit_route_matches_the_table_pass_on_the_crosscheck_corpus(name):
+    rng = random.Random(name)
+    g = builtin_group(name)
+    subgroups = [g, g.subgroup(parse_gens("e", g.degree))]
+    subgroups += [g.subgroup(rng.sample(g.elements, rng.randint(1, 2))) for _ in range(4)]
+    for h in subgroups:
+        assert_matches_the_table_pass(g, h)
+
+
+def relabelled(perm, pi):
+    """perm with every point i renamed pi[i]."""
+    out = [0] * len(perm)
+    for i, v in enumerate(perm):
+        out[pi[i]] = pi[v]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["S5", "S3xC4"])
+def test_orbit_route_on_a_relabelled_gens_copy(name):
+    rng = random.Random(name)
+    g = builtin_group(name)
+    for _ in range(3):
+        pi = tuple(rng.sample(range(g.degree), g.degree))
+        copy = PermGroup.from_generators([relabelled(s, pi) for s in g.generators])
+        assert copy.family is None and not copy.factors
+        for gens in ([], *(rng.sample(g.elements, rng.randint(1, 2)) for _ in range(3))):
+            h = g.subgroup(gens or parse_gens("e", g.degree))
+            h_copy = copy.subgroup([relabelled(s, pi) for s in h.generators])
+            assert_matches_the_table_pass(copy, h_copy)
+            assert label_free(copy, h_copy) == label_free(g, h)
+
+
+@pytest.mark.parametrize("pair", GTCAT_REQUESTS, ids=" > ".join)
+def test_gtcat_requests_build_no_table_of_g(pair):
+    group, subgroup = pair
+    g = builtin_group(group)
+    h = g.subgroup(parse_gens(subgroup, g.degree))
+    gtcat.gt_bad_primes(g, h, gtcat.enumerate_simples(g, h))
+    assert g.family or g.factors
+    assert g._elements is None and g._index is None
+
+
+def test_the_whole_group_as_h_builds_no_table():
+    g = builtin_group("S7")
+    assert double_coset_orbits(g, g) == [(perm_identity(7), g.order, g)]
+    assert g._elements is None and g._index is None
+
+
+def test_a_wrong_coset_name_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(finitegroup, "_least_in_coset", lambda chain, y: y)
+    g = builtin_group("S4")
+    with pytest.raises(InternalCheckError, match="cosets"):
+        double_coset_orbits(g, g.subgroup(parse_gens("(1 2)", 4)))
+    code = main(["gtcat", "simples", "--group", "S4", "--subgroup-gens", "(1 2)"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("internal error:")
+
+
+# --- membership with no table
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_named_membership_agrees_with_the_table(n):
+    s, a = builtin_group(f"S{n}"), builtin_group(f"A{n}")
+    for p in permutations(range(n)):
+        assert p in s and (p in a) == (p in a.index), p
+    assert s._index is None
+    # a point repeated, or a permutation of too many points
+    assert (0,) * (n + 1) not in s and tuple(range(n + 1)) not in a
+    assert n == 1 or ((0,) * n not in s and (0,) * n not in a)
+
+
+@pytest.mark.parametrize("name", ["SL23xS4", "S3xC4", "D12xD12"])
+def test_product_membership_agrees_with_the_table(name):
+    rng = random.Random(name)
+    g = builtin_group(name)
+    candidates = [rng.choice(g.elements) for _ in range(40)]
+    candidates += [tuple(rng.sample(range(g.degree), g.degree)) for _ in range(40)]
+    # an element followed by a swap of two points in different blocks
+    first = g.factors[0].degree
+    for x in candidates[:40]:
+        swap = list(range(g.degree))
+        i, j = rng.randrange(first), rng.randrange(first, g.degree)
+        swap[i], swap[j] = j, i
+        candidates.append(perm_mul(x, tuple(swap)))
+    assert any(p in g.index for p in candidates) and not all(p in g.index for p in candidates)
+    for p in candidates:
+        assert (p in g) == (p in g.index), p
+    assert perm_identity(g.degree - 1) not in g
+
+
+def test_gens_membership_is_the_table():
+    g = PermGroup.from_generators(parse_gens("(1 2 3 4 5),(1 2)"))
+    table = set(g.elements)
+    for p in permutations(range(5)):
+        assert (p in g) == (p in table)

@@ -3,9 +3,11 @@ import re
 
 import pytest
 
+import fuscat.finitegroup as finitegroup
 import fuscat.gtcat as gtcat
+from fuscat.cli import main
 from fuscat.errors import InternalCheckError, PreconditionError
-from fuscat.finitegroup import builtin_group, char_degrees, parse_gens, rep_bad_primes
+from fuscat.finitegroup import PermGroup, builtin_group, char_degrees, parse_gens, rep_bad_primes
 from fuscat.gtcat import enumerate_simples, gt_bad_primes
 
 
@@ -117,3 +119,34 @@ def test_faked_degrees_fail_the_sylow_check(name, degrees, by_dimensions, by_syl
     message = f"the bad primes {by_dimensions}, the stabilizers' Sylow subgroups {by_sylow}"
     with pytest.raises(InternalCheckError, match=re.escape(message)):
         gt_bad_primes(g, g)
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["gtcat", "badprimes", "--group", "S7", "--subgroup-gens", "(1 2 3 4),(1 2)"], "bad primes: [2, 3]"),
+    (["crosscheck", "--group", "D2000"], "crosscheck: 12/12 passed"),
+])
+def test_one_cycle_walk_per_class_per_group(monkeypatch, capsys, argv, verdict):
+    """The exponent and every Sylow check read each group's class orders,
+    walked once per class: no representative is walked twice for a group."""
+    walks = []
+    groups = {}  # id -> (group, walks made for it); the group is held, so its id is not reused
+    perm_order, class_orders = finitegroup.perm_order, PermGroup.class_orders
+
+    def counted_walk(a):
+        walks.append(a)
+        return perm_order(a)
+
+    def counted_orders(g):
+        before = len(walks)
+        out = class_orders(g)
+        groups[id(g)] = (g, groups.get(id(g), (g, 0))[1] + len(walks) - before)
+        return out
+
+    monkeypatch.setattr(finitegroup, "perm_order", counted_walk)
+    monkeypatch.setattr(PermGroup, "class_orders", counted_orders)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0 and verdict in out.splitlines()
+    assert groups
+    assert all(n <= len(g.conjugacy_classes()) for g, n in groups.values())
+    assert sum(n for _, n in groups.values()) == len(walks)
