@@ -9,7 +9,11 @@ is 1 (the power basis generates the full ring of integers of Q(zeta_n)).
 Every element is built by the one constructor.  Only a vector longer than
 phi(n) is reduced modulo Phi_n; one no longer (a negation, a sum or a
 difference) is only padded and divided by its gcd, and a rational lifts to
-a larger conductor without reduction, as its one-entry vector.
+a larger conductor without reduction, as its one-entry vector.  The
+reduction first folds the rows from x^(n-m) up against Phi_n's sparse
+multiple (x^n - 1) / (x^m - 1) = 1 + x^m + ... + x^(n-m), m = n/p for the
+least prime p of n, with p - 1 subtractions a row; only the rows left
+between phi(n) and n - m meet Phi_n's own terms.
 
 Each coefficient operation has one kernel, but for the product modulo
 x^n - 1, which has two: `_cyclic_mul` on the dense lists of `CycNum`, and
@@ -42,7 +46,11 @@ before the first prime is drawn when its count of multiplications passes
 `WORK_LIMIT`.
 
 `parse_element` evaluates the CLI grammar in Z[x]/(x^n - 1), as sparse
-coefficient maps over one denominator, and reduces modulo Phi_n once.
+coefficient maps over one denominator, and reduces modulo Phi_n once.  A
+divisor of more than one term is reduced to test it for zero, but inverted
+from its preimage whenever that has no more terms and no larger 1-norm than
+the reduced vector: the kernel's bounds and exact check hold for any
+preimage with exponents below n, and its work grows with both.
 """
 
 from __future__ import annotations
@@ -130,14 +138,36 @@ def _low_terms(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, v) for j, v in enumerate(phi[:-1]) if v)
 
 
+@lru_cache(maxsize=None)
+def _fold_step(n: int) -> int:
+    """m = n / p for the least prime p of n (1 for n = 1): Phi_n divides
+    (x^n - 1) / (x^m - 1) = 1 + x^m + ... + x^(n-m)."""
+    return n // min(factorize(n), default=1)
+
+
 def _reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
     """Remainder of a coefficient list modulo Phi_n, padded to length phi(n);
-    a list no longer than phi(n) is only padded."""
+    a list no longer than phi(n) is only padded.
+
+    The rows k >= n - m first fold against Phi_n's sparse multiple
+    1 + x^m + ... + x^(n-m), each taking p - 1 subtractions; only the rows
+    between phi(n) and n - m go through Phi_n's own terms.  For a prime n
+    (m = 1) that multiple is Phi_n itself, left to the row loop.
+    """
     deg = len(cyclotomic_polynomial(n).coeffs) - 1
     if len(coeffs) <= deg:
         return coeffs + [0] * (deg - len(coeffs))
-    low = _low_terms(n)
     c = coeffs[:]
+    m = _fold_step(n)
+    top = n - m
+    if m > 1:
+        for k in range(len(c) - 1, top - 1, -1):
+            t = c[k]
+            if t:
+                for j in range(k - top, k, m):
+                    c[j] -= t
+        del c[top:]
+    low = _low_terms(n)
     for k in range(len(c) - 1, deg - 1, -1):
         t = c[k]
         if t:
@@ -242,7 +272,7 @@ def _reduction_height(n: int) -> int:
 
 def _is_cofactor(coeffs, cofactor: list[int], norm: int, n: int) -> bool:
     """f * C == N modulo Phi_n, exactly."""
-    return _reduce_mod_phi(_cyclic_mul(list(coeffs), cofactor, n), n) == [norm] + [0] * (len(coeffs) - 1)
+    return _reduce_mod_phi(_cyclic_mul(list(coeffs), cofactor, n), n) == [norm] + [0] * (len(cofactor) - 1)
 
 
 def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[int] | None]:
@@ -633,7 +663,8 @@ def q_integer(m: int, l: int) -> CycNum:
 # ---------------------------------------------------------------------------
 # plain-text element grammar (CLI input)
 
-_ALLOWED_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+_SUM_OPS = (ast.Add, ast.Sub)
+_PRODUCT_OPS = (ast.Mult, ast.Div, ast.Pow)
 
 
 def parse_element(text: str, conductor: int) -> CycNum:
@@ -644,8 +675,10 @@ def parse_element(text: str, conductor: int) -> CycNum:
     It is evaluated in Z[x]/(x^n - 1), as a sparse map from exponent to
     coefficient over one denominator, and reduced modulo Phi_n once at the
     end; a `CycNum` is built before that only where the field is needed: a
-    divisor with more than one term, which is inverted, the base of a power
-    other than z, and an exponent with a term in z.
+    divisor with more than one term, reduced to test it for zero (see
+    `_ring_inverse`, which also inverts a negative power's base), the base
+    of a power other than z, and an exponent with a term in z.  A chain of
+    + and - is summed in one loop, so only `ast.parse` bounds its length.
     """
     if conductor < 1:
         raise PreconditionError("conductor must be a positive integer")
@@ -663,11 +696,16 @@ def _max_str_digits() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+@lru_cache(maxsize=None)
+def _digit_bound(digits: int) -> int:
+    return 10**digits
+
+
 def check_str_digits(what: str, *ints: int) -> None:
     """Refuse integers with more decimal digits than the int-to-str limit,
     so that rendering them cannot fail."""
     digits = _max_str_digits()
-    bound = 10**digits
+    bound = _digit_bound(digits)
     if any(abs(v) >= bound for v in ints):
         raise PreconditionError(f"{what} has an integer of more than {digits} decimal digits")
 
@@ -688,29 +726,22 @@ def _check_power_size(a: CycNum, k: int) -> None:
 _RingValue = tuple[dict[int, int], int]
 
 
-def _field_value(value: _RingValue, n: int) -> CycNum:
-    terms, den = value
+def _coefficient_list(terms: dict[int, int]) -> list[int]:
     vec = [0] * (max(terms, default=0) + 1)
     for e, c in terms.items():
         vec[e] = c
-    return CycNum(n, vec, den)
+    return vec
+
+
+def _field_value(value: _RingValue, n: int) -> CycNum:
+    terms, den = value
+    return CycNum(n, _coefficient_list(terms), den)
 
 
 def _ring_value(a: CycNum, n: int) -> _RingValue:
     """A preimage of a in Z[x]/(x^n - 1); a's conductor divides n."""
     step = n // a.conductor
     return {i * step: c for i, c in enumerate(a.coeffs) if c}, a.den
-
-
-def _ring_add(a: _RingValue, b: _RingValue, sign: int) -> _RingValue:
-    """a + sign * b."""
-    (ta, da), (tb, db) = a, b
-    den = lcm(da, db)
-    ka, kb = den // da, sign * (den // db)
-    out = {e: c * ka for e, c in ta.items()}
-    for e, c in tb.items():
-        out[e] = out.get(e, 0) + c * kb
-    return {e: c for e, c in out.items() if c}, den
 
 
 def _ring_mul(a: _RingValue, b: _RingValue, n: int) -> _RingValue:
@@ -724,14 +755,26 @@ def _ring_mul(a: _RingValue, b: _RingValue, n: int) -> _RingValue:
 
 
 def _ring_inverse(b: _RingValue, n: int) -> _RingValue:
-    """1 / b; a single term c z^e inverts to z^-e / c with no field work."""
+    """1 / b; a single term c z^e inverts to z^-e / c with no field work.
+
+    Otherwise the norm and cofactor come from b's preimage f itself when f
+    has no more nonzero terms and no larger 1-norm than b's reduced vector,
+    so that its work is never larger: the bounds and the exact check of
+    `_norm_and_cofactor` hold for any f with exponents below n.  The reduced
+    vector decides whether b is zero, and is inverted in the other case.
+    """
     terms, den = b
-    if len(terms) > 1:
-        return _ring_value(_field_value(b, n).inverse(), n)
-    if not terms:
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        return {-e % n: den if c > 0 else -den}, abs(c)
+    reduced = _field_value(b, n)
+    if reduced.is_zero:
         raise PreconditionError("division by zero")
-    ((e, c),) = terms.items()
-    return {-e % n: den if c > 0 else -den}, abs(c)
+    kept = [c for c in reduced.coeffs if c]
+    if len(terms) > len(kept) or sum(map(abs, terms.values())) > sum(map(abs, kept)):
+        return _ring_value(reduced.inverse(), n)
+    norm, cofactor = _norm_and_cofactor(_coefficient_list(terms), n, with_cofactor=True)
+    return _ring_value(CycNum(n, [den * v for v in cofactor], norm), n)
 
 
 def _eval_node(node: ast.AST, n: int) -> _RingValue:
@@ -746,26 +789,47 @@ def _eval_node(node: ast.AST, n: int) -> _RingValue:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         terms, den = _eval_node(node.operand, n)
         return ({e: -c for e, c in terms.items()} if isinstance(node.op, ast.USub) else terms), den
-    if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SUM_OPS):
+        return _eval_sum(node, n)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _PRODUCT_OPS):
         a = _eval_node(node.left, n)
         b = _eval_node(node.right, n)
         if isinstance(node.op, ast.Pow):
             k = _integer_exponent(b, n)
             if isinstance(node.left, ast.Name):  # the only name is z: z^k is zeta_n^k
                 return {k % n: 1}, 1
-            base = _field_value(a, n)
             if k < 0:
-                base, k = base.inverse(), -k
+                a, k = _ring_inverse(a, n), -k
+            base = _field_value(a, n)
             _check_power_size(base, k)
             return _ring_value(base**k, n)
-        if isinstance(node.op, ast.Add):
-            return _ring_add(a, b, 1)
-        if isinstance(node.op, ast.Sub):
-            return _ring_add(a, b, -1)
         if isinstance(node.op, ast.Mult):
             return _ring_mul(a, b, n)
         return _ring_mul(a, _ring_inverse(b, n), n)
     raise PreconditionError("unsupported syntax in element expression")
+
+
+def _eval_sum(node: ast.BinOp, n: int) -> _RingValue:
+    """A chain a +- b +- c ..., its left spine walked without recursion and
+    its operands added left to right into one map over one running
+    denominator."""
+    operands = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, _SUM_OPS):
+        operands.append((1 if isinstance(node.op, ast.Add) else -1, node.right))
+        node = node.left
+    terms, den = _eval_node(node, n)
+    out = dict(terms)
+    for sign, right in reversed(operands):
+        terms, d = _eval_node(right, n)
+        if den % d:
+            scale = d // gcd(den, d)
+            den *= scale
+            for e in out:
+                out[e] *= scale
+        k = sign * (den // d)
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c * k
+    return {e: c for e, c in out.items() if c}, den
 
 
 def _integer_exponent(e: _RingValue, n: int) -> int:

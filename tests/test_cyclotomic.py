@@ -17,6 +17,7 @@ from fuscat.cyclotomic import (
     _scatter,
     _split_primes,
     _units,
+    check_str_digits,
     cyclotomic_at_one,
     cyclotomic_polynomial,
     parse_element,
@@ -122,6 +123,35 @@ def test_phi_against_sympy(n):
 def test_phi_degree_is_totient():
     for n in range(1, 80):
         assert len(cyclotomic_polynomial(n).coeffs) - 1 == totient(n)
+
+
+def reduce_by_rows(coeffs, n):
+    """The remainder modulo Phi_n by Phi_n's own terms alone, one row at a
+    time from the top: the reference for `_reduce_mod_phi`."""
+    deg = totient(n)
+    low = [(j, v) for j, v in enumerate(cyclotomic_polynomial(n).coeffs[:-1]) if v]
+    c = coeffs + [0] * (deg - len(coeffs))
+    for k in range(len(c) - 1, deg - 1, -1):
+        t = c[k]
+        if t:
+            c[k] = 0
+            for j, v in low:
+                c[k - deg + j] -= t * v
+    return c[:deg]
+
+
+@pytest.mark.parametrize("first", range(1, 401, 50))
+def test_reduction_against_the_row_loop(first):
+    # every n <= 400; lengths from 0 to 3n around phi(n), the fold's first
+    # row n - n/p and n; 200-bit coefficients, on every row or on one in ten
+    rng = random.Random(first)
+    for n in range(first, first + 50):
+        phi, top = totient(n), n - n // min(factorize(n), default=1)
+        lengths = {0, 1, phi - 1, phi, phi + 1, top - 1, top, top + 1, n - 1, n, n + 1, 2 * n + 1, 3 * n}
+        for i, length in enumerate(sorted(k for k in lengths if k >= 0)):
+            share = 1 if i % 2 else 0.1
+            coeffs = [rng.randint(-(2**200), 2**200) if rng.random() < share else 0 for _ in range(length)]
+            assert _reduce_mod_phi(coeffs, n) == reduce_by_rows(coeffs, n), (n, length)
 
 
 # --- field arithmetic examples
@@ -432,17 +462,24 @@ def test_split_primes_are_primes_with_primitive_roots():
 
 
 def test_a_failed_exact_check_is_an_internal_error_with_no_prime_added(monkeypatch):
+    # the cofactor is never returned unchecked: not by `CycNum.inverse`, nor
+    # by a division in `parse_element`, which inverts the divisor's preimage
     a = dense(random.Random(7), 60, 12)
-    calls, drawn_at_check = _primes_drawn(monkeypatch), []
+    calls, drawn_at_check, checked_terms = _primes_drawn(monkeypatch), [], []
 
     def fail(coeffs, cofactor, norm, n):
         drawn_at_check.append(calls[-1])
+        checked_terms.append(sum(1 for c in coeffs if c))
         return False
 
     monkeypatch.setattr(cyclotomic, "_is_cofactor", fail)
     with pytest.raises(InternalCheckError, match="fails the exact check"):
         a.inverse()
     assert drawn_at_check == calls == [_fewest_primes(a, True)]
+    with pytest.raises(InternalCheckError, match="fails the exact check"):
+        parse_element(f"1/({POOL_DIVISOR_105})", 105)
+    assert drawn_at_check == calls and len(calls) == 2
+    assert checked_terms == [sum(1 for c in a.coeffs if c), 8]
 
 
 class _PrimeDrawn(Exception):
@@ -494,19 +531,6 @@ def test_norm_refuses_above_the_work_limit_before_any_work(monkeypatch):
         CycNum(3, [2**1_000_000, 1]).norm()
 
 
-def test_cofactor_is_never_returned_unchecked(monkeypatch):
-    seen = []
-
-    def never(coeffs, cofactor, norm, n):
-        seen.append(1)
-        return False
-
-    monkeypatch.setattr(cyclotomic, "_is_cofactor", never)
-    with pytest.raises(InternalCheckError):
-        dense(random.Random(7), 60, 12).inverse()
-    assert seen
-
-
 @pytest.mark.parametrize("n", [883, 887, 899])
 def test_the_largest_inverses_the_bit_limit_admitted_stay_admitted(monkeypatch, n):
     # every inverse with phi(n) * log2 ||f||_1 <= 4096 stays admitted; at a
@@ -517,6 +541,62 @@ def test_the_largest_inverses_the_bit_limit_admitted_stay_admitted(monkeypatch, 
     _draw_no_prime(monkeypatch, admitted=True)
     with pytest.raises(_PrimeDrawn):
         CycNum(n, [1] * terms).inverse()
+
+
+# the n = 105 divisor of the cyclotomic-large benchmark pool: 8 terms with
+# 1-norm 13, 43 terms with 1-norm 114 once reduced modulo Phi_105
+POOL_DIVISOR_105 = "1+1*z^13+2*z^27+2*z^37-2*z^46-3*z^89+1*z^99+1*z^102"
+
+
+def _kernel_inputs(monkeypatch):
+    """Patch `_norm_and_cofactor` to record the nonzero terms and the 1-norm
+    of every element it inverts."""
+    seen = []
+    kernel = cyclotomic._norm_and_cofactor
+
+    def spy(coeffs, n, with_cofactor):
+        if with_cofactor:
+            kept = [c for c in coeffs if c]
+            seen.append((len(kept), sum(map(abs, kept))))
+        return kernel(coeffs, n, with_cofactor)
+
+    monkeypatch.setattr(cyclotomic, "_norm_and_cofactor", spy)
+    return seen
+
+
+def test_a_divisor_is_inverted_from_its_preimage(monkeypatch):
+    reduced = parse_element(POOL_DIVISOR_105, 105)
+    assert (sum(1 for c in reduced.coeffs if c), sum(map(abs, reduced.coeffs))) == (43, 114)
+    seen = _kernel_inputs(monkeypatch)
+    quotient = parse_element(f"(2+z)/({POOL_DIVISOR_105})", 105)
+    assert seen == [(8, 13)]
+    power = parse_element(f"({POOL_DIVISOR_105})^-2", 105)
+    assert seen == [(8, 13)] * 2
+    inverse = oracle_inverse(reduced)
+    assert quotient == (2 + CycNum.zeta(105)) * inverse and power == inverse * inverse
+
+
+def test_a_preimage_that_cancels_takes_the_reduced_route(monkeypatch):
+    # 1 + z + z^2 = 0 at n = 3: the preimage has 3 terms of about 10^4000,
+    # the reduced vector one term, 2
+    text, divisor = "1/(10^4000*(1+z+z^2)+2)", CycNum(3, [10**4000 + 2, 10**4000, 10**4000])
+    seen = _kernel_inputs(monkeypatch)
+    assert parse_element(text, 3) == divisor.inverse() == CycNum(3, [1], 2)
+    assert seen == [(1, 2)] * 2
+
+
+def _dense_text(rng, n, terms):
+    """A z-expression with `terms` distinct powers below n and coefficients in +-1..3."""
+    return "".join(f"{rng.choice('+-')}{rng.randint(1, 3)}*z^{d}" for d in sorted(rng.sample(range(n), terms)))
+
+
+@pytest.mark.parametrize("n", [60, 90, 105, 168, 210])
+def test_a_division_equals_the_product_with_the_reduced_inverse(n):
+    rng = random.Random(n)
+    for terms in (2, 3, 8, 8, 16):
+        a, b = _dense_text(rng, n, 24), _dense_text(rng, n, terms)
+        want = parse_element(a, n) * parse_element(b, n).inverse()
+        assert parse_element(f"({a})/({b})", n) == want, (a, b)
 
 
 def is_p_unit(a, p):
@@ -624,6 +704,18 @@ def test_parse_element_bounds_powers():
     # powers of z have coefficient 1-norm 1 and stay free
     assert parse_element("z^1000000", 5) == CycNum.zeta(5, 1000000)
     assert parse_element("(-z^2)^-999999", 7) == -CycNum.zeta(7, -2 * 999999)
+
+
+def test_the_digit_bound_follows_the_interpreters_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        for set_to, digits in ((640, 640), (1000, 1000), (0, sys.int_info.default_max_str_digits), (640, 640)):
+            sys.set_int_max_str_digits(set_to)
+            check_str_digits("the value", 10**digits - 1, -(10**digits - 1))
+            with pytest.raises(PreconditionError, match=f"^the value has an integer of more than {digits} decimal"):
+                check_str_digits("the value", 1, -(10**digits))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30, 240])

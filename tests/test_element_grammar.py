@@ -7,6 +7,7 @@ both must give equal values or refuse with the same message.
 
 import ast
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -135,3 +136,18 @@ def test_single_term_divisors_are_not_inverted(monkeypatch):
         assert parse_element(text, n) == value
     with pytest.raises(PreconditionError, match="division by zero"):
         parse_element("1/(z-z)", 5)
+
+
+def test_long_sums_are_answered_up_to_the_parsers_limit():
+    # a +/- chain is summed in one loop, not one frame per operator, so only
+    # ast.parse bounds its length
+    rng = random.Random(2000)
+    terms = [(rng.choice("+-"), rng.randint(1, 9), rng.choice((1, 2, 3, 4, 6)), rng.randint(0, 11))
+             for _ in range(2000)]
+    text = "".join(f"{sign}({c}/{d})*z^{e}" for sign, c, d, e in terms)
+    want = CycNum.from_int(0)
+    for sign, c, d, e in terms:
+        want += CycNum.zeta(12, e) * (Fraction(c, d) if sign == "+" else Fraction(-c, d))
+    assert parse_element(text, 12) == want
+    with pytest.raises(PreconditionError, match="^element expression is too long or too deeply nested$"):
+        parse_element("+".join(["z"] * 5000), 12)
