@@ -482,6 +482,19 @@ def test_a_failed_exact_check_is_an_internal_error_with_no_prime_added(monkeypat
     assert checked_terms == [sum(1 for c in a.coeffs if c), 8]
 
 
+def test_cofactor_is_never_returned_unchecked(monkeypatch):
+    seen = []
+
+    def never(coeffs, cofactor, norm, n):
+        seen.append(1)
+        return False
+
+    monkeypatch.setattr(cyclotomic, "_is_cofactor", never)
+    with pytest.raises(InternalCheckError):
+        dense(random.Random(7), 60, 12).inverse()
+    assert seen
+
+
 class _PrimeDrawn(Exception):
     """Raised in place of the first split prime: the work check has passed."""
 
