@@ -28,7 +28,6 @@ root system is evaluated from its closed form in quantum integers.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -40,16 +39,31 @@ from .errors import InternalCheckError, PreconditionError
 Mat3 = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
 class Tensor3:
     """Structure constants m[i][j][k] (coefficient of e_k in m(e_i, e_j))
-    and the Gram matrix gram[i][j] = b(e_i, e_j), validated when built."""
+    and the Gram matrix gram[i][j] = b(e_i, e_j), validated when built.
+    Immutable; equal when both fields are."""
 
-    m: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    gram: Mat3
+    __slots__ = ("m", "gram")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: tuple[tuple[tuple[Fraction, ...], ...], ...], gram: Mat3):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "gram", gram)
         self.validate()
+
+    def __setattr__(self, *_):
+        raise AttributeError("Tensor3 is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tensor3):
+            return NotImplemented
+        return (self.m, self.gram) == (other.m, other.gram)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.gram))
+
+    def __repr__(self) -> str:
+        return f"Tensor3(m={self.m!r}, gram={self.gram!r})"
 
     def validate(self) -> None:
         for i, j in product(range(3), repeat=2):

@@ -19,11 +19,10 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import amplitude, gtcat, verlinde
 from .arith import prime_factors, primes_upto, totient
@@ -73,14 +72,13 @@ SIMPLES_LIMIT = 100000
 Q_CONVENTION = "q = zeta_{2l}, the primitive (2l)-th root of unity; verdicts are Galois-invariant in this choice"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     params: dict
     result: dict
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
     # the table, or a function that builds it when it is printed (not for --json)
-    lines: list[str] | Callable[[], list[str]] = field(default_factory=list)
+    lines: list[str] | Callable[[], list[str]]
 
     def payload(self) -> str:
         """The JSON text of the report, without a trailing newline."""
@@ -266,7 +264,7 @@ def _check_simples_size(rs, l: int) -> None:
 
 
 def _verdict_dict(v: verlinde.PrimeVerdict) -> dict:
-    return {**vars(v), "verdict": v.verdict.value}
+    return {**v._asdict(), "verdict": v.verdict.value}
 
 
 def _cmd_verlinde(args) -> Report:
@@ -453,7 +451,7 @@ def _cmd_gtcat(args) -> Report:
 def _cmd_ito_michler(args) -> Report:
     g = _load_group(args)
     rep = ito_michler_verify(g, args.p)
-    result = dict(vars(rep))
+    result = rep._asdict()
     if rep.applicable:
         lines = [
             f"p = {args.p}: applicable (p divides |G| = {g.order}, no degree)",

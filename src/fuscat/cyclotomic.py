@@ -58,12 +58,12 @@ from __future__ import annotations
 import ast
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 from math import ceil, gcd, lcm, log2
 from operator import add, index, mul
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, totient
 from .errors import InternalCheckError, PreconditionError
@@ -73,8 +73,7 @@ from .errors import InternalCheckError, PreconditionError
 # integer polynomials (coefficient tuples, ascending degree)
 
 
-@dataclass(frozen=True)
-class CycPoly:
+class CycPoly(NamedTuple):
     """Univariate polynomial over Z, coefficients in ascending degree."""
 
     coeffs: tuple[int, ...]

@@ -63,10 +63,10 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, isqrt, lcm, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from .arith import is_prime, p_part, prime_factors, prime_witnesses
 from .errors import InternalCheckError, PreconditionError
@@ -217,8 +217,7 @@ def _pad(p: Perm, degree: int) -> Perm:
 # groups
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     rep: Perm  # the least element of the class
     size: int
 
@@ -329,17 +328,23 @@ class PermGroup:
 
     def __contains__(self, p: Perm) -> bool:
         """A named Sn holds every permutation of its points, a named An the
-        even ones; a product holds p when each factor's block of points,
-        shifted to the factor's own, is an element of that factor (so no
-        point leaves its block).  Any other group, a named Dn included,
-        looks p up in its `index`."""
+        even ones, a named Dn on m points the rotations p[i] = p[0] + i and
+        reflections p[i] = p[0] - i (mod m); a product holds p when each
+        factor's block of points, shifted to the factor's own, is an
+        element of that factor (so no point leaves its block).  Any other
+        group looks p up in its `index`."""
         if self.factors:
             return len(p) == self.degree and all(
                 _shift(p[offset:offset + f.degree], -offset) in f
                 for f, offset in _offsets(_checked_factors(self))
             )
-        if self.family and self.family[0] != "D":
+        if self.family:
             fam, n = _checked_family(self)
+            if fam == "D":
+                m = n // 2
+                return len(p) == m and (
+                    all(x == (p[0] + i) % m for i, x in enumerate(p))
+                    or all(x == (p[0] - i) % m for i, x in enumerate(p)))
             return sorted(p) == list(range(n)) and (fam == "S" or _parity(p) == 0)
         return p in self.index
 
@@ -846,8 +851,7 @@ def rep_good_primes(g: PermGroup) -> list[int]:
     return [p for p in prime_factors(g.order) if p not in bad]
 
 
-@dataclass(frozen=True)
-class ItoMichlerReport:
+class ItoMichlerReport(NamedTuple):
     prime: int
     applicable: bool
     offending_degree: int | None

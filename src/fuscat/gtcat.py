@@ -14,7 +14,7 @@ such a Sylow p-subgroup (Ito 1951; Michler 1986).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import prime_factors, prime_witnesses
 from .errors import InternalCheckError
@@ -23,10 +23,9 @@ from .finitegroup import Perm, PermGroup, _sylow_structure, char_degrees, double
 COCYCLE_RESTRICTION = "trivial cocycles only (omega = 1, psi = 1)"
 
 
-@dataclass(frozen=True)
-class GTSimple:
+class GTSimple(NamedTuple):
     coset_rep: Perm
-    stabilizer: PermGroup = field(repr=False)  # H^g, the stabilizer of the coset Hg
+    stabilizer: PermGroup  # H^g, the stabilizer of the coset Hg
     irrep_degree: int
     dimension: int
 

@@ -8,9 +8,8 @@ here is an integer dot product, so the module stays in integer arithmetic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InternalCheckError, PreconditionError
 
@@ -22,8 +21,7 @@ Root = tuple[int, ...]
 _COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}}
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     label: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]

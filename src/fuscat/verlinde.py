@@ -53,10 +53,9 @@ divides the norm of some dimension) serves as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .arith import factorize, is_prime
 from .cyclotomic import CycNum, _principal_specialisation, _scatter
@@ -85,8 +84,7 @@ REASON_DIMENSION_WITNESS = "dimension-witness"
 REASON_HYPOTHESIS_FAILURE = "hypothesis-failure"
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
+class PrimeVerdict(NamedTuple):
     prime: int
     verdict: Verdict
     reason: str
@@ -94,8 +92,7 @@ class PrimeVerdict:
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class VerlindeSimple:
+class VerlindeSimple(NamedTuple):
     weight: Weight
     qdim: CycNum
     qdim_norm: int

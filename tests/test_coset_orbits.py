@@ -290,6 +290,46 @@ def test_named_membership_agrees_with_the_table(n):
     assert n == 1 or ((0,) * n not in s and (0,) * n not in a)
 
 
+@pytest.mark.parametrize("n", range(6, 62, 2))
+def test_dihedral_membership_agrees_with_the_table(n):
+    g = builtin_group(f"D{n}")
+    table = PermGroup.from_generators(g.generators, cap=g.order).index
+    m, rng = g.degree, random.Random(n)
+    candidates = list(table) + [tuple(rng.sample(range(m), m)) for _ in range(40)]
+    for i in range(m):
+        for j in range(i + 1, m):  # the transpositions
+            swap = list(range(m))
+            swap[i], swap[j] = j, i
+            candidates.append(tuple(swap))
+    # a point repeated, a point out of range, too few or too many points
+    candidates += [(0,) * m, tuple(range(1, m + 1)), tuple(range(m, 0, -1)),
+                   tuple(range(m - 1)), tuple(range(m + 1))]
+    assert len(candidates) > len(table) + 40
+    for p in candidates:
+        assert (p in g) == (p in table), p
+    assert g._elements is None and g._index is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosscheck", "--group", "D2000"],
+    ["gtcat", "simples", "--group", "D12", "--subgroup-gens", "(1 2)(3 6)(4 5)"],
+], ids=" ".join)
+def test_named_dihedral_requests_build_no_index_of_g(monkeypatch, capsys, argv):
+    built = []
+    index = PermGroup.index.fget
+
+    def spy(self):
+        if self._index is None:
+            built.append(self.family)
+        return index(self)
+
+    monkeypatch.setattr(PermGroup, "index", property(spy))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built  # the spy sees the small subgroups' tables
+    assert [family for family in built if family] == []
+
+
 @pytest.mark.parametrize("name", ["SL23xS4", "S3xC4", "D12xD12"])
 def test_product_membership_agrees_with_the_table(name):
     rng = random.Random(name)
