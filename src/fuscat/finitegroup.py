@@ -4,8 +4,8 @@ Groups are enumerated explicitly (orbit closure of the generators) up to a
 configurable cap on the order, which also bounds the element table at
 TABLE_FACTOR x cap points (order x degree); conjugacy classes are computed
 on the element table.  A group records the cap it was admitted under, and
-its subgroups, double-coset stabilizers and the tables of A_n and D_n are
-enumerated under that cap: they lie inside the group, so they pass both bounds.
+its subgroups, double-coset stabilizers and the tables it builds on first
+need are enumerated under that cap: they pass both bounds.
 Every product a*b is one C-level gather, `operator.itemgetter(*a)(b)`,
 and a loop that multiplies by a fixed operand builds its gather once.
 Double cosets and their stabilizers come from one pass over the H-orbits
@@ -17,39 +17,40 @@ coset Hx is H n x^-1 H x; `stabilizer_intersection(g, h, y)` builds
 H n yHy^-1 from the definition, so the tests check the route against it
 at y = x^-1.
 
+Every conjugacy class record carries the order of its elements, set by
+the route that made the class, and every element table is the closure of
+the group's generators, built only when something asks for it.
+
 An `x`-joined builtin G1 x ... x Gr answers from its factors: its order is
-the product of theirs, its classes are the products of their classes, its
-character degrees the products d1*...*dr of theirs (Irr(G x H) =
-Irr(G) (x) Irr(H)).  Its element table, class members and `class_of`
-are built from the factors' tables only when something asks for them.
-Every factor route first checks that the factors' generators, shifted into
-place, are the product's own.
+the product of theirs, its classes are the products of their classes (of
+order the lcm of theirs), its character degrees the products d1*...*dr of
+theirs (Irr(G x H) = Irr(G) (x) Irr(H)).  Every factor route first checks
+that the factors' generators, shifted into place, are the product's own.
 
 A builtin Sn or An answers from the partitions of n, once its generators
 are checked to be the builtin's own: one class per partition, of size
-n!/z, led by its least element (fixed points first, then cycles on
-consecutive points in increasing length); An keeps the even partitions
-and splits one with distinct odd parts into two halves.  Its degrees come
-from the hook-length formula (for An, one per pair of conjugate partitions
-and two halves for a self-conjugate one).  Its element table is built only
-when something asks for it, for Sn as `itertools.permutations`, already
-sorted; `class_of` is then the conjugation orbits on it, checked against
-the partition classes.  Membership needs no table: Sn holds every
-permutation of its points, An the even ones, and a product tests each
-factor's block of points in that factor.  A builtin Dn (order n = 2m, on
-m points) answers the same way from its rotations and reflections: the
-classes {r^k, r^-k} and one or two classes of reflections, and the
-degrees 1 and 2 in closed form; its table is the closure of its
-generators, built only when asked for.  A group with as many classes as
-elements is abelian and has all degrees 1.  Every other group takes the
-class-multiplication-coefficient method: the integer class matrices
-(sparse, as each column of M_i has at most |C_i| nonzeros) commute and
-split into common one-dimensional eigenspaces over a prime field F_q
-chosen with q = 1 mod exp(G) and q > 2*sqrt(|G|); each common eigenvector
-is a central character, and the squared degree is recovered from the
-orthogonality sum and lifted to the unique integer square root in
-(0, sqrt(|G|)].  Only degrees are computed;
-character values are never needed downstream.
+n!/z and order the lcm of the parts, led by its least element (fixed
+points first, then cycles on consecutive points in increasing length); An
+keeps the even partitions and splits one with distinct odd parts into two
+halves.  Its degrees come from the hook-length formula (for An, one per
+pair of conjugate partitions and two halves for a self-conjugate one).
+Membership needs no table: Sn holds every permutation of its points, An
+the even ones, and a product tests each factor's block of points in that
+factor.  A builtin Dn (order n = 2m, on m points) answers the same way
+from its rotations and reflections: the classes {r^k, r^-k}, of order
+m/gcd(k, m), and one or two classes of reflections, of order 2, and the
+degrees 1 and 2 in closed form.  When a product's or a named group's
+table is built, `class_of` checks the conjugation orbits on it, with
+their walked orders, against these closed-form classes.  A group with as
+many classes as elements is abelian and has all degrees 1.  Every other
+group takes the class-multiplication-coefficient method: the integer
+class matrices (sparse, as each column of M_i has at most |C_i| nonzeros)
+commute and split into common one-dimensional eigenspaces over a prime
+field F_q chosen with q = 1 mod exp(G) and q > 2*sqrt(|G|); each common
+eigenvector is a central character, and the squared degree is recovered
+from the orthogonality sum and lifted to the unique integer square root
+in (0, sqrt(|G|)].  Only degrees are computed; character values are
+never needed downstream.
 
 The Ito-Michler theorem (p divides no irreducible degree exactly when the
 Sylow p-subgroup is normal and abelian) is checked in both directions from
@@ -63,8 +64,8 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable
-from itertools import permutations
-from math import factorial, isqrt, lcm, prod
+from functools import lru_cache
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -220,13 +221,14 @@ def _pad(p: Perm, degree: int) -> Perm:
 class ConjugacyClass(NamedTuple):
     rep: Perm  # the least element of the class
     size: int
+    order: int  # the order of every element of the class
 
 
 class PermGroup:
     """A finite permutation group.  `from_generators` enumerates its sorted
-    element table at once; a direct product of recorded factors joins the
-    table and `index` from the factors' tables on first need, and a named
-    S_n, A_n or D_n builds it only then."""
+    element table at once; a direct product of recorded factors and a named
+    S_n, A_n or D_n build it, as the closure of their generators, only on
+    first need."""
 
     def __init__(
         self,
@@ -256,7 +258,6 @@ class PermGroup:
             self._order = prod(f.order for f in factors)
         self._index: dict[Perm, int] | None = None
         self._classes: list[ConjugacyClass] | None = None
-        self._class_orders: list[int] | None = None
         self._class_of: list[int] | None = None
         self._members: list[tuple[int, ...]] | None = None
         self._degrees: tuple[int, ...] | None = None
@@ -300,21 +301,10 @@ class PermGroup:
 
     @property
     def elements(self) -> list[Perm]:
-        """The sorted element table; for a product, the factors' tables
-        joined in order, which is already sorted; for S_n, every
-        permutation of its points in the lex order `itertools` yields them;
-        for A_n and D_n, the closure of its generators."""
+        """The sorted element table: for a group built without one, the
+        closure of its generators, which reads neither factors nor family."""
         if self._elements is None:
-            if self.factors:
-                elements: list[Perm] = [()]
-                for f, offset in _offsets(_checked_factors(self)):
-                    part = [_shift(x, offset) for x in f.elements]
-                    elements = [a + b for a in elements for b in part]
-            elif _checked_family(self)[0] == "S":
-                elements = list(permutations(range(self.degree)))
-            else:
-                elements = PermGroup.from_generators(self.generators, self.cap).elements
-            self._elements = elements
+            self._elements = PermGroup.from_generators(self.generators, self.cap).elements
         return self._elements
 
     @property
@@ -362,47 +352,44 @@ class PermGroup:
         return other.degree == self.degree and all(g in self for g in other.generators)
 
     def exponent(self) -> int:
-        return lcm(*self.class_orders())
+        return lcm(*(c.order for c in self.conjugacy_classes()))
 
     # -- conjugacy classes
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         """Classes ordered by their least element.  For a product these are
         the Cartesian products of the factors' classes: lex order on the
-        joined reps is lex order on the tuples of factor reps.  For a named
-        S_n or A_n they come from the partitions of n, for a named D_n from
-        its rotations and reflections."""
+        joined reps is lex order on the tuples of factor reps, and the order
+        of a product class is the lcm of its factor classes' orders.  For a
+        named S_n or A_n they come from the partitions of n, for a named D_n
+        from its rotations and reflections, orders in closed form; any other
+        group walks one representative's cycles per class."""
         if self._classes is None:
             if self.factors:
-                reps_sizes: list[tuple[Perm, int]] = [((), 1)]
+                classes = [ConjugacyClass((), 1, 1)]
                 for f, offset in _offsets(_checked_factors(self)):
-                    part = [(_shift(c.rep, offset), c.size) for c in f.conjugacy_classes()]
-                    reps_sizes = [(r + s, m * n) for r, m in reps_sizes for s, n in part]
+                    part = [c._replace(rep=_shift(c.rep, offset)) for c in f.conjugacy_classes()]
+                    classes = [ConjugacyClass(a.rep + b.rep, a.size * b.size, lcm(a.order, b.order))
+                               for a in classes for b in part]
             elif self.family:
                 fam, n = _checked_family(self)
-                reps_sizes = _dihedral_classes(n) if fam == "D" else _partition_classes(fam, n)
+                classes = _dihedral_classes(n) if fam == "D" else _partition_classes(fam, n)
             else:
-                reps_sizes = self._enumerate_classes()
-            if sum(size for _, size in reps_sizes) != self.order:
+                classes = self._enumerate_classes()
+            if sum(c.size for c in classes) != self.order:
                 raise InternalCheckError("conjugacy classes do not partition the group")
-            if any(self.order % size for _, size in reps_sizes):
+            if any(self.order % c.size for c in classes):
                 raise InternalCheckError("conjugacy class size does not divide the order")
-            self._classes = [ConjugacyClass(rep, size) for rep, size in reps_sizes]
+            self._classes = classes
         return self._classes
-
-    def class_orders(self) -> list[int]:
-        """Per class, the order of its elements: conjugate elements have
-        equal order, so one cycle walk of each representative, once per group."""
-        if self._class_orders is None:
-            self._class_orders = [perm_order(c.rep) for c in self.conjugacy_classes()]
-        return self._class_orders
 
     def class_of(self) -> list[int]:
         """Element index -> conjugacy class index."""
         classes = self.conjugacy_classes()  # fills class_of unless self is a product or named
-        # the orbits on a product's or a named group's table must be the
-        # classes its factors, the partitions or the dihedral rule gave
-        if self._class_of is None and self._enumerate_classes() != [(c.rep, c.size) for c in classes]:
+        # the orbits on a product's or a named group's table, with their
+        # walked orders, must be the classes its factors, the partitions or
+        # the dihedral rule gave
+        if self._class_of is None and self._enumerate_classes() != classes:
             whose = ("the factors'" if self.factors
                      else "the dihedral" if self.family[0] == "D" else "the partition")
             raise InternalCheckError(f"conjugation orbits do not match {whose} classes")
@@ -417,11 +404,12 @@ class PermGroup:
             self._members = [tuple(m) for m in members]
         return self._members
 
-    def _enumerate_classes(self) -> list[tuple[Perm, int]]:
-        """Conjugation orbits on the element table; fills `class_of`."""
+    def _enumerate_classes(self) -> list[ConjugacyClass]:
+        """Conjugation orbits on the element table, each led by its least
+        element and with its order walked once; fills `class_of`."""
         elements, index = self.elements, self.index
         class_of = [-1] * self.order
-        out: list[tuple[Perm, int]] = []
+        out: list[ConjugacyClass] = []
         # g^-1 x g = (g^-1 * x) * g: the first gather is fixed per generator
         conj = [(_gather(perm_inv(g)), g) for g in self.generators]
         for start in range(self.order):
@@ -439,7 +427,7 @@ class PermGroup:
                         class_of[j] = cid
                         size += 1
                         queue.append(j)
-            out.append((elements[start], size))
+            out.append(ConjugacyClass(elements[start], size, perm_order(elements[start])))
         self._class_of = class_of
         return out
 
@@ -486,7 +474,7 @@ def _checked_family(g: PermGroup) -> tuple[str, int]:
     """The recorded family and n, once the group's generators are exactly
     the builtin Sn's, An's or Dn's: the tie between the closed-form routes
     and the group the generators define."""
-    if not g.family or _family_generators(*g.family) != g.generators:
+    if not g.family or _family_generators(*g.family) != tuple(g.generators):
         raise InternalCheckError("the recorded family does not generate the group")
     return g.family
 
@@ -513,16 +501,17 @@ def _least_of_type(parts: tuple[int, ...]) -> Perm:
     return tuple(out)
 
 
-def _partition_classes(family: str, n: int) -> list[tuple[Perm, int]]:
-    """(least element, size) per class of S_n or A_n, ordered by element.
+def _partition_classes(family: str, n: int) -> list[ConjugacyClass]:
+    """The classes of S_n or A_n, ordered by least element.
 
     S_n has one class per partition, of size n!/z (z = prod i^m_i m_i!,
-    the centralizer order).  A_n keeps the even partitions, and one with
-    distinct odd parts splits into two halves: its centralizer lies in
-    A_n, so only odd permutations conjugate one half to the other.  The
-    second half's least element is then the second least of the S_n
-    class, the first with its last two points swapped (any other
-    permutation that agrees with it up to there changes the cycle type).
+    the centralizer order) and order the lcm of the parts.  A_n keeps the
+    even partitions, and one with distinct odd parts splits into two
+    halves: its centralizer lies in A_n, so only odd permutations
+    conjugate one half to the other.  The second half's least element is
+    then the second least of the S_n class, the first with its last two
+    points swapped (any other permutation that agrees with it up to there
+    changes the cycle type).
     """
     alternating = family == "A" and n > 1
     out = []
@@ -531,13 +520,14 @@ def _partition_classes(family: str, n: int) -> list[tuple[Perm, int]]:
             continue
         rep = _least_of_type(parts)
         size = factorial(n) // prod(k ** parts.count(k) * factorial(parts.count(k)) for k in set(parts))
+        order = lcm(*parts)
         if alternating and len(set(parts)) == len(parts) and all(k % 2 for k in parts):
             swap = list(range(n))
             swap[-2:] = n - 1, n - 2
             other = tuple(swap[rep[swap[i]]] for i in range(n))
-            out += [(rep, size // 2), (other, size // 2)]
+            out += [ConjugacyClass(rep, size // 2, order), ConjugacyClass(other, size // 2, order)]
         else:
-            out.append((rep, size))
+            out.append(ConjugacyClass(rep, size, order))
     return sorted(out)
 
 
@@ -568,20 +558,22 @@ def _hook_degrees(family: str, n: int) -> list[int]:
 # D_n, of order n = 2m, on the m vertices of a polygon
 
 
-def _dihedral_classes(n: int) -> list[tuple[Perm, int]]:
-    """(least element, size) per class of D_n, ordered by element.
+def _dihedral_classes(n: int) -> list[ConjugacyClass]:
+    """The classes of D_n, ordered by least element.
 
     With r: i -> i + 1 and s_k: i -> k - i (mod m), the classes are
-    {r^k, r^-k} for 0 <= k <= m/2, led by r^k, and the reflections: one
-    class of m for m odd; for m even, the s_k with k even and those with k
-    odd, m/2 each, led by s_0 and s_1 (r^j s_k r^-j = s_(k+2j) and
-    s_j s_k s_j = s_(2j-k)).
+    {r^k, r^-k} for 0 <= k <= m/2, led by r^k, of order m/gcd(k, m), and
+    the reflections, of order 2: one class of m for m odd; for m even, the
+    s_k with k even and those with k odd, m/2 each, led by s_0 and s_1
+    (r^j s_k r^-j = s_(k+2j) and s_j s_k s_j = s_(2j-k)).
     """
     m = n // 2
-    rotations = [(tuple(range(k, m)) + tuple(range(k)), 1 if 2 * k in (0, m) else 2)
+    rotations = [ConjugacyClass(tuple(range(k, m)) + tuple(range(k)), 1 if 2 * k in (0, m) else 2,
+                                m // gcd(k, m))
                  for k in range(m // 2 + 1)]
     parities = 1 if m % 2 else 2
-    reflections = [(tuple((k - i) % m for i in range(m)), m // parities) for k in range(parities)]
+    reflections = [ConjugacyClass(tuple((k - i) % m for i in range(m)), m // parities, 2)
+                   for k in range(parities)]
     return sorted(rotations + reflections)
 
 
@@ -897,7 +889,7 @@ def _sylow_structure(g: PermGroup, p: int) -> tuple[bool, bool]:
     their class sizes: C_G(x) has p'-index exactly when it contains a
     Sylow p-subgroup, which is then P.
     """
-    sizes = [c.size for c, o in zip(g.conjugacy_classes(), g.class_orders()) if p_part(o, p) == o]
+    sizes = [c.size for c in g.conjugacy_classes() if p_part(c.order, p) == c.order]
     normal = sum(sizes) == p_part(g.order, p)
     return normal, normal and all(size % p for size in sizes)
 
@@ -1067,8 +1059,10 @@ def _alternating(n: int) -> list[Perm]:
     return [three, big]
 
 
-def _family_generators(family: str, n: int) -> list[Perm]:
-    return {"S": _symmetric, "A": _alternating, "D": _dihedral}[family](n)
+@lru_cache
+def _family_generators(family: str, n: int) -> tuple[Perm, ...]:
+    """The builtin Sn's, An's or Dn's generators, built once per (family, n)."""
+    return tuple({"S": _symmetric, "A": _alternating, "D": _dihedral}[family](n))
 
 
 def _cyclic(n: int) -> list[Perm]:
@@ -1133,7 +1127,7 @@ def _builtin_factor(name: str, cap: int) -> tuple[int, int, Callable[[], PermGro
                                                family=(fam, n), cap=cap)
         if fam == "D":
             # answers from its rotations and reflections; no table until one is asked for
-            return n, n // 2, lambda: PermGroup(n // 2, _dihedral(n), family=("D", n), cap=cap)
+            return n, n // 2, lambda: PermGroup(n // 2, _family_generators("D", n), family=("D", n), cap=cap)
         return n, n, lambda: PermGroup.from_generators(_cyclic(n), cap)
     if name.upper() == "Q8":
         return 8, 8, lambda: PermGroup.from_generators(_quaternion8(), cap)

@@ -284,7 +284,6 @@ def test_named_symmetric_group_builds_no_table(capsys, monkeypatch):
     monkeypatch.setattr(cli, "builtin_group", group_spy)
     monkeypatch.setattr(cli.PermGroup, "from_generators", staticmethod(lambda *a, **k: built.append(a)))
     monkeypatch.setattr(finitegroup, "_class_matrix", lambda g, i: built.append(g))
-    monkeypatch.setattr(finitegroup, "permutations", lambda *a: built.append(a))
     code, out, _ = run(capsys, "group", "--group", "S7")
     assert code == 0 and out.startswith("|G| = 5040 on 7 points\nconjugacy classes: 15\n")
     (g,) = groups

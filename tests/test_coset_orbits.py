@@ -310,6 +310,27 @@ def test_dihedral_membership_agrees_with_the_table(n):
     assert g._elements is None and g._index is None
 
 
+def test_named_membership_builds_the_family_generators_once(monkeypatch):
+    """Each membership test checks the family's generators, built once."""
+    built = []
+    dihedral = finitegroup._dihedral
+
+    def spy(order):
+        built.append(order)
+        return dihedral(order)
+
+    monkeypatch.setattr(finitegroup, "_dihedral", spy)
+    finitegroup._family_generators.cache_clear()
+    g = builtin_group("D2000")
+    rng = random.Random(2000)
+    for _ in range(50):
+        k = rng.randrange(1000)
+        assert tuple((k + i) % 1000 for i in range(1000)) in g
+        assert tuple((k - i) % 1000 for i in range(1000)) in g
+        assert tuple(rng.sample(range(1000), 1000)) not in g
+    assert built == [2000]
+
+
 @pytest.mark.parametrize("argv", [
     ["crosscheck", "--group", "D2000"],
     ["gtcat", "simples", "--group", "D12", "--subgroup-gens", "(1 2)(3 6)(4 5)"],

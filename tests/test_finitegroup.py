@@ -22,6 +22,7 @@ from fuscat.finitegroup import (
     parse_perm,
     perm_inv,
     perm_mul,
+    perm_order,
     perm_to_cycles,
     rep_bad_primes,
     rep_good_primes,
@@ -330,7 +331,7 @@ def test_mismatched_factors_stop_every_factor_route():
     g = builtin_group("S3xC4")
     g.factors = (builtin_group("C4"), builtin_group("S3"))  # right orders, wrong places
     for route in (PermGroup.conjugacy_classes, PermGroup.class_of, char_degrees,
-                  lambda g: g.elements, lambda g: ito_michler_verify(g, 3)):
+                  lambda g: ito_michler_verify(g, 3)):
         with pytest.raises(InternalCheckError, match="do not generate the group"):
             route(g)
 
@@ -443,9 +444,50 @@ def test_changed_generators_stop_every_partition_route(name):
     if g.factors:  # a product on the changed factors, so that its own tie holds
         g.generators = finitegroup._product_generators(g.factors)
     for route in (PermGroup.conjugacy_classes, PermGroup.class_of, PermGroup.exponent, char_degrees,
-                  lambda g: g.elements, lambda g: ito_michler_verify(g, 2), lambda g: g.generators[0] in g):
+                  lambda g: ito_michler_verify(g, 2), lambda g: g.generators[0] in g):
         with pytest.raises(InternalCheckError, match="recorded family does not generate the group"):
             route(g)
+
+
+# --- class orders in closed form, and invariants free of the presentation
+
+CLOSED_FORM = NAMED + [f"D{n}" for n in range(6, 200, 2)] + [
+    "S4xS4xS3", "SL23xS4", "D12xD12", "S3xS3xS3xC2", "S7xC2", "Q8xD8xC3", "S3xC4"]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_closed_form_class_orders_are_the_walked_orders(name):
+    g = builtin_group(name, cap=40320)
+    assert g.family or g.factors
+    assert all(c.order == perm_order(c.rep) for c in g.conjugacy_classes())
+    assert g._elements is None
+
+
+def invariants(g):
+    """What no presentation of g may change: the order, the class sizes
+    with their orders, the exponent, the degrees, the bad primes with their
+    witness degrees and the Ito-Michler report at every prime of |g|."""
+    return (g.order, sorted((c.size, c.order) for c in g.conjugacy_classes()), g.exponent(),
+            char_degrees(g), rep_bad_primes(g),
+            [ito_michler_verify(g, p) for p in prime_factors(g.order)])
+
+
+@pytest.mark.parametrize("name", ["S4", "S5", "A5", "C12", "D12", "D20", "Q8", "SL23",
+                                  "S3xC4", "A4xC3", "Q8xD8"])
+def test_invariants_do_not_depend_on_the_presentation(name):
+    """Three plain presentations of each builtin: its generators conjugated
+    by a point permutation, reordered, and one product of two of them added."""
+    g = builtin_group(name)
+    expected = invariants(g)
+    rng = random.Random(name)
+    for _ in range(3):
+        pi = tuple(rng.sample(range(g.degree), g.degree))
+        gens = [perm_mul(perm_mul(perm_inv(pi), s), pi) for s in g.generators]
+        gens.append(perm_mul(*(rng.sample(gens, 2) if len(gens) > 1 else gens * 2)))
+        rng.shuffle(gens)
+        copy = PermGroup.from_generators(gens)
+        assert copy.family is None and not copy.factors and copy.generators != g.generators
+        assert invariants(copy) == expected
 
 
 def test_named_orbits_must_match_the_partition_classes():

@@ -126,27 +126,29 @@ def test_faked_degrees_fail_the_sylow_check(name, degrees, by_dimensions, by_syl
     (["crosscheck", "--group", "D2000"], "crosscheck: 12/12 passed"),
 ])
 def test_one_cycle_walk_per_class_per_group(monkeypatch, capsys, argv, verdict):
-    """The exponent and every Sylow check read each group's class orders,
-    walked once per class: no representative is walked twice for a group."""
+    """Every class record carries its order: a named or product group walks
+    no cycle, and any other group walks one representative per class, as
+    `_enumerate_classes` finds it, and no other."""
     walks = []
     groups = {}  # id -> (group, walks made for it); the group is held, so its id is not reused
-    perm_order, class_orders = finitegroup.perm_order, PermGroup.class_orders
+    perm_order, enumerate_classes = finitegroup.perm_order, PermGroup._enumerate_classes
 
     def counted_walk(a):
         walks.append(a)
         return perm_order(a)
 
-    def counted_orders(g):
+    def counted_classes(g):
         before = len(walks)
-        out = class_orders(g)
+        out = enumerate_classes(g)
         groups[id(g)] = (g, groups.get(id(g), (g, 0))[1] + len(walks) - before)
         return out
 
     monkeypatch.setattr(finitegroup, "perm_order", counted_walk)
-    monkeypatch.setattr(PermGroup, "class_orders", counted_orders)
+    monkeypatch.setattr(PermGroup, "_enumerate_classes", counted_classes)
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 0 and verdict in out.splitlines()
-    assert groups
-    assert all(n <= len(g.conjugacy_classes()) for g, n in groups.values())
+    # no walk outside `_enumerate_classes`, and none for a named or product group
     assert sum(n for _, n in groups.values()) == len(walks)
+    assert all(not (g.factors or g.family) for g, _ in groups.values())
+    assert all(n == len(g.conjugacy_classes()) for g, n in groups.values())

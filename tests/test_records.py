@@ -22,7 +22,7 @@ RECORDS = [
     (CycPoly, ("coeffs",), lambda: CycPoly(tuple([1, -1, 1]))),
     (RootSystem, ("label", "rank", "cartan", "positive_roots", "highest_root", "coxeter_number"),
      lambda: RootSystem("A1", 1, ((2,),), ((1,),), (1,), 2)),
-    (ConjugacyClass, ("rep", "size"), lambda: ConjugacyClass((1, 0, 2), 3)),
+    (ConjugacyClass, ("rep", "size", "order"), lambda: ConjugacyClass((1, 0, 2), 3, 2)),
     (ItoMichlerReport, ("prime", "applicable", "offending_degree", "sylow_order", "complement_order",
                         "sylow_abelian", "sylow_normal", "reason"),
      lambda: ito_michler_verify(builtin_group("S3"), 3)),
