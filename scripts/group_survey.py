@@ -9,13 +9,13 @@ verified normal abelian Sylow subgroup.
 import argparse
 import sys
 
-from fuscat.arith import prime_factors
 from fuscat.errors import PreconditionError
 from fuscat.finitegroup import (
     builtin_group,
     char_degrees,
     ito_michler_verify,
     rep_bad_primes,
+    rep_good_primes,
 )
 
 CORPUS = [
@@ -37,9 +37,7 @@ def main() -> int:
         bad = rep_bad_primes(g)
         print(f"{name:7s} |G|={g.order:<5d} degrees={list(degs)}")
         print(f"        bad primes: {sorted(bad) or 'none'}")
-        for p in prime_factors(g.order):
-            if p in bad:
-                continue
+        for p in rep_good_primes(g):
             rep = ito_michler_verify(g, p)
             print(f"        p={p}: good; Sylow of order {rep.sylow_order} is "
                   f"normal and abelian, complement order {rep.complement_order}")

@@ -33,6 +33,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
+from .arith import primes_upto
 from .cyclotomic import CycNum, q_integer
 from .errors import InternalCheckError, PreconditionError
 
@@ -263,8 +264,6 @@ def quantum_T4(l: int) -> CycNum:
 
 def quantum_certificate(l: int, pmax: int = 50) -> dict:
     """Denominator divisibility data for the quantum square amplitude."""
-    from .arith import primes_upto
-
     val = quantum_T4(l)
     sq = val * val
     return {

@@ -363,32 +363,27 @@ def _group_params(args, **extra) -> dict:
     return {"group": args.group, "gens": args.gens, "degree": args.degree, **extra}
 
 
-def _group_result(g: PermGroup) -> dict:
-    degrees = char_degrees(g)
-    bad = rep_bad_primes(g)
-    return {
-        "order": g.order,
-        "degree": g.degree,
-        "classes": [
-            {"rep": perm_to_cycles(c.rep), "size": c.size} for c in g.conjugacy_classes()
-        ],
-        "degrees": list(degrees),
-        "bad_primes": [{"prime": p, "witness_degree": d} for p, d in bad.items()],
-        "good_primes_dividing_order": rep_good_primes(g),
-    }
-
-
 def _cmd_group(args) -> Report:
     g = _load_group(args)
-    result = _group_result(g)
+    degrees = list(char_degrees(g))
+    bad = rep_bad_primes(g)
+    good = rep_good_primes(g)
+    classes = [{"rep": perm_to_cycles(c.rep), "size": c.size} for c in g.conjugacy_classes()]
+    result = {
+        "order": g.order,
+        "degree": g.degree,
+        "classes": classes,
+        "degrees": degrees,
+        "bad_primes": [{"prime": p, "witness_degree": d} for p, d in bad.items()],
+        "good_primes_dividing_order": good,
+    }
     prov = _provenance(enum_cap=g.cap)
     lines = [
         f"|G| = {g.order} on {g.degree} points",
-        f"conjugacy classes: {len(result['classes'])}",
-        f"character degrees: {result['degrees']}",
-        f"bad primes for the representation category: "
-        f"{ {b['prime']: b['witness_degree'] for b in result['bad_primes']} }",
-        f"good primes dividing |G|: {result['good_primes_dividing_order']}",
+        f"conjugacy classes: {len(classes)}",
+        f"character degrees: {degrees}",
+        f"bad primes for the representation category: {bad}",
+        f"good primes dividing |G|: {good}",
     ]
     return Report("group", _group_params(args), result, prov, lines)
 
@@ -507,7 +502,7 @@ def _cmd_amplitude(args) -> Report:
         "normalization": "vertex scaled so the two-vertex bubble is the identity",
         "cross_check_trace_identity": other,
         "certificates": [
-            {"prime": p, "divides_denominator_norm": val.denominator % p == 0}
+            {"prime": p, "divides_denominator_norm": True}
             for p in primes_upto(args.pmax)
             if val.denominator % p == 0
         ],

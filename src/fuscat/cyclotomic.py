@@ -760,7 +760,8 @@ def _ring_inverse(b: _RingValue, n: int) -> _RingValue:
     has no more nonzero terms and no larger 1-norm than b's reduced vector,
     so that its work is never larger: the bounds and the exact check of
     `_norm_and_cofactor` hold for any f with exponents below n.  The reduced
-    vector decides whether b is zero, and is inverted in the other case.
+    vector decides whether b is zero, and is inverted, over its own
+    denominator, in the other case.  Either way 1 / b = den * C / N.
     """
     terms, den = b
     if len(terms) == 1:
@@ -771,8 +772,10 @@ def _ring_inverse(b: _RingValue, n: int) -> _RingValue:
         raise PreconditionError("division by zero")
     kept = [c for c in reduced.coeffs if c]
     if len(terms) > len(kept) or sum(map(abs, terms.values())) > sum(map(abs, kept)):
-        return _ring_value(reduced.inverse(), n)
-    norm, cofactor = _norm_and_cofactor(_coefficient_list(terms), n, with_cofactor=True)
+        vec, den = reduced.coeffs, reduced.den
+    else:
+        vec = _coefficient_list(terms)
+    norm, cofactor = _norm_and_cofactor(vec, n, with_cofactor=True)
     return _ring_value(CycNum(n, [den * v for v in cofactor], norm), n)
 
 

@@ -338,9 +338,6 @@ class PermGroup:
             return sorted(p) == list(range(n)) and (fam == "S" or _parity(p) == 0)
         return p in self.index
 
-    def __len__(self) -> int:
-        return self.order
-
     def subgroup(self, generators: list[Perm]) -> "PermGroup":
         gens = [_pad(g, self.degree) for g in generators]
         for g in gens:
@@ -839,8 +836,8 @@ def rep_bad_primes(g: PermGroup) -> dict[int, int]:
 
 def rep_good_primes(g: PermGroup) -> list[int]:
     """Primes dividing |G| that divide no irreducible degree."""
-    bad = rep_bad_primes(g)
-    return [p for p in prime_factors(g.order) if p not in bad]
+    degrees = char_degrees(g)
+    return [p for p in prime_factors(g.order) if all(d % p for d in degrees)]
 
 
 class ItoMichlerReport(NamedTuple):

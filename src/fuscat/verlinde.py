@@ -80,7 +80,6 @@ class Verdict(Enum):
 REASON_COPRIME_CONSTRUCTION = "coprime-construction"
 REASON_LEVEL_PRIME_SYMMETRIC = "level-prime-symmetric"
 REASON_LEVEL_DIVISOR_WITNESS = "level-divisor-witness"
-REASON_DIMENSION_WITNESS = "dimension-witness"
 REASON_HYPOTHESIS_FAILURE = "hypothesis-failure"
 
 

@@ -250,6 +250,27 @@ def test_orbit_route_on_a_relabelled_gens_copy(name):
 
 
 @pytest.mark.parametrize("pair", GTCAT_REQUESTS, ids=" > ".join)
+def test_gtcat_pool_verdicts_do_not_depend_on_the_presentation(pair):
+    """Each pool pair against three `--gens` copies of G, each with every point
+    relabelled, the generators reversed and a product of two of them added;
+    H is presented by its generators under the same relabelling."""
+    group, subgroup = pair
+    rng = random.Random(" > ".join(pair))
+    g = builtin_group(group)
+    h = g.subgroup(parse_gens(subgroup, g.degree))
+    expected = label_free(g, h)
+    bad = {p: s.dimension for p, s in gtcat.gt_bad_primes(g, h).items()}
+    for _ in range(3):
+        pi = tuple(rng.sample(range(g.degree), g.degree))
+        gens = [relabelled(s, pi) for s in reversed(g.generators)]
+        copy = PermGroup.from_generators(gens + [perm_mul(*rng.sample(gens, 2))])
+        assert copy.family is None and not copy.factors
+        h_copy = copy.subgroup([relabelled(s, pi) for s in h.generators])
+        assert label_free(copy, h_copy) == expected
+        assert {p: s.dimension for p, s in gtcat.gt_bad_primes(copy, h_copy).items()} == bad
+
+
+@pytest.mark.parametrize("pair", GTCAT_REQUESTS, ids=" > ".join)
 def test_gtcat_requests_build_no_table_of_g(pair):
     group, subgroup = pair
     g = builtin_group(group)

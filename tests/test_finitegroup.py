@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from functools import cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -431,8 +432,16 @@ def test_partition_route_against_the_table_route(name):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_symmetric_table_is_the_closure_table(n):
-    g = builtin_group(f"S{n}")
-    assert g.elements == PermGroup.from_generators(g.generators).elements
+    assert builtin_group(f"S{n}").elements == sorted(permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_alternating_table_is_the_even_permutations(n):
+    def inversions(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+
+    even = [p for p in permutations(range(n)) if inversions(p) % 2 == 0]
+    assert builtin_group(f"A{n}").elements == even
 
 
 @pytest.mark.parametrize("name", ["S5", "A5", "S4xA4"])

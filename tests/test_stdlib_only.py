@@ -1,6 +1,8 @@
 """The runtime stays stdlib-only: every absolute import in the package
 names a module of the standard library, and none is `dataclasses`, whose
-import and decorators would cost every invocation about 14 ms."""
+import and decorators would cost every invocation about 14 ms.  Every
+import sits at module level, where the cost of loading a module is paid
+once and `tests/test_cold_start.py` sees it."""
 
 import ast
 import sys
@@ -36,3 +38,20 @@ def test_every_absolute_import_is_stdlib(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_source_imports_dataclasses(path):
     assert "dataclasses" not in [name.split(".")[0] for name in _absolute_imports(path)]
+
+
+def _function_body_imports(path: Path) -> list[str]:
+    """`function:line` for each import inside a function or method body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(node.lineno, f"{fn.name}:{node.lineno}")
+    return sorted(found.values())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function_body(path):
+    assert _function_body_imports(path) == []
