@@ -38,12 +38,14 @@ and of the cofactor's coefficients go through one CRT per step until the
 modulus passes one certified bound, the larger of the two when a cofactor is
 asked for; the cofactor then meets one exact check, and its failure is an
 internal error.
-The setup that depends only on the conductor is taken once per conductor
-(the units mod n, the low terms of Phi_n, the divisors behind Phi_n'), and
-a step's powers of W once per conductor and step; the primes are still
-drawn from `_split_primes` on every call.  A norm or an inverse is refused
-before the first prime is drawn when its count of multiplications passes
-`WORK_LIMIT`.
+All that depends only on the conductor sits in one object per conductor,
+built by `_conductor`, which factors n once: Phi_n and its low terms, the
+fold step, the units mod n, the divisors behind Phi_n', the split primes
+found so far and, when an inverse first asks, the reduction height.  A
+step's powers of W are taken once per conductor and step; the primes are
+still drawn from `_split_primes` on every call.  A norm or an inverse is
+refused before the first prime is drawn when its count of multiplications
+passes `WORK_LIMIT`.
 
 `parse_element` evaluates the CLI grammar in Z[x]/(x^n - 1), as sparse
 coefficient maps over one denominator, and reduces modulo Phi_n once.  A
@@ -59,13 +61,13 @@ import ast
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, count
 from math import ceil, gcd, lcm, log2
 from operator import add, index, mul
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, totient
+from .arith import factorize, is_prime
 from .errors import InternalCheckError, PreconditionError
 
 
@@ -102,21 +104,55 @@ def _principal_specialisation(nums: list[int], dens: list[int]) -> list[int]:
     return c
 
 
+class _Conductor:
+    """What the arithmetic of Q(zeta_n) needs of n, from one factorization.
+
+    `primes` are n's primes; `phi` is Phi_n: x - 1 for n = 1, and for n > 1
+    the Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, the binomial
+    quotient prod_{d | n} (1 - x^d)^mu(n/d); `low` its nonzero terms (j, c_j)
+    below the leading one; `step` m = n/p for the least prime p of n (1 for
+    n = 1), so Phi_n divides (x^n - 1) / (x^m - 1); `units` the units mod n;
+    `over` and `under` the divisors d < n of n with mu(n/d) = -1 and = 1;
+    `split` the pairs `_split_primes` has found.
+    """
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise PreconditionError("cyclotomic polynomial needs n >= 1")
+        self.primes = tuple(factorize(n))
+        signed = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of n
+        for q in self.primes:
+            signed += [(e * q, -mu) for e, mu in signed]
+        self.over = tuple(n // e for e, mu in signed if mu == -1)
+        self.under = tuple(n // e for e, mu in signed if mu == 1 and e > 1)
+        phi = [-1, 1] if n == 1 else _principal_specialisation([n, *self.under], self.over)
+        self.units = tuple(s for s in range(1, n + 1) if gcd(s, n) == 1)
+        if phi[-1] != 1 or len(phi) - 1 != len(self.units):
+            raise InternalCheckError(f"cyclotomic polynomial for n={n} is malformed")
+        self.n, self.phi = n, tuple(phi)
+        self.low = tuple((j, v) for j, v in enumerate(phi[:-1]) if v)
+        self.step = n // min(self.primes, default=1)
+        self.split: list[tuple[int, int]] = []
+
+    @cached_property
+    def height(self) -> int:
+        """The largest |coefficient| of x^k modulo Phi_n over 0 <= k < n."""
+        phi = self.phi
+        r, height = [0] * (len(phi) - 2) + [1], 1
+        for _ in range(self.n - len(phi) + 1):
+            r = [a - r[-1] * b for a, b in zip([0] + r[:-1], phi)]
+            height = max(height, *map(abs, r))
+        return height
+
+
 @lru_cache(maxsize=None)
+def _conductor(n: int) -> _Conductor:
+    return _Conductor(n)
+
+
 def cyclotomic_polynomial(n: int) -> CycPoly:
-    """The n-th cyclotomic polynomial: x - 1 for n = 1, and for n > 1 the
-    Moebius inversion of x^n - 1 = prod_{d | n} Phi_d, the binomial quotient
-    prod_{d | n} (1 - x^d)^mu(n/d), with the divisors split by `_slope_factors`."""
-    if n < 1:
-        raise PreconditionError("cyclotomic polynomial needs n >= 1")
-    if n == 1:
-        f = [-1, 1]
-    else:
-        over, under = _slope_factors(n)
-        f = _principal_specialisation([n, *under], over)
-    if f[-1] != 1 or len(f) - 1 != totient(n):
-        raise InternalCheckError(f"cyclotomic polynomial for n={n} is malformed")
-    return CycPoly(tuple(f))
+    """The n-th cyclotomic polynomial (see `_Conductor`)."""
+    return CycPoly(_conductor(n).phi)
 
 
 def cyclotomic_at_one(n: int) -> int:
@@ -130,20 +166,6 @@ def cyclotomic_at_one(n: int) -> int:
     return primes[0] if len(primes) == 1 else 1
 
 
-@lru_cache(maxsize=None)
-def _low_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero terms (j, c_j) of Phi_n below its leading one."""
-    phi = cyclotomic_polynomial(n).coeffs
-    return tuple((j, v) for j, v in enumerate(phi[:-1]) if v)
-
-
-@lru_cache(maxsize=None)
-def _fold_step(n: int) -> int:
-    """m = n / p for the least prime p of n (1 for n = 1): Phi_n divides
-    (x^n - 1) / (x^m - 1) = 1 + x^m + ... + x^(n-m)."""
-    return n // min(factorize(n), default=1)
-
-
 def _reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
     """Remainder of a coefficient list modulo Phi_n, padded to length phi(n);
     a list no longer than phi(n) is only padded.
@@ -153,11 +175,12 @@ def _reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
     between phi(n) and n - m go through Phi_n's own terms.  For a prime n
     (m = 1) that multiple is Phi_n itself, left to the row loop.
     """
-    deg = len(cyclotomic_polynomial(n).coeffs) - 1
+    cond = _conductor(n)
+    deg = len(cond.units)
     if len(coeffs) <= deg:
         return coeffs + [0] * (deg - len(coeffs))
     c = coeffs[:]
-    m = _fold_step(n)
+    m = cond.step
     top = n - m
     if m > 1:
         for k in range(len(c) - 1, top - 1, -1):
@@ -166,7 +189,7 @@ def _reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
                 for j in range(k - top, k, m):
                     c[j] -= t
         del c[top:]
-    low = _low_terms(n)
+    low = cond.low
     for k in range(len(c) - 1, deg - 1, -1):
         t = c[k]
         if t:
@@ -198,17 +221,8 @@ def _scatter(coeffs, s: int, n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _units(n: int) -> tuple[int, ...]:
-    return tuple(s for s in range(1, n + 1) if gcd(s, n) == 1)
-
-
 # ---------------------------------------------------------------------------
 # multi-modular norms and cofactors
-
-# conductor -> the (p, w) pairs found so far, largest p first
-_SPLIT_PRIMES: dict[int, list[tuple[int, int]]] = {}
-
 
 # a step of the norm and cofactor kernel works modulo the product of at most
 # this many split primes, about 490 bits: CPython's cost per multiply is
@@ -230,7 +244,7 @@ WORK_LIMIT = 12_000_000
 def _split_primes(n: int):
     """Primes p = 1 (mod n) below 2^61, largest first, each with a primitive
     n-th root of unity w mod p.  Found lazily; only the pairs are kept."""
-    found = _SPLIT_PRIMES.setdefault(n, [])
+    found = _conductor(n).split
     for i in count():
         if i == len(found):
             p = found[-1][0] - n if found else ((1 << 61) - 2) // n * n + 1
@@ -244,9 +258,10 @@ def _split_primes(n: int):
 
 def _root_of_unity(n: int, p: int) -> int:
     """A primitive n-th root of unity modulo a prime p = 1 (mod n)."""
+    primes = _conductor(n).primes
     for g in count(2):
         w = pow(g, (p - 1) // n, p)
-        if all(pow(w, n // q, p) != 1 for q in factorize(n)):
+        if all(pow(w, n // q, p) != 1 for q in primes):
             return w
 
 
@@ -256,17 +271,6 @@ def _crt(xs: list[int], m: int, rs: list[int], p: int) -> tuple[list[int], int]:
     t, mp = pow(m, -1, p), m * p
     ys = [(x + m * ((r - x) * t % p)) % mp for x, r in zip(xs, rs)]
     return [y - mp if 2 * y > mp else y for y in ys], mp
-
-
-@lru_cache(maxsize=None)
-def _reduction_height(n: int) -> int:
-    """The largest |coefficient| of x^k modulo Phi_n over 0 <= k < n."""
-    phi = cyclotomic_polynomial(n).coeffs
-    r, height = [0] * (len(phi) - 2) + [1], 1
-    for _ in range(n - len(phi) + 1):
-        r = [a - r[-1] * b for a, b in zip([0] + r[:-1], phi)]
-        height = max(height, *map(abs, r))
-    return height
 
 
 def _is_cofactor(coeffs, cofactor: list[int], norm: int, n: int) -> bool:
@@ -301,7 +305,8 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     modulus, the 4 for the inverse of the modulus, the next quotient of the
     bound and f's coefficients modulo M (at most steps multiplications).
     """
-    units = _units(n)
+    cond = _conductor(n)
+    units = cond.units
     terms = [(i, c) for i, c in enumerate(coeffs) if c]
     if not terms:
         return 0, None
@@ -310,7 +315,7 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
     width = phi + 1 if with_cofactor else 1  # the residues: N, then C's coefficients
     steps, step_work = ceil(bits / 490), len(terms) * phi
     if with_cofactor:
-        step_work += phi * phi + phi + sum(j for j, _ in _low_terms(n))
+        step_work += phi * phi + phi + sum(j for j, _ in cond.low)
     work = steps * (step_work + _PRIME_WORK * _STEP_PRIMES + (width + 4) * steps)
     if work > WORK_LIMIT:
         what = "inverse" if with_cofactor else "norm"
@@ -320,7 +325,7 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
         )
     bound = 2 * l1 ** phi
     if with_cofactor:
-        bound = max(bound, 2 * l1 ** (phi - 1) * _reduction_height(n))
+        bound = max(bound, 2 * l1 ** (phi - 1) * cond.height)
     residues, mod, need = [0] * width, 1, bound  # need = bound // mod, one short division a step
     primes = _split_primes(n)
     while need:
@@ -339,7 +344,7 @@ def _norm_and_cofactor(coeffs, n: int, with_cofactor: bool) -> tuple[int, list[i
             norm_m = norm_m * v % m
         step_residues = [norm_m]
         if with_cofactor:
-            step_residues += _cofactor_residues(values, powers, units, n, m)
+            step_residues += _cofactor_residues(values, powers, n, m)
         residues, mod = _crt(residues, mod, step_residues, m)
         need //= m
     norm, cofactor = residues[0], residues[1:]
@@ -365,18 +370,7 @@ def _step_powers(n: int, step: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     return tuple(accumulate(range(n - 1), lambda x, _: x * root % m, initial=1))
 
 
-@lru_cache(maxsize=None)
-def _slope_factors(n: int) -> tuple[list[int], list[int]]:
-    """The divisors d < n of n with mu(n/d) = -1 and = 1: 1/Phi_n'(a) is
-    a prod_over (a^d - 1) / (n prod_under (a^d - 1)) at a root a of Phi_n."""
-    signed = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of n
-    for q in factorize(n):
-        signed += [(e * q, -mu) for e, mu in signed]
-    return ([n // e for e, mu in signed if mu == -1],
-            [n // e for e, mu in signed if mu == 1 and e > 1])
-
-
-def _cofactor_residues(values: list[int], powers, units, n: int, m: int) -> list[int]:
+def _cofactor_residues(values: list[int], powers, n: int, m: int) -> list[int]:
     """The cofactor C = N / f modulo m, from the values f(a_s) at the roots
     a_s = W^s of Phi_n and the powers of W.
 
@@ -390,17 +384,17 @@ def _cofactor_residues(values: list[int], powers, units, n: int, m: int) -> list
     modulo m, as no prime of m divides n, and all the roots' denominators are
     inverted in one batch with a single modular inverse.
     """
-    phi = len(units)
+    cond = _conductor(n)
+    units, phi = cond.units, len(cond.units)
     prefix = list(accumulate(values, lambda x, y: x * y % m, initial=1))
     suffix = list(accumulate(reversed(values), lambda x, y: x * y % m, initial=1))
     # t_s = C(a_s) a_s prod_(d in over) (a_s^d - 1) / (n prod_(d in under) (a_s^d - 1))
-    over, under = _slope_factors(n)
     tops, bottoms = [], []
     for k, s in enumerate(units):
         top, bottom = prefix[k] * suffix[phi - 1 - k] % m * powers[s % n] % m, n
-        for d in over:
+        for d in cond.over:
             top = top * (powers[s * d % n] - 1) % m
-        for d in under:
+        for d in cond.under:
             bottom = bottom * (powers[s * d % n] - 1) % m
         tops.append(top)
         bottoms.append(bottom)
@@ -412,7 +406,7 @@ def _cofactor_residues(values: list[int], powers, units, n: int, m: int) -> list
         inv = inv * bottoms[k] % m
     sums = [sum(map(mul, ts, [powers[s * j % n] for s in units])) % m for j in range(phi)]
     residues = [0] * phi
-    for i, c in enumerate(cyclotomic_polynomial(n).coeffs):
+    for i, c in enumerate(cond.phi):
         if i and c:
             residues[:i] = map(add, residues[:i], map(c.__mul__, sums[i - 1 :: -1]))
     return [r % m for r in residues]

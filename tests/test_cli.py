@@ -74,6 +74,16 @@ def test_verlinde_classify_json(capsys):
     assert payload["provenance"]["q_convention"].startswith("q = zeta_{2l}")
 
 
+def test_verlinde_classify_prints_the_detail_of_a_failed_hypothesis(capsys):
+    argv = ("verlinde", "classify", "--type", "A4", "--l", "15", "--p", "3")
+    detail = "p=3 divides composite l=15 but p < h=5"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == f"A4, l=15, p=3: OutsideTheorem (hypothesis-failure)\n{detail}\n"
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["result"]["classification"]["detail"] == detail
+
+
 def test_verlinde_simples(capsys):
     code, payload = run_json(capsys, "verlinde", "simples", "--type", "A1", "--l", "8")
     assert code == 0
@@ -142,6 +152,18 @@ def test_gtcat_badprimes(capsys):
     assert res["sum_of_squares"] == "6"
     assert [b["prime"] for b in res["bad_primes"]] == ["2"]
     assert payload["provenance"]["cocycle_restriction"].startswith("trivial cocycles")
+
+
+@pytest.mark.parametrize("argv, gen", [
+    (("simples", "--group", "A4"), "(1 2)"),  # the parity rule
+    (("simples", "--group", "D12"), "(1 2)"),  # the rotation and reflection rule
+    (("simples", "--group", "S3xC2"), "(1 4)"),  # a point leaves its factor's block
+    (("badprimes", "--gens", "(1 2 3)"), "(1 2)"),  # the element index
+])
+def test_gtcat_refuses_a_subgroup_generator_outside_the_group(capsys, argv, gen):
+    code, out, err = run(capsys, "gtcat", *argv, "--subgroup-gens", gen)
+    assert (code, out) == (2, "")
+    assert err == f"error: {gen} is not an element of the group\n"
 
 
 def test_ito_michler_cli(capsys):
@@ -419,7 +441,7 @@ def test_cyc_admits_the_largest_prime_conductor_inverse(capsys):
 
 
 def test_cyc_refuses_conductors_above_the_limit_before_phi_is_built(capsys, monkeypatch):
-    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", lambda n: pytest.fail(f"Phi_{n} was built"))
+    monkeypatch.setattr(cyclotomic, "_conductor", lambda n: pytest.fail(f"Phi_{n} was built"))
     monkeypatch.setattr(cli, "parse_element", lambda *a: pytest.fail("the expression was parsed"))
     for argv in (["z", "--norm"], ["1/(2+z+z^3)"], ["2+z+3*z^7", "--galois", "5"]):
         code, out, err = run(capsys, "cyc", *argv, "--n", "901")

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from fuscat import cyclotomic
 from fuscat.cyclotomic import (
     CycNum,
+    _conductor,
     _cyclic_mul,
     _reduce_mod_phi,
     _scatter,
     _split_primes,
-    _units,
     check_str_digits,
     cyclotomic_at_one,
     cyclotomic_polynomial,
@@ -37,7 +37,7 @@ def conjugate_numerator_product(a, skip_identity):
     """Product of the numerator's Galois conjugates modulo x^n - 1, by a
     balanced product tree: the definitional route to norms and inverses."""
     n = a.conductor
-    items = deque(_scatter(a.coeffs, s, n) for s in _units(n) if s > 1 or not skip_identity)
+    items = deque(_scatter(a.coeffs, s, n) for s in _conductor(n).units if s > 1 or not skip_identity)
     if not items:
         return [1]
     while len(items) > 1:
@@ -154,6 +154,41 @@ def test_reduction_against_the_row_loop(first):
             assert _reduce_mod_phi(coeffs, n) == reduce_by_rows(coeffs, n), (n, length)
 
 
+def test_conductor_fields_against_independent_oracles():
+    x = sympy.Symbol("x")
+    for n in range(1, 121):
+        cond = _conductor(n)
+        phi = [int(c) for c in reversed(sympy.cyclotomic_poly(n, x).as_poly(x).all_coeffs())]
+        primes = sympy.primefactors(n)
+        assert cond.phi == tuple(phi) and cond.low == tuple((j, v) for j, v in enumerate(phi[:-1]) if v), n
+        assert cond.primes == tuple(primes) and cond.step == n // min(primes, default=1), n
+        assert cond.units == tuple(s for s in range(1, n + 1) if gcd(s, n) == 1), n
+        proper = [d for d in sympy.divisors(n) if d < n]
+        assert sorted(cond.over) == [d for d in proper if sympy.mobius(n // d) == -1], n
+        assert sorted(cond.under) == [d for d in proper if sympy.mobius(n // d) == 1], n
+        powers = ([0] * k + [1] for k in range(n))
+        assert cond.height == max(abs(v) for r in powers for v in reduce_by_rows(r, n)), n
+        assert next(_split_primes(n)) == cond.split[0], n
+
+
+def test_one_factorization_serves_every_operation_at_a_conductor(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(cyclotomic, "factorize", spy)
+    _conductor.cache_clear()
+    rng = random.Random(210)
+    a, b = dense(rng, 210, 24), dense(rng, 210, 8, den=3)
+    vec = [rng.randint(-9, 9) for _ in range(210)]
+    product, reduced, norm, inverse = a * b, _reduce_mod_phi(vec, 210), a.norm(), b.inverse()
+    assert calls == [210]
+    assert product == CycNum(210, reduce_by_rows(_cyclic_mul(list(a.coeffs), list(b.coeffs), 210), 210), 3)
+    assert reduced == reduce_by_rows(vec, 210) and norm == oracle_norm(a) and inverse * b == 1
+
+
 # --- field arithmetic examples
 
 
@@ -250,7 +285,7 @@ def raw_elements(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_route_builds_the_canonical_form(a, b, k, f, data):
     n = a.conductor
-    s = data.draw(st.sampled_from(_units(n)))
+    s = data.draw(st.sampled_from(_conductor(n).units))
     l = data.draw(st.integers(2, 12))
     results = [
         -a, CycNum.from_int(k), CycNum.from_fraction(f),
@@ -412,7 +447,7 @@ def _fewest_primes(a, with_cofactor):
     n, phi, l1 = a.conductor, len(a.coeffs), sum(map(abs, a.coeffs))
     bound = 2 * l1**phi
     if with_cofactor:
-        bound = max(bound, 2 * l1 ** (phi - 1) * cyclotomic._reduction_height(n))
+        bound = max(bound, 2 * l1 ** (phi - 1) * cyclotomic._conductor(n).height)
     m = 1
     for k, (p, _) in enumerate(_split_primes(n), 1):
         m *= p

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from functools import cache
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import fuscat.finitegroup as finitegroup
+from fuscat import cli
 from fuscat.arith import prime_factors
 from fuscat.errors import InternalCheckError, PreconditionError
 from fuscat.finitegroup import (
@@ -497,6 +499,36 @@ def test_invariants_do_not_depend_on_the_presentation(name):
         copy = PermGroup.from_generators(gens)
         assert copy.family is None and not copy.factors and copy.generators != g.generators
         assert invariants(copy) == expected
+
+
+def label_free_reply(capsys, *argv):
+    """The fields of a `group --json` reply that name no point: the order,
+    the sorted class sizes, the degrees, the bad primes with their witness
+    degrees and the good primes dividing the order."""
+    assert cli.main(["group", *argv, "--json"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    return (res["order"], sorted(int(c["size"]) for c in res["classes"]), res["degrees"],
+            res["bad_primes"], res["good_primes_dividing_order"])
+
+
+# the x-joined `group` requests of the group-catalog benchmark pool whose
+# factors, reversed, name another presentation
+CATALOG_JOINS = ["SL23xS4", "S7xC2", "S3xS3xS3xC2", "S4xS4xS3", "Q8xD8xC3"]
+
+
+@pytest.mark.parametrize("name", CATALOG_JOINS)
+def test_a_join_reply_does_not_depend_on_the_factor_order(capsys, name):
+    reverse = "x".join(reversed(name.split("x")))
+    assert label_free_reply(capsys, "--group", reverse) == label_free_reply(capsys, "--group", name)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "SL23", "Q8", "D12", "S3xC4", "A4xC3", "Q8xD8"])
+def test_a_builtin_reply_does_not_depend_on_its_name(capsys, name):
+    """The builtin's own generators through `--gens`, each written twice."""
+    g = builtin_group(name)
+    gens = ", ".join(perm_to_cycles(s) for s in g.generators * 2)
+    by_gens = label_free_reply(capsys, "--gens", gens, "--degree", str(g.degree))
+    assert by_gens == label_free_reply(capsys, "--group", name)
 
 
 def test_named_orbits_must_match_the_partition_classes():

@@ -14,7 +14,8 @@ TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURC
 
 # public routes no code in src/ calls, kept because tests/test_acceptance.py
 # checks its criteria through them
-ACCEPTANCE_ONLY = {"double_cosets", "stabilizer_intersection", "scan_dimension_witnesses"}
+ACCEPTANCE_ONLY = {"double_cosets", "stabilizer_intersection", "scan_dimension_witnesses",
+                   "cyclotomic_polynomial"}
 
 
 def _is_private(name: str) -> bool:
@@ -89,6 +90,61 @@ def test_the_package_assigns_module_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_module_name_is_read_in_the_package(path):
     assert [name for name in _module_assignments(TREES[path]) if name not in READS] == []
+
+
+# the methods that change a dict, list or set in place
+MUTATORS = {"append", "extend", "insert", "setdefault", "update", "add", "pop", "clear", "remove", "discard"}
+DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """The module-level names bound to a dict, list or set display, or to
+    dict(), list() or set()."""
+    names = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        if isinstance(value, DISPLAYS) or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                                           and value.func.id in ("dict", "list", "set")):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _changed_in_place(names: set[str], trees) -> list[str]:
+    """The names whose item is assigned or deleted, or on which a method of
+    MUTATORS is called, as a bare name or as a module attribute."""
+    changed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+            if name in names:
+                changed.add(name)
+    return sorted(changed)
+
+
+CONTAINERS = set().union(*map(_module_containers, TREES.values()))
+
+
+def test_the_guard_finds_a_module_container_changed_in_place():
+    tree = ast.parse("import m\n_SEEN = {}\n_ORDER = list()\n_KEPT = [1]\n"
+                     "def f(n):\n    _SEEN.setdefault(n, []).append(n)\n    _ORDER[0] += n\n"
+                     "    m._KEPT.clear()\n    return _KEPT[0]\n")
+    assert _module_containers(tree) == {"_SEEN", "_ORDER", "_KEPT"}
+    assert _changed_in_place(_module_containers(tree), [tree]) == ["_KEPT", "_ORDER", "_SEEN"]
+
+
+def test_no_module_container_of_the_package_is_changed_in_place():
+    """Every cache is a `functools` cache, which a test can clear."""
+    assert {"_LEAVES", "_COXETER", "CROSSCHECK_CORPUS", "__all__"} <= CONTAINERS
+    assert _changed_in_place(CONTAINERS, TREES.values()) == []
 
 
 def test_the_acceptance_only_names_are_unused_and_imported_by_the_acceptance_tests():
